@@ -16,18 +16,15 @@
 //    certificate, samples all refuted).
 //  - scale-<adhoc|committees>: full run_scenario (discovery to membership
 //    convergence to decision) on the hierarchical generator families at
-//    n ∈ {1k, 10k, 100k}, each at threads ∈ {1, 2, 8} (the intra-run
-//    WorkPool membership kernel; threads=1 is the serial path). Records
-//    events/sec (delivered messages over wall time), peak RSS, and
-//    parallel_speedup = serial seconds / this row's seconds — a same-machine
-//    ratio, so it gates robustly across runner speeds. Legs run in
+//    n ∈ {1k, 10k, 100k}, one serial run per leg. Records events/sec
+//    (delivered messages over wall time) and peak RSS. Legs run in
 //    ascending n so the RSS high-water mark is attributable per leg.
 //
 // The 1k/10k rows gate CI (tools/check_bench_regression.py); the 100k rows
 // are recorded ungated (too slow for per-PR CI, tracked for the trajectory).
-// NOTE: the checked-in baseline was recorded on a single-core container, so
-// its parallel_speedup values sit near 1.0 — the gate only fails on drops,
-// and a multi-core re-record can only raise the recorded ratios.
+// Every row records host_cpus, the recording machine's core count. The
+// checked-in baseline is the per-row median of three full runs on a 4-core
+// host: single runs of the setkernel ratios swing by up to ±40% there.
 //
 // Usage: bench_scale [output.json] [--quick] [--huge]
 //   --quick  CI mode: scale legs at 1k and 10k only.
@@ -58,11 +55,9 @@ struct Result {
   std::string strategy;
   std::string mode;
   std::size_t n = 0;
-  std::size_t threads = 0;   ///< scale runs only: WorkPool width (1 = serial)
   std::uint64_t events = 0;  ///< ops, evaluations, or delivered messages
   double seconds = 0.0;
   double speedup_vs_scalar = 0.0;  ///< setkernel only
-  double parallel_speedup = 0.0;   ///< scale only: serial s / this row's s
   std::uint64_t peak_rss = 0;      ///< scale runs only
   std::uint64_t big_scc_fallbacks = 0;
   bool gate = true;
@@ -230,8 +225,7 @@ Result best_bigscc(bool certify, std::size_t n) {
 
 // --- scale runs ------------------------------------------------------------
 
-Result run_scale(const char* family, std::size_t total, std::size_t threads,
-                 bool gate) {
+Result run_scale(const char* family, std::size_t total, bool gate) {
   Rng rng(0xbf7c0bULL + total);
   graph::generators::GeneratedSystem sys;
   if (std::strcmp(family, "adhoc") == 0) {
@@ -254,16 +248,12 @@ Result run_scale(const char* family, std::size_t total, std::size_t threads,
   options.big_scc_samples = 4;
   auto search = std::make_shared<protocol::StructuredSinkSearch>(options);
 
-  // threads == 1 runs the plain serial path (no pool installed): that is
-  // the reference the parallel_speedup ratio is measured against, and a
-  // single-worker pool would only add dispatch overhead to it.
   const double t0 = now_seconds();
   const auto report = cup::ScenarioBuilder(sys)
                           .mode(cup::Mode::kAuth)
                           .seed(17)
                           .search(std::move(search))
                           .eval_cache(false)
-                          .parallel_eval(threads <= 1 ? 0 : threads)
                           .run();
   const double elapsed = now_seconds() - t0;
   if (!report.all_correct_decided || !report.agreement) {
@@ -280,7 +270,6 @@ Result run_scale(const char* family, std::size_t total, std::size_t threads,
   r.strategy = "structured";
   r.mode = "auth";
   r.n = total;
-  r.threads = threads;
   r.events = report.messages_delivered;
   r.seconds = elapsed;
   r.peak_rss = peak_rss_bytes();
@@ -297,6 +286,7 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
     std::fprintf(stderr, "bench_scale: cannot open %s\n", path.c_str());
     return;
   }
+  const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
   std::fprintf(f, "{\n  \"bench\": \"scale\",\n");
   std::fprintf(f, "  \"results\": [\n");
   bool first = true;
@@ -312,23 +302,13 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
     if (r.workload == "setkernel") {
       std::fprintf(f, ", \"speedup_vs_scalar\": %.3f", r.speedup_vs_scalar);
     }
-    if (r.threads > 0) {
-      // host_cpus records the recording machine's core count next to every
-      // threads-axis row: check_bench_regression.py skips the
-      // parallel_speedup gate when a baseline was recorded single-core
-      // (its speedups near-or-below 1.0 say nothing about the kernel).
-      std::fprintf(f,
-                   ", \"threads\": %zu, \"parallel_speedup\": %.3f, "
-                   "\"host_cpus\": %u",
-                   r.threads, r.parallel_speedup,
-                   std::max(1u, std::thread::hardware_concurrency()));
-    }
     if (r.peak_rss > 0) {
       std::fprintf(f, ", \"peak_rss_mb\": %.1f, \"big_scc_fallbacks\": %llu",
                    static_cast<double>(r.peak_rss) / (1024.0 * 1024.0),
                    static_cast<unsigned long long>(r.big_scc_fallbacks));
     }
-    std::fprintf(f, ", \"gate\": %s}", r.gate ? "true" : "false");
+    std::fprintf(f, ", \"host_cpus\": %u, \"gate\": %s}", host_cpus,
+                 r.gate ? "true" : "false");
     first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
@@ -337,11 +317,10 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
 
 void print_row(const Result& r) {
   std::printf(
-      "%-18s %-10s %-10s %8zu %3zu %12llu %10.3f %14.0f %8.2fx %8.2fx %8.1f\n",
-      r.workload.c_str(), r.strategy.c_str(), r.mode.c_str(), r.n, r.threads,
+      "%-18s %-10s %-10s %8zu %12llu %10.3f %14.0f %8.2fx %8.1f\n",
+      r.workload.c_str(), r.strategy.c_str(), r.mode.c_str(), r.n,
       static_cast<unsigned long long>(r.events), r.seconds, r.events_per_sec(),
-      r.speedup_vs_scalar, r.parallel_speedup,
-      static_cast<double>(r.peak_rss) / (1024.0 * 1024.0));
+      r.speedup_vs_scalar, static_cast<double>(r.peak_rss) / (1024.0 * 1024.0));
 }
 
 }  // namespace
@@ -363,9 +342,9 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Result> results;
-  std::printf("%-18s %-10s %-10s %8s %3s %12s %10s %14s %9s %9s %8s\n",
-              "workload", "strategy", "mode", "n", "thr", "events", "seconds",
-              "events/sec", "speedup", "par_spd", "rss_mb");
+  std::printf("%-18s %-10s %-10s %8s %12s %10s %14s %9s %8s\n", "workload",
+              "strategy", "mode", "n", "events", "seconds", "events/sec",
+              "speedup", "rss_mb");
 
   for (const std::size_t size : {std::size_t{1024}, std::size_t{4096},
                                  std::size_t{65536}}) {
@@ -384,25 +363,15 @@ int main(int argc, char** argv) {
   }
 
   // Ascending n: peak_rss is a process high-water mark, so each leg's
-  // reading is its own (see peak_rss_bytes). Each (family, n) leg runs the
-  // threads axis with the serial row first — parallel_speedup for the wider
-  // rows is measured against that same-leg serial time.
+  // reading is its own (see peak_rss_bytes).
   std::vector<std::pair<std::size_t, bool>> scale_legs = {
       {1'000, true}, {10'000, true}};
   if (!quick) scale_legs.emplace_back(100'000, false);
   if (!quick && huge) scale_legs.emplace_back(1'000'000, false);
   for (const auto& [n, gate] : scale_legs) {
     for (const char* family : {"adhoc", "committees"}) {
-      double serial_seconds = 0.0;
-      for (const std::size_t threads :
-           {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        Result r = run_scale(family, n, threads, gate);
-        if (threads == 1) serial_seconds = r.seconds;
-        r.parallel_speedup =
-            r.seconds > 0 ? serial_seconds / r.seconds : 0.0;
-        results.push_back(std::move(r));
-        print_row(results.back());
-      }
+      results.push_back(run_scale(family, n, gate));
+      print_row(results.back());
     }
   }
 

@@ -3,7 +3,6 @@
 #include "adversary/behaviors.hpp"
 #include "common/hex.hpp"
 #include "common/sys_resource.hpp"
-#include "common/work_pool.hpp"
 #include "crypto/sha256.hpp"
 #include "cup/cupft_node.hpp"
 #include "cup/naive_node.hpp"
@@ -93,16 +92,9 @@ RunReport execute_scenario(
   // Bracket the run so the per-thread fallback counter and its once-per-run
   // warning rate limit are scoped to this scenario.
   protocol::reset_big_scc_fallbacks();
-  // Install the intra-run pool for the whole run (README "Intra-run
-  // parallelism"); the membership kernel's fan-out sites pick it up via
-  // usable_work_pool(). Per-thread pools are cached across runs, so a
-  // recycled context at a fixed setting reuses its spawned threads.
-  const WorkPoolScope work_pool(scenario.parallel_eval);
-  const std::uint64_t tasks0 =
-      work_pool.pool() != nullptr ? work_pool.pool()->tasks_dispatched() : 0;
 
   // Observability scope (README "Observability"), installed thread-locally
-  // like the work pool above. The registry is the caller's cumulative one
+  // for the whole run. The registry is the caller's cumulative one
   // (RunContext) or a run-local stand-in; either way the report carries the
   // per-run delta. The tracer is always per-run: a flight recorder whose
   // ring dies with the report it fills.
@@ -270,10 +262,6 @@ RunReport execute_scenario(
   const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
   const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;
   const std::uint64_t fallbacks = protocol::big_scc_fallbacks();
-  const std::uint64_t tasks =
-      work_pool.pool() != nullptr
-          ? work_pool.pool()->tasks_dispatched() - tasks0
-          : 0;
   if (registry != nullptr) {
     // Migrated counter plumbing: the registry is the carrier and the
     // legacy report fields below mirror the snapshot's standard names, so
@@ -283,7 +271,6 @@ RunReport execute_scenario(
     registry->counter("sig.verified").add(lookups - sig_hits);
     registry->counter("sig.cached").add(sig_hits);
     registry->counter("engine.big_scc_fallbacks").add(fallbacks);
-    registry->counter("engine.eval_tasks_dispatched").add(tasks);
     // wire.* rows appear only on runs where the hostile wire actually acted:
     // a zero add would still intern the counter and grow every clean run's
     // snapshot, which the obs determinism suite pins.
@@ -313,15 +300,12 @@ RunReport execute_scenario(
     report.signatures_cached = report.metrics.counter("sig.cached");
     report.big_scc_fallbacks =
         report.metrics.counter("engine.big_scc_fallbacks");
-    report.eval_tasks_dispatched =
-        report.metrics.counter("engine.eval_tasks_dispatched");
   } else {
     report.evaluations = evals;
     report.eval_cache_hits = eval_hits;
     report.signatures_verified = lookups - sig_hits;
     report.signatures_cached = sig_hits;
     report.big_scc_fallbacks = fallbacks;
-    report.eval_tasks_dispatched = tasks;
   }
   if (tracer != nullptr) {
     report.spans = std::make_shared<const obs::SpanTrace>(tracer->take());

@@ -84,18 +84,10 @@ struct Scenario {
   /// Back the run's hot allocations (trace records, node scratch, pending
   /// buffers) with the context's bump arena. Off uses the plain heap.
   bool arena = true;
-  /// Intra-run parallel membership evaluation (README "Intra-run
-  /// parallelism"): worker count for the WorkPool the run installs around
-  /// execute_scenario. 0 (default) or 1 = serial. Like every knob in this
-  /// block, the setting leaves run digests bit-identical — the pool's
-  /// index-addressed dispatch contract guarantees it, and the
-  /// parallel==serial property suite replays the corpus to assert it.
-  std::size_t parallel_eval = 0;
 
   // --- observability knobs (README "Observability"). Observation only:
-  // both leave run digests bit-identical at every parallel_eval setting —
-  // the obs determinism suite replays the corpus with them flipped and
-  // asserts it.
+  // both leave run digests bit-identical — the obs determinism suite
+  // replays the corpus with them flipped and asserts it.
   /// Collect the run's metrics delta into RunReport::metrics (counters /
   /// gauges / histograms from src/obs/metrics.hpp). The legacy RunReport
   /// counter fields are populated either way and hold identical values.
@@ -160,12 +152,6 @@ struct RunReport {
   /// Sends the lossy-network model dropped on the wire.
   // cup-lint: digest-excluded(hostile-wire counter; golden digests predate it)
   std::uint64_t frames_lost = 0;
-  /// WorkPool chunks executed for this run (0 when parallel_eval <= 1) — a
-  /// utilization diagnostic for the intra-run parallel kernel. Excluded
-  /// from digest(): it describes how the work was *scheduled*, which the
-  /// determinism contract requires to be invisible in results.
-  // cup-lint: digest-excluded(scheduling diagnostic, thread-count-varying)
-  std::uint64_t eval_tasks_dispatched = 0;
   // Observability artifacts (src/obs/). Observation only, by the layer's
   // determinism contract; cup_lint R3's obs clause rejects any obs:: field
   // that reaches digest(), on top of the marker discipline below.

@@ -226,11 +226,6 @@ ScenarioBuilder& ScenarioBuilder::arena(bool enabled) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::parallel_eval(std::size_t threads) {
-  scenario_.parallel_eval = threads;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::tracing(bool enabled) {
   scenario_.trace_capacity = enabled ? kDefaultTraceCapacity : 0;
   return *this;

@@ -145,14 +145,10 @@ class ScenarioBuilder {
   ScenarioBuilder& context_pooling(bool enabled = true);
   /// Back the run's hot allocations with the context's bump arena.
   ScenarioBuilder& arena(bool enabled = true);
-  /// Intra-run parallel membership evaluation: worker count for the run's
-  /// WorkPool (0 = serial, the default). Digest-neutral at any setting —
-  /// the parallel==serial property suite replays the corpus to assert it.
-  ScenarioBuilder& parallel_eval(std::size_t threads);
 
   // --- observability knobs (README "Observability"). Observation only:
-  // digest-neutral at every parallel_eval setting; the obs determinism
-  // suite replays the corpus with them flipped to assert it.
+  // digest-neutral; the obs determinism suite replays the corpus with them
+  // flipped to assert it.
 
   /// Span tracing over the run's hot layers: on installs a SpanTracer with
   /// the default flight-recorder capacity and exports RunReport::spans.

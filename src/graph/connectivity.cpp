@@ -1,10 +1,8 @@
 #include "graph/connectivity.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
-#include "common/work_pool.hpp"
 #include "graph/maxflow.hpp"
 #include "graph/scc.hpp"
 
@@ -104,54 +102,10 @@ std::size_t pivot_count(std::size_t n, std::size_t bound) {
 /// threshold).
 constexpr std::size_t kPivotThreshold = 64;
 
-/// Parallel form of the pivot probe loop: pivots fan out across the
-/// installed WorkPool, each worker on its own BatchedSplitFlow (bound to
-/// that thread's flow arena, so flow-reset reuse is preserved per worker).
-/// The shared atomic `best` is a *work cap*, not a result accumulator:
-/// every true pair flow is >= κ and every cap it is probed under is >= κ
-/// (inductively — caps are prior probe results), so a capped probe returns
-/// min(flow, cap) >= κ, and the κ-attaining pair returns exactly κ no
-/// matter when its probe is scheduled. The final minimum is therefore
-/// exactly κ at any thread count and any interleaving — the same value the
-/// serial loop computes.
-std::size_t pivot_connectivity_parallel(const Digraph& g, std::size_t bound,
-                                        std::size_t pivots, WorkPool& pool) {
-  const std::size_t n = g.vertex_count();
-  std::atomic<std::size_t> best{bound};
-  pool.run(pivots, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-    BatchedSplitFlow batched(g);
-    for (std::size_t p = begin; p < end; ++p) {
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v == p) continue;
-        const auto probe = [&](std::size_t from, std::size_t to) {
-          const std::size_t cap = best.load(std::memory_order_relaxed);
-          if (cap <= 1) return false;  // κ floor reached: nothing can drop
-          std::size_t flow = static_cast<std::size_t>(
-              batched.count(from, to, static_cast<int>(cap)));
-          std::size_t current = best.load(std::memory_order_relaxed);
-          while (flow < current && !best.compare_exchange_weak(
-                                       current, flow,
-                                       std::memory_order_relaxed)) {
-          }
-          return true;
-        };
-        if (!probe(p, v) || !probe(v, p)) return;
-      }
-    }
-  });
-  // Strongly connected means κ >= 1; the early-exit floor can only have
-  // fired with best == 1 == κ.
-  return std::max<std::size_t>(best.load(std::memory_order_relaxed), 1);
-}
-
 /// Exact κ of a strongly connected, non-complete g via the pivot set.
 std::size_t pivot_connectivity(const Digraph& g, std::size_t bound) {
   const std::size_t n = g.vertex_count();
   const std::size_t pivots = pivot_count(n, bound);
-  if (WorkPool* pool = usable_work_pool();
-      pool != nullptr && pool->workers() > 1 && pivots > 1) {
-    return pivot_connectivity_parallel(g, bound, pivots, *pool);
-  }
   BatchedSplitFlow batched(g);
   std::size_t best = bound;
   for (std::size_t p = 0; p < pivots; ++p) {
@@ -171,34 +125,10 @@ std::size_t pivot_connectivity(const Digraph& g, std::size_t bound) {
 
 /// Pivot-path form of the k-connectivity predicate: κ >= k iff every probed
 /// pair carries k units (the probed minimum equals κ, see pivot_count).
-/// With a pool installed, pivots fan out like pivot_connectivity_parallel;
-/// the verdict is a conjunction of pure per-pair predicates, so it is
-/// schedule-independent, and the shared flag only prunes work after the
-/// answer is already `false`.
 bool pivot_k_connected(const Digraph& g, std::size_t bound, std::size_t k) {
   const std::size_t n = g.vertex_count();
   const std::size_t pivots = pivot_count(n, bound);
   const int limit = static_cast<int>(std::min<std::size_t>(k, kInf));
-  if (WorkPool* pool = usable_work_pool();
-      pool != nullptr && pool->workers() > 1 && pivots > 1) {
-    std::atomic<bool> connected{true};
-    pool->run(pivots, 1, [&](std::size_t begin, std::size_t end,
-                             std::size_t) {
-      BatchedSplitFlow batched(g);
-      for (std::size_t p = begin; p < end; ++p) {
-        for (std::size_t v = 0; v < n; ++v) {
-          if (v == p) continue;
-          if (!connected.load(std::memory_order_relaxed)) return;
-          if (batched.count(p, v, limit) < limit ||
-              batched.count(v, p, limit) < limit) {
-            connected.store(false, std::memory_order_relaxed);
-            return;
-          }
-        }
-      }
-    });
-    return connected.load(std::memory_order_relaxed);
-  }
   BatchedSplitFlow batched(g);
   for (std::size_t p = 0; p < pivots; ++p) {
     for (std::size_t v = 0; v < n; ++v) {

@@ -97,8 +97,8 @@ struct Message {
   IdSet origin_pd;
   std::vector<ProcessId> path;
 
-  /// Canonical wire size in bytes (metrics only; the simulator does not
-  /// serialize for delivery).
+  /// Wire size in bytes for the bytes_sent metric: encode_frame's size
+  /// minus its cert-presence byte (see msg/wire.hpp).
   [[nodiscard]] std::size_t encoded_size() const;
 };
 

@@ -11,11 +11,12 @@
 // must come back as nullopt — never a crash, never UB, never a partially
 // initialized message.
 //
-// The frame layout matches Message::encoded_size()'s legacy metric encoding
-// except for one extra byte: an explicit cert-presence flag. The legacy
-// stream omits absent optional fields, which is fine for a size metric but
-// ambiguous to parse; the metric encoding is pinned by the golden digests
-// (RunReport::digest() hashes bytes_sent) and deliberately left untouched.
+// Layout: type, pds (count + owner/pd/sig each), value, view, sig, a
+// cert-presence flag byte and, when set, the cert (view, value, shares),
+// then origin, origin_pd and path. Message::encoded_size() — the
+// bytes_sent metric — is this frame's size minus the cert-presence byte:
+// the metric predates the flag, and the golden digests (RunReport::digest()
+// hashes bytes_sent) pin it.
 #pragma once
 
 #include <optional>

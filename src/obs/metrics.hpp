@@ -79,8 +79,8 @@ struct MetricsSnapshot {
 };
 
 /// The registry. Thread-confined (see header comment): sites reach it via
-/// obs::current_metrics(), which is nullptr on WorkPool worker threads, so
-/// only the run's own thread ever mutates it.
+/// obs::current_metrics(), which is installed only on the run's own thread,
+/// so only that thread ever mutates it.
 class BFTCUP_THREAD_CONFINED MetricsRegistry {
  public:
   class Counter {

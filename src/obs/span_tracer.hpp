@@ -10,9 +10,9 @@
 //
 // Determinism contract: tracing is *observation only*. Sites open spans
 // through the thread-local obs::ScopedSpan, which is a single thread-local
-// load + branch when no tracer is installed (the near-zero disabled path)
-// and records nothing on WorkPool worker threads (the tracer is
-// thread-confined to the run's own thread, like every cache). Wall times
+// load + branch when no tracer is installed (the near-zero disabled path).
+// The tracer is thread-confined to the run's own thread, like every cache,
+// and a run executes entirely on that thread. Wall times
 // never feed a digest, a decision, or any replayed state — cup_lint R2/R3
 // pin the only steady_clock call and the RunReport fields.
 #pragma once
@@ -106,14 +106,13 @@ class BFTCUP_THREAD_CONFINED SpanTracer {
 /// benches — see the R2 marker at its definition.
 [[nodiscard]] std::uint64_t wall_now_ns();
 
-/// Thread-local observer accessors: nullptr outside an ObsScope (and
-/// always on WorkPool worker threads, which never install one).
+/// Thread-local observer accessors: nullptr outside an ObsScope.
 [[nodiscard]] MetricsRegistry* current_metrics();
 [[nodiscard]] SpanTracer* current_tracer();
 
-/// RAII thread-local install, mirroring WorkPoolScope: execute_scenario
-/// brackets the run body with one, so every site below it observes the
-/// run's registry/tracer without plumbing arguments through the stack.
+/// RAII thread-local install: execute_scenario brackets the run body with
+/// one, so every site below it observes the run's registry/tracer without
+/// plumbing arguments through the stack.
 class ObsScope {
  public:
   ObsScope(MetricsRegistry* metrics, SpanTracer* tracer);

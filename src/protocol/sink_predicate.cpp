@@ -5,7 +5,6 @@
 #include <cassert>
 
 #include "common/bitset64.hpp"
-#include "common/work_pool.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/scc.hpp"
 #include "protocol/eval_cache.hpp"
@@ -29,68 +28,15 @@ struct OutsideCounts {
   std::vector<std::size_t> escape_min;
 };
 
-/// S1 sizes below this stay serial in outside_counts: a fan-out costs two
-/// dispatches plus slot merges, which only amortize on the big-SCC
-/// certification path where |S1| is component-sized. Thresholding is pure
-/// scheduling — the merged output is identical either way.
-constexpr std::size_t kParallelProbeThreshold = 256;
-
-/// Chunked [0, n) dispatch writing into per-chunk slots, merged by chunk
-/// index. The returned vector equals the serial concatenation order.
-template <typename T, typename Fill>
-std::vector<T> chunked_concat(WorkPool& pool, std::size_t n, const Fill& fill) {
-  const std::size_t chunk =
-      std::max<std::size_t>(1, n / (pool.workers() * 4));
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  std::vector<std::vector<T>> slots(chunks);
-  pool.run(n, chunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-    fill(begin, end, slots[begin / chunk]);
-  });
-  std::vector<T> merged;
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
-  merged.reserve(total);
-  for (auto& slot : slots) {
-    merged.insert(merged.end(), slot.begin(), slot.end());
-  }
-  return merged;
-}
-
 OutsideCounts outside_counts(const KnowledgeView& view, const IdSet& s1,
                              const AdaptiveIdProbe& s1_probe) {
   OutsideCounts out;
-  // The P4 counting pass (every outside target of every member PD) is the
-  // one O(Σ|PD_i|) loop of the predicate; for component-sized S1s it is
-  // batched per worker. Both passes end in a value sort, so per-chunk
-  // slots concatenated in chunk order yield the serial vector exactly —
-  // the multiset of contributions is schedule-independent.
-  WorkPool* pool = usable_work_pool();
-  if (pool != nullptr &&
-      (pool->workers() <= 1 || s1.size() < kParallelProbeThreshold)) {
-    pool = nullptr;
-  }
-  const auto& members = s1.values();
   std::vector<std::uint64_t> targets;  // outside targets, with multiplicity
-  if (pool != nullptr) {
-    targets = chunked_concat<std::uint64_t>(
-        *pool, members.size(),
-        [&](std::size_t begin, std::size_t end,
-            std::vector<std::uint64_t>& slot) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const IdSet* pd = view.pd_of(members[i]);
-            if (pd == nullptr) continue;
-            for (ProcessId t : *pd) {
-              if (!s1_probe.contains(t)) slot.push_back(t.raw());
-            }
-          }
-        });
-  } else {
-    for (ProcessId i : s1) {
-      const IdSet* pd = view.pd_of(i);
-      if (pd == nullptr) continue;
-      for (ProcessId t : *pd) {
-        if (!s1_probe.contains(t)) targets.push_back(t.raw());
-      }
+  for (ProcessId i : s1) {
+    const IdSet* pd = view.pd_of(i);
+    if (pd == nullptr) continue;
+    for (ProcessId t : *pd) {
+      if (!s1_probe.contains(t)) targets.push_back(t.raw());
     }
   }
   std::sort(targets.begin(), targets.end());
@@ -107,10 +53,9 @@ OutsideCounts outside_counts(const KnowledgeView& view, const IdSet& s1,
         [](const auto& entry, std::uint64_t key) { return entry.first < key; });
     return it->second;
   };
-  const auto escape_min_of = [&](std::size_t index,
-                                 std::vector<std::size_t>& sink) {
-    const IdSet* pd = view.pd_of(members[index]);
-    if (pd == nullptr) return;
+  for (ProcessId i : s1) {
+    const IdSet* pd = view.pd_of(i);
+    if (pd == nullptr) continue;
     std::size_t min_count = 0;
     bool any_outside = false;
     for (ProcessId t : *pd) {
@@ -119,19 +64,7 @@ OutsideCounts outside_counts(const KnowledgeView& view, const IdSet& s1,
       min_count = any_outside ? std::min(min_count, c) : c;
       any_outside = true;
     }
-    if (any_outside) sink.push_back(min_count);
-  };
-  if (pool != nullptr) {
-    out.escape_min = chunked_concat<std::size_t>(
-        *pool, members.size(),
-        [&](std::size_t begin, std::size_t end,
-            std::vector<std::size_t>& slot) {
-          for (std::size_t i = begin; i < end; ++i) escape_min_of(i, slot);
-        });
-  } else {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      escape_min_of(i, out.escape_min);
-    }
+    if (any_outside) out.escape_min.push_back(min_count);
   }
   std::sort(out.escape_min.begin(), out.escape_min.end());
   return out;
@@ -233,29 +166,17 @@ std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
 
 const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
     const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch) {
-  return admissible_thresholds_padded(view, s1, nullptr, scratch);
-}
-
-const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
-    const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local) {
   static const std::vector<AdmissibleSplit> kEmpty;
   // A not-fully-received S1 has no splits but may gain some later; it must
   // not be stored (the memo has no invalidation by design).
   if (s1.empty() || !s1.is_subset_of(view.received())) return kEmpty;
-  if (shared != nullptr) {
-    if (const auto it = shared->splits.find(s1); it != shared->splits.end()) {
-      ++local.stats.split_hits;
-      return it->second.splits;
-    }
-  }
-  if (const auto it = local.splits.find(s1); it != local.splits.end()) {
-    ++local.stats.split_hits;
+  if (const auto it = scratch.splits.find(s1); it != scratch.splits.end()) {
+    ++scratch.stats.split_hits;
     return it->second.splits;
   }
-  ++local.stats.split_misses;
-  return local.splits
-      .emplace(s1, compute_thresholds(view, s1, &local.probe_words))
+  ++scratch.stats.split_misses;
+  return scratch.splits
+      .emplace(s1, compute_thresholds(view, s1, &scratch.probe_words))
       .first->second.splits;
 }
 

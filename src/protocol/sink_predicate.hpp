@@ -60,15 +60,4 @@ struct AdmissibleSplit {
 [[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
     const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch);
 
-/// Worker-pad form of admissible_thresholds_memo for the parallel SCC
-/// fan-out (common/work_pool.hpp): reads `shared` — the view's memo, frozen
-/// for the duration of a dispatch — first, then `local` (the worker's own
-/// pad); misses are computed into `local`, never into `shared`. The caller
-/// merges the pads back into the view memo after the join, in worker-index
-/// order. With `shared == nullptr` and `local` = the view's scratch this is
-/// exactly admissible_thresholds_memo (the serial path delegates here).
-[[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_padded(
-    const KnowledgeView& view, const IdSet& s1, const EvalScratch* shared,
-    EvalScratch& local);
-
 }  // namespace bftcup::protocol

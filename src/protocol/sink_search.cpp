@@ -7,7 +7,6 @@
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/random.hpp"
-#include "common/work_pool.hpp"
 #include "obs/span_tracer.hpp"
 #include "protocol/eval_cache.hpp"
 
@@ -25,10 +24,6 @@ thread_local bool t_big_scc_warned = false;
 /// Counts an oversized component and logs the fallback warning once per
 /// run (reset_big_scc_fallbacks re-arms it) — a large-n run hits this once
 /// per evaluation per big component, which used to flood the log.
-/// Always called on the run's own thread: the parallel drivers evaluate
-/// oversized components from the caller context (their inner sample and
-/// pivot loops are what fan out), so the thread-local counter and the
-/// warn-once latch keep working unchanged.
 void note_big_scc_fallback(std::size_t scc_size, std::size_t cap) {
   ++t_big_scc_fallbacks;
   if (t_big_scc_warned) return;
@@ -39,28 +34,15 @@ void note_big_scc_fallback(std::size_t scc_size, std::size_t cap) {
                           << " (logged once per run)";
 }
 
-/// Memo routing for one enumeration call. `local` is where split memo
-/// reads and writes go (the view's own scratch on the serial path, a
-/// worker-private pad during a parallel dispatch, nullptr in suspended /
-/// non-incremental mode = no memos at all). `shared` is a read-only
-/// overlay consulted before `local` — the view's scratch, frozen while a
-/// dispatch is in flight; workers hit it for splits costed in earlier
-/// revisions and write misses to their own pad, which the driver merges
-/// back worker-index-ordered after the join. Everything memoized is a pure
-/// function of the view, so pad contents are schedule-independent.
-struct EvalPads {
-  EvalScratch* local = nullptr;
-  const EvalScratch* shared = nullptr;
-};
-
 /// Appends every admissible split of `s1` as a candidate. Shared by the cold
-/// and incremental paths; `pads` routes the split computation through the
-/// per-S1 memo tiers (see EvalPads).
-void collect_candidates_for(const KnowledgeView& view, const EvalPads& pads,
+/// and incremental paths; a non-null `memo` routes the split computation
+/// through the view's per-S1 split memo (nullptr = cold, no memo at all:
+/// churn-suspended or non-incremental evaluation).
+void collect_candidates_for(const KnowledgeView& view, EvalScratch* memo,
                             const IdSet& s1, std::vector<SinkCandidate>& out) {
-  if (pads.local != nullptr) {
+  if (memo != nullptr) {
     for (const AdmissibleSplit& split :
-         admissible_thresholds_padded(view, s1, pads.shared, *pads.local)) {
+         admissible_thresholds_memo(view, s1, *memo)) {
       out.push_back({s1, split.s2, split.g});
     }
     return;
@@ -76,7 +58,7 @@ void collect_candidates_for(const KnowledgeView& view, const EvalPads& pads,
 /// allocation is its first capacity growth — the FlatSet-scratch half of
 /// the run engine's near-zero-heap steady state. collect_candidates_for
 /// copies S1 into whatever it emits, so reuse cannot leak.
-void enumerate_exhaustive(const KnowledgeView& view, const EvalPads& pads,
+void enumerate_exhaustive(const KnowledgeView& view, EvalScratch* memo,
                           const IdSet& scc, std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
@@ -88,20 +70,20 @@ void enumerate_exhaustive(const KnowledgeView& view, const EvalPads& pads,
       // ids is sorted, so these inserts are ordered appends.
       if (mask & (std::uint64_t{1} << b)) s1.insert(ids[b]);
     }
-    collect_candidates_for(view, pads, s1, out);
+    collect_candidates_for(view, memo, s1, out);
   }
 }
 
 /// Candidates the structured strategy derives from one SCC: C itself, then
 /// C \ D for every removal set D with |D| <= removal_cap.
-void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
+void enumerate_structured(const KnowledgeView& view, EvalScratch* memo,
                           const IdSet& scc, std::size_t removal_cap,
                           std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
   const std::size_t cap = std::min(removal_cap, n - 1);
 
-  collect_candidates_for(view, pads, scc, out);
+  collect_candidates_for(view, memo, scc, out);
   for (std::size_t d = 1; d <= cap; ++d) {
     std::vector<std::size_t> combo(d);
     for (std::size_t i = 0; i < d; ++i) combo[i] = i;
@@ -109,7 +91,7 @@ void enumerate_structured(const KnowledgeView& view, const EvalPads& pads,
     while (more) {
       IdSet s1 = scc;
       for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, pads, s1, out);
+      collect_candidates_for(view, memo, s1, out);
 
       // Advance to the next d-combination of {0..n-1}.
       more = false;
@@ -135,90 +117,14 @@ std::vector<IdSet> received_sccs(const KnowledgeView& view) {
   return graph::strongly_connected_components(k).members;
 }
 
-/// Fans `jobs` (dirty SCCs at or below the big-SCC threshold, paired with
-/// their output slot index) out across the pool. Each worker enumerates
-/// through its own EvalScratch pad overlaid on the view's frozen scratch
-/// (EvalPads); candidates land in slots addressed by job index, never in
-/// completion order, and pads are merged back worker-index-ordered after
-/// the join — so the assembled output is byte-identical to the serial
-/// loop. `view_scratch == nullptr` (suspended / non-incremental mode)
-/// enumerates memo-free, exactly like the serial cold path.
-template <typename Enumerate>
-void enumerate_jobs(WorkPool& pool, const KnowledgeView& view,
-                    EvalScratch* view_scratch,
-                    const std::vector<const IdSet*>& jobs,
-                    const std::vector<std::size_t>& job_slot,
-                    std::vector<std::vector<SinkCandidate>>& slots,
-                    const Enumerate& enumerate) {
-  if (jobs.empty()) return;
-  const std::size_t workers = pool.workers();
-  std::vector<EvalScratch> pads(view_scratch != nullptr ? workers : 0);
-  const std::size_t chunk =
-      std::max<std::size_t>(1, jobs.size() / (workers * 8));
-  pool.run(jobs.size(), chunk,
-           [&](std::size_t begin, std::size_t end, std::size_t worker) {
-             const EvalPads eval_pads{
-                 view_scratch != nullptr ? &pads[worker] : nullptr,
-                 view_scratch};
-             for (std::size_t j = begin; j < end; ++j) {
-               enumerate(view, eval_pads, *jobs[j], slots[job_slot[j]]);
-             }
-           });
-  if (view_scratch == nullptr) return;
-  for (EvalScratch& pad : pads) {
-    // emplace keeps the first value per key; duplicates across pads hold
-    // identical values (pure functions of the view), so merge order only
-    // needs to be *fixed*, not anything in particular.
-    for (auto& entry : pad.splits) {
-      view_scratch->splits.emplace(entry.first, std::move(entry.second));
-    }
-    view_scratch->stats.split_hits += pad.stats.split_hits;
-    view_scratch->stats.split_misses += pad.stats.split_misses;
-  }
-}
-
 /// Drives one full SCC list (cold / churn-suspended evaluations: every SCC
-/// is enumerated, no candidate cache). Serial without a usable pool;
-/// otherwise small SCCs fan out while oversized ones run from the caller
-/// context so their inner sample/pivot loops can use the pool themselves.
+/// is enumerated, no candidate cache).
 template <typename Enumerate>
 std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
-                                              EvalScratch* scratch,
-                                              std::size_t big_threshold,
                                               const std::vector<IdSet>& sccs,
                                               const Enumerate& enumerate) {
   std::vector<SinkCandidate> out;
-  WorkPool* pool = usable_work_pool();
-  if (pool == nullptr || pool->workers() <= 1 || sccs.size() <= 1) {
-    const EvalPads pads{scratch, nullptr};
-    for (const IdSet& scc : sccs) enumerate(view, pads, scc, out);
-    return out;
-  }
-
-  std::vector<std::vector<SinkCandidate>> slots(sccs.size());
-  std::vector<const IdSet*> small;
-  std::vector<std::size_t> small_slot;
-  std::vector<std::size_t> big;
-  for (std::size_t i = 0; i < sccs.size(); ++i) {
-    if (sccs[i].size() > big_threshold) {
-      big.push_back(i);
-    } else {
-      small.push_back(&sccs[i]);
-      small_slot.push_back(i);
-    }
-  }
-  enumerate_jobs(*pool, view, scratch, small, small_slot, slots, enumerate);
-  for (std::size_t i : big) {
-    const EvalPads pads{scratch, nullptr};
-    enumerate(view, pads, sccs[i], slots[i]);
-  }
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
-  out.reserve(total);
-  for (auto& slot : slots) {
-    out.insert(out.end(), std::make_move_iterator(slot.begin()),
-               std::make_move_iterator(slot.end()));
-  }
+  for (const IdSet& scc : sccs) enumerate(view, nullptr, scc, out);
   return out;
 }
 
@@ -229,14 +135,10 @@ std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
 /// else is dirty and re-enumerated through `enumerate`, with the per-S1
 /// split memo absorbing subsets already costed in an earlier revision.
 /// Output order is identical to a cold run: current SCC order, and within
-/// an SCC the enumeration order `enumerate` defines. With a pool installed
-/// the dirty SCCs fan out (slots by SCC index, worker pads merged after
-/// the join); classification, cache bookkeeping, and assembly stay on the
-/// caller, so the two-touch admission logic is untouched.
+/// an SCC the enumeration order `enumerate` defines.
 template <typename Enumerate>
 std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
                                                   const std::string& cache_key,
-                                                  std::size_t big_threshold,
                                                   const Enumerate& enumerate) {
   std::vector<SinkCandidate> out;
   EvalScratch& scratch = view.eval_scratch();
@@ -248,8 +150,7 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
   // the max-flow scratch from cache). Identical output, none of the
   // bookkeeping that cannot amortize.
   if (scratch.memo_suspended) {
-    return enumerate_sequence(view, nullptr, big_threshold,
-                              received_sccs(view), enumerate);
+    return enumerate_sequence(view, received_sccs(view), enumerate);
   }
 
   const auto& snapshot = view.received_scc_snapshot();
@@ -272,92 +173,29 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
     cache.pruned_revision = view.revision();
   }
 
-  WorkPool* pool = usable_work_pool();
-  if (pool == nullptr || pool->workers() <= 1) {
-    const EvalPads pads{&scratch, nullptr};
-    for (const IdSet& scc : snapshot.sccs.members) {
-      const auto it = cache.by_scc.find(scc);
-      if (it != cache.by_scc.end() && it->second.filled) {
-        ++scratch.stats.scc_hits;
-        out.insert(out.end(), it->second.candidates.begin(),
-                   it->second.candidates.end());
-        continue;
-      }
-      ++scratch.stats.scc_misses;
-      // Two-touch admission (see EvalScratch::CachedCandidates): record the
-      // key on first sight, store the candidate vector only once the same
-      // member set survives to a second enumeration. Discovery-churn SCCs
-      // are pruned before their second touch and never pay the copy.
-      if (it == cache.by_scc.end()) {
-        enumerate(view, pads, scc, out);  // straight into the output
-        cache.by_scc.emplace(scc, EvalScratch::CachedCandidates{});
-        continue;
-      }
-      std::vector<SinkCandidate> fresh;
-      enumerate(view, pads, scc, fresh);
-      out.insert(out.end(), fresh.begin(), fresh.end());
-      it->second.filled = true;
-      it->second.candidates = std::move(fresh);
-    }
-    return out;
-  }
-
-  // Parallel path: classify on the caller (cache probes and stats), fan
-  // dirty SCCs out into index-addressed slots, assemble + fill the cache
-  // in SCC order afterwards. Candidate content and order are identical to
-  // the serial loop above; only where the split memos get *computed*
-  // differs, and those are pure caches.
-  const auto& sccs = snapshot.sccs.members;
-  const std::size_t n = sccs.size();
-  enum class Touch : unsigned char { kHit, kFirst, kSecond };
-  std::vector<Touch> touch(n, Touch::kHit);
-  std::vector<std::vector<SinkCandidate>> slots(n);
-  std::vector<const IdSet*> small;
-  std::vector<std::size_t> small_slot;
-  std::vector<std::size_t> big;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto it = cache.by_scc.find(sccs[i]);
+  for (const IdSet& scc : snapshot.sccs.members) {
+    const auto it = cache.by_scc.find(scc);
     if (it != cache.by_scc.end() && it->second.filled) {
       ++scratch.stats.scc_hits;
+      out.insert(out.end(), it->second.candidates.begin(),
+                 it->second.candidates.end());
       continue;
     }
     ++scratch.stats.scc_misses;
-    touch[i] = it == cache.by_scc.end() ? Touch::kFirst : Touch::kSecond;
-    if (sccs[i].size() > big_threshold) {
-      big.push_back(i);
-    } else {
-      small.push_back(&sccs[i]);
-      small_slot.push_back(i);
+    // Two-touch admission (see EvalScratch::CachedCandidates): record the
+    // key on first sight, store the candidate vector only once the same
+    // member set survives to a second enumeration. Discovery-churn SCCs
+    // are pruned before their second touch and never pay the copy.
+    if (it == cache.by_scc.end()) {
+      enumerate(view, &scratch, scc, out);  // straight into the output
+      cache.by_scc.emplace(scc, EvalScratch::CachedCandidates{});
+      continue;
     }
-  }
-  enumerate_jobs(*pool, view, &scratch, small, small_slot, slots, enumerate);
-  // Oversized components run from the caller context so their sample and
-  // pivot fan-outs can take the pool themselves (a dispatch from inside a
-  // task would be rejected; usable_work_pool() would hand them nullptr).
-  for (std::size_t i : big) {
-    const EvalPads pads{&scratch, nullptr};
-    enumerate(view, pads, sccs[i], slots[i]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (touch[i]) {
-      case Touch::kHit: {
-        const auto it = cache.by_scc.find(sccs[i]);
-        out.insert(out.end(), it->second.candidates.begin(),
-                   it->second.candidates.end());
-        break;
-      }
-      case Touch::kFirst:
-        out.insert(out.end(), slots[i].begin(), slots[i].end());
-        cache.by_scc.emplace(sccs[i], EvalScratch::CachedCandidates{});
-        break;
-      case Touch::kSecond: {
-        out.insert(out.end(), slots[i].begin(), slots[i].end());
-        const auto it = cache.by_scc.find(sccs[i]);
-        it->second.filled = true;
-        it->second.candidates = std::move(slots[i]);
-        break;
-      }
-    }
+    std::vector<SinkCandidate> fresh;
+    enumerate(view, &scratch, scc, fresh);
+    out.insert(out.end(), fresh.begin(), fresh.end());
+    it->second.filled = true;
+    it->second.candidates = std::move(fresh);
   }
   return out;
 }
@@ -372,14 +210,10 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
 /// The RNG seed is FNV over the member ids: a pure function of the
 /// component, so replays, cross-thread runs, and the incremental cache all
 /// see the same candidate stream (and no ambient entropy enters — R2).
-/// The sample stream is *generated* serially (the RNG is sequential), then
-/// *evaluated* through the pool when one is usable — slots by sample
-/// index, worker pads merged after the join, so the emitted candidates
-/// match the serial interleaving exactly.
-void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
+void enumerate_big_scc(const KnowledgeView& view, EvalScratch* memo,
                        const IdSet& scc, std::size_t removal_cap,
                        std::size_t samples, std::vector<SinkCandidate>& out) {
-  collect_candidates_for(view, pads, scc, out);
+  collect_candidates_for(view, memo, scc, out);
   if (samples == 0) return;
 
   const auto& ids = scc.values();
@@ -393,7 +227,6 @@ void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
   std::vector<std::size_t> pool(n);
   for (std::size_t i = 0; i < n; ++i) pool[i] = i;
   std::vector<std::size_t> combo;
-  std::vector<IdSet> sample_s1s;
   for (std::size_t d = 1; d <= cap; ++d) {
     std::set<std::vector<std::size_t>> seen;
     // A duplicate draw is wasted, not retried forever: the attempt budget
@@ -411,43 +244,8 @@ void enumerate_big_scc(const KnowledgeView& view, const EvalPads& pads,
       if (!seen.insert(combo).second) continue;
       IdSet s1 = scc;
       for (std::size_t idx : combo) s1.erase(ids[idx]);
-      sample_s1s.push_back(std::move(s1));
+      collect_candidates_for(view, memo, s1, out);
     }
-  }
-
-  WorkPool* wp = usable_work_pool();
-  if (wp == nullptr || wp->workers() <= 1 || sample_s1s.size() <= 1) {
-    for (const IdSet& s1 : sample_s1s) {
-      collect_candidates_for(view, pads, s1, out);
-    }
-    return;
-  }
-  const std::size_t workers = wp->workers();
-  std::vector<std::vector<SinkCandidate>> slots(sample_s1s.size());
-  std::vector<EvalScratch> worker_pads(pads.local != nullptr ? workers : 0);
-  const EvalScratch* shared =
-      pads.shared != nullptr ? pads.shared : pads.local;
-  wp->run(sample_s1s.size(), 1,
-          [&](std::size_t begin, std::size_t end, std::size_t worker) {
-            const EvalPads eval_pads{
-                pads.local != nullptr ? &worker_pads[worker] : nullptr,
-                shared};
-            for (std::size_t j = begin; j < end; ++j) {
-              collect_candidates_for(view, eval_pads, sample_s1s[j], slots[j]);
-            }
-          });
-  if (pads.local != nullptr) {
-    for (EvalScratch& pad : worker_pads) {
-      for (auto& entry : pad.splits) {
-        pads.local->splits.emplace(entry.first, std::move(entry.second));
-      }
-      pads.local->stats.split_hits += pad.stats.split_hits;
-      pads.local->stats.split_misses += pad.stats.split_misses;
-    }
-  }
-  for (auto& slot : slots) {
-    out.insert(out.end(), std::make_move_iterator(slot.begin()),
-               std::make_move_iterator(slot.end()));
   }
 }
 
@@ -456,9 +254,6 @@ std::string options_key(const char* name, const SearchOptions& options) {
   key += "/cap=" + std::to_string(options.exhaustive_cap);
   key += "/rm=" + std::to_string(options.removal_cap);
   key += "/bs=" + std::to_string(options.big_scc_samples);
-  // parallel_eval is deliberately absent: thread count must not change
-  // results (the parallel==serial property suite asserts it), so it must
-  // not split the candidate caches or the shared eval memo either.
   return key;
 }
 
@@ -483,16 +278,9 @@ StructuredSinkSearch::StructuredSinkSearch(SearchOptions options)
 
 std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
     const KnowledgeView& view) const {
-  // Strategy-level parallelism for direct library use; a pool installed by
-  // the run engine (Scenario::parallel_eval) takes precedence.
-  const WorkPoolScope scope(
-      current_work_pool() == nullptr ? options_.parallel_eval : 0);
-  const auto enumerate = [this](const KnowledgeView& v, const EvalPads& pads,
+  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
                                 const IdSet& scc,
                                 std::vector<SinkCandidate>& out) {
-    // Observability: this lambda runs on the run's own thread (the
-    // parallel drivers fan out its *inner* loops), so the span and the
-    // SCC-size histogram are identical at every parallel_eval setting.
     const obs::ScopedSpan span("membership.scc_eval", scc.size());
     if (obs::MetricsRegistry* m = obs::current_metrics()) {
       m->histogram("eval.scc_size").record(scc.size());
@@ -500,29 +288,24 @@ std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
     if (scc.size() > options_.exhaustive_cap) {
       note_big_scc_fallback(scc.size(), options_.exhaustive_cap);
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, pads, scc, options_.removal_cap,
+      enumerate_big_scc(v, memo, scc, options_.removal_cap,
                         options_.big_scc_samples, out);
       return;
     }
-    enumerate_exhaustive(v, pads, scc, out);
+    enumerate_exhaustive(v, memo, scc, out);
   };
 
   if (options_.incremental) {
-    return incremental_candidates(view, cache_key_, options_.exhaustive_cap,
-                                  enumerate);
+    return incremental_candidates(view, cache_key_, enumerate);
   }
-  return enumerate_sequence(view, nullptr, options_.exhaustive_cap,
-                            received_sccs(view), enumerate);
+  return enumerate_sequence(view, received_sccs(view), enumerate);
 }
 
 std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     const KnowledgeView& view) const {
-  const WorkPoolScope scope(
-      current_work_pool() == nullptr ? options_.parallel_eval : 0);
-  const auto enumerate = [this](const KnowledgeView& v, const EvalPads& pads,
+  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
                                 const IdSet& scc,
                                 std::vector<SinkCandidate>& out) {
-    // Run-thread only, like the exhaustive twin above (see its comment).
     const obs::ScopedSpan span("membership.scc_eval", scc.size());
     if (obs::MetricsRegistry* m = obs::current_metrics()) {
       m->histogram("eval.scc_size").record(scc.size());
@@ -530,19 +313,17 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     if (scc.size() > kStructuredEnumerationCap) {
       note_big_scc_fallback(scc.size(), kStructuredEnumerationCap);
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, pads, scc, options_.removal_cap,
+      enumerate_big_scc(v, memo, scc, options_.removal_cap,
                         options_.big_scc_samples, out);
       return;
     }
-    enumerate_structured(v, pads, scc, options_.removal_cap, out);
+    enumerate_structured(v, memo, scc, options_.removal_cap, out);
   };
 
   if (options_.incremental) {
-    return incremental_candidates(view, cache_key_, kStructuredEnumerationCap,
-                                  enumerate);
+    return incremental_candidates(view, cache_key_, enumerate);
   }
-  return enumerate_sequence(view, nullptr, kStructuredEnumerationCap,
-                            received_sccs(view), enumerate);
+  return enumerate_sequence(view, received_sccs(view), enumerate);
 }
 
 std::unique_ptr<SinkSearch> make_default_search() {

@@ -67,15 +67,6 @@ struct SearchOptions {
   /// Reuse candidates of unchanged SCCs and memoized per-S1 splits across
   /// evaluations (see file comment). Results are bit-identical either way.
   bool incremental = true;
-  /// Intra-evaluation worker count for direct library use of a strategy:
-  /// candidates() installs a WorkPool of this many workers (0 = serial,
-  /// the default) unless the run engine already installed one
-  /// (Scenario::parallel_eval), which takes precedence. Deliberately
-  /// excluded from the strategy cache_key: the thread count must not — and
-  /// provably does not — change candidate output (the parallel==serial
-  /// property suite replays the corpus at several settings), so it must
-  /// not split the candidate caches either.
-  std::size_t parallel_eval = 0;
 
   /// Copy with every field clamped to a safe value (exhaustive_cap <= 63).
   [[nodiscard]] SearchOptions validated() const;

@@ -260,23 +260,19 @@ TEST(GoldenCorpusTest, DigestsMatchThePreRefactorImplementation) {
 
 TEST(GoldenCorpusTest, DigestsSurviveTheFullObservabilityStack) {
   // The observation-only contract against the strongest oracle available:
-  // with metrics collection AND the span flight recorder attached — serial
-  // and under the intra-run pool — every golden digest must still match
-  // the constants captured before src/obs/ existed. Complements
-  // obs_determinism_test's explored/dyn sweep with the paper-figure corpus.
+  // with metrics collection AND the span flight recorder attached, every
+  // golden digest must still match the constants captured before src/obs/
+  // existed. Complements obs_determinism_test's explored/dyn sweep with the
+  // paper-figure corpus.
   const auto& registry = cup::ScenarioRegistry::paper();
   for (const GoldenDigest& golden : kGoldenCorpus) {
-    for (std::size_t threads : {std::size_t{0}, std::size_t{8}}) {
-      const cup::RunReport report =
-          cup::run_scenario(registry.builder(golden.scenario, golden.seed)
-                                .metrics(true)
-                                .tracing(true)
-                                .parallel_eval(threads)
-                                .build());
-      EXPECT_EQ(report.digest(), golden.digest)
-          << golden.scenario << " seed=" << golden.seed
-          << " parallel_eval=" << threads;
-    }
+    const cup::RunReport report =
+        cup::run_scenario(registry.builder(golden.scenario, golden.seed)
+                              .metrics(true)
+                              .tracing(true)
+                              .build());
+    EXPECT_EQ(report.digest(), golden.digest)
+        << golden.scenario << " seed=" << golden.seed;
   }
 }
 

@@ -1,7 +1,7 @@
 // cup_lint fixture: the slot-addressed twin of r1_completion_order.bad.cpp.
 // Results land in pre-sized slots addressed by task index, and the
 // reduction walks the slots in index order — byte-identical to a serial
-// loop at any worker count, which is the WorkPool determinism contract.
+// loop at any worker count, like BatchRunner's per-run result slots.
 #include <cstddef>
 #include <cstdint>
 #include <vector>

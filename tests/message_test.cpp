@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "codec/encoder.hpp"
 #include "msg/message.hpp"
+#include "msg/wire.hpp"
 
 namespace bftcup::msg {
 namespace {
@@ -79,6 +81,82 @@ TEST(MessageTest, EncodedSizeCountsRrbPath) {
   const std::size_t bare = m.encoded_size();
   m.path = {p(3), p(4), p(5)};
   EXPECT_GT(m.encoded_size(), bare);
+}
+
+/// The bytes_sent metric's own layout, written out independently of
+/// encode_frame: the frame without its cert-presence byte. The golden
+/// digests hash bytes_sent, so this layout is frozen.
+std::size_t metric_layout_size(const Message& m) {
+  const auto put_sig = [](codec::Encoder& enc, const crypto::Signature& sig) {
+    enc.put_bytes(BytesView(sig.bytes.data(), sig.bytes.size()));
+  };
+  codec::Encoder enc;
+  enc.put_u8(static_cast<std::uint8_t>(m.type));
+  enc.put_varint(m.pds.size());
+  for (const SignedPd& spd : m.pds) {
+    enc.put_id(spd.owner);
+    enc.put_id_set(spd.pd);
+    put_sig(enc, spd.sig);
+  }
+  enc.put_u64(m.value);
+  enc.put_u32(m.view);
+  put_sig(enc, m.sig);
+  if (m.cert) {
+    enc.put_u32(m.cert->view);
+    enc.put_u64(m.cert->value);
+    enc.put_varint(m.cert->shares.size());
+    for (const SigShare& share : m.cert->shares) {
+      enc.put_id(share.signer);
+      put_sig(enc, share.sig);
+    }
+  }
+  enc.put_id(m.origin);
+  enc.put_id_set(m.origin_pd);
+  enc.put_varint(m.path.size());
+  for (ProcessId id : m.path) enc.put_id(id);
+  return enc.bytes().size();
+}
+
+TEST(MessageTest, EncodedSizeIsTheFrameMinusTheCertFlag) {
+  for (std::size_t t = 0; t < kMsgTypeCount; ++t) {
+    for (const bool with_pds : {false, true}) {
+      for (const bool with_cert : {false, true}) {
+        for (const bool with_path : {false, true}) {
+          Message m;
+          m.type = static_cast<MsgType>(t);
+          m.value = 300 + t;
+          m.view = static_cast<std::uint32_t>(t);
+          m.origin = p(7);
+          m.origin_pd = IdSet{p(8), p(9)};
+          if (with_pds) {
+            for (std::uint64_t i = 1; i <= 3; ++i) {
+              SignedPd spd;
+              spd.owner = p(i);
+              spd.pd = IdSet{p(i + 1), p(i + 200)};
+              m.pds.push_back(spd);
+            }
+          }
+          if (with_cert) {
+            QuorumCert cert;
+            cert.view = 2;
+            cert.value = 9;
+            cert.shares.resize(3);
+            for (std::size_t i = 0; i < cert.shares.size(); ++i) {
+              cert.shares[i].signer = p(i + 1);
+            }
+            m.cert = cert;
+          }
+          if (with_path) m.path = {p(3), p(4), p(500)};
+          const std::string label =
+              std::string(to_string(m.type)) + " pds=" +
+              std::to_string(with_pds) + " cert=" +
+              std::to_string(with_cert) + " path=" + std::to_string(with_path);
+          EXPECT_EQ(m.encoded_size(), encode_frame(m).size() - 1) << label;
+          EXPECT_EQ(m.encoded_size(), metric_layout_size(m)) << label;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // The observation-only property: Scenario::metrics and trace_capacity must
 // be invisible in results. Every explored-corpus and dynamic registry
 // scenario is replayed with the full observability stack attached — metrics
-// on, the span flight recorder installed — at serial and parallel thread
-// counts, and the RunReport digest must be byte-identical to the bare run.
-// This is the obs analogue of parallel_determinism_test: the corpus covers
-// adversarial topologies (big-SCC shapes included, so the certification
-// span and fallback counter fire) and fault-timeline churn.
+// on, the span flight recorder installed — and the RunReport digest must be
+// byte-identical to the bare run. The corpus covers adversarial topologies
+// (big-SCC shapes included, so the certification span and fallback counter
+// fire) and fault-timeline churn.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -28,7 +27,7 @@ std::vector<std::string> corpus() {
   return names;
 }
 
-TEST(ObsDeterminismTest, CorpusDigestsAreObsInvariantAtEveryThreadCount) {
+TEST(ObsDeterminismTest, CorpusDigestsAreObsInvariant) {
   const ScenarioRegistry& registry = ScenarioRegistry::paper();
   const std::vector<std::string> names = corpus();
   ASSERT_FALSE(names.empty());
@@ -37,111 +36,39 @@ TEST(ObsDeterminismTest, CorpusDigestsAreObsInvariantAtEveryThreadCount) {
     // Baseline: observability fully off (no registry, no tracer).
     const RunReport bare = cup::run_scenario(
         registry.builder(name).seed(1).metrics(false).build());
-    const std::string expected = bare.digest();
     EXPECT_TRUE(bare.metrics.empty()) << name;
     EXPECT_EQ(bare.spans, nullptr) << name;
 
-    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      const RunReport observed = cup::run_scenario(registry.builder(name)
-                                                       .seed(1)
-                                                       .metrics(true)
-                                                       .tracing(true)
-                                                       .parallel_eval(threads)
-                                                       .build());
-      EXPECT_EQ(observed.digest(), expected)
-          << name << " with obs on at parallel_eval=" << threads;
-      EXPECT_EQ(observed.verdict(), bare.verdict())
-          << name << " at parallel_eval=" << threads;
-      ASSERT_NE(observed.spans, nullptr) << name;
-      EXPECT_GT(observed.spans->started, 0u) << name;
-      EXPECT_FALSE(observed.metrics.empty()) << name;
+    const RunReport observed = cup::run_scenario(registry.builder(name)
+                                                     .seed(1)
+                                                     .metrics(true)
+                                                     .tracing(true)
+                                                     .build());
+    EXPECT_EQ(observed.digest(), bare.digest()) << name << " with obs on";
+    EXPECT_EQ(observed.verdict(), bare.verdict()) << name;
+    ASSERT_NE(observed.spans, nullptr) << name;
+    EXPECT_GT(observed.spans->started, 0u) << name;
+    EXPECT_FALSE(observed.metrics.empty()) << name;
 
-      // Legacy counter fields are mirrors of the snapshot's standard
-      // names — they can never drift from it.
-      EXPECT_EQ(observed.evaluations,
-                observed.metrics.counter("eval.requested"))
-          << name;
-      EXPECT_EQ(observed.eval_cache_hits,
-                observed.metrics.counter("eval.cache_hits"))
-          << name;
-      EXPECT_EQ(observed.signatures_verified,
-                observed.metrics.counter("sig.verified"))
-          << name;
-      EXPECT_EQ(observed.signatures_cached,
-                observed.metrics.counter("sig.cached"))
-          << name;
-      EXPECT_EQ(observed.big_scc_fallbacks,
-                observed.metrics.counter("engine.big_scc_fallbacks"))
-          << name;
-      EXPECT_EQ(observed.eval_tasks_dispatched,
-                observed.metrics.counter("engine.eval_tasks_dispatched"))
-          << name;
-      EXPECT_EQ(observed.arena_bytes_peak,
-                observed.metrics.gauge("engine.arena_bytes_peak"))
-          << name;
-    }
-  }
-}
-
-TEST(ObsDeterminismTest, DeterministicTraceShapeIsThreadCountInvariant) {
-  // Wall times differ every run, but what the run *did* — which spans
-  // opened, how many, in which start order, over which sim-time windows —
-  // is replay state and must match across thread counts. Spot-check with
-  // the first corpus scenario (explored shapes drive the membership kernel
-  // hardest, so the parallel path genuinely executes).
-  const std::vector<std::string> names = corpus();
-  ASSERT_FALSE(names.empty());
-  const ScenarioRegistry& registry = ScenarioRegistry::paper();
-  const std::string& name = names.front();
-
-  const auto traced = [&](std::size_t threads) {
-    return cup::run_scenario(registry.builder(name)
-                                 .seed(1)
-                                 .tracing(true)
-                                 .parallel_eval(threads)
-                                 .build());
-  };
-  const RunReport serial = traced(1);
-  const RunReport parallel = traced(8);
-  ASSERT_NE(serial.spans, nullptr);
-  ASSERT_NE(parallel.spans, nullptr);
-
-  // Only the protocol/simulator layers are compared: they always execute
-  // on the run's own thread, so their spans are replay state — same spans,
-  // same completion order, same sim-time windows, same site arguments.
-  // Scheduling spans (workpool.*) describe how work was placed, and the
-  // membership-evaluation spans/probes cover whatever the caller context
-  // evaluated — under a parallel dispatch some evaluations move to obs-
-  // silent workers, so both families legitimately thin out with the thread
-  // count (like the eval_tasks_dispatched counter).
-  struct Shape {
-    std::string name;
-    SimTime sim_begin;
-    SimTime sim_end;
-    std::uint64_t arg;
-    bool operator==(const Shape&) const = default;
-  };
-  const auto shape_of = [](const obs::SpanTrace& trace) {
-    std::vector<Shape> shape;
-    for (const obs::SpanRecord& rec : trace.records) {
-      const std::string& span_name = trace.names[rec.name_id];
-      const bool replay_layer = span_name.rfind("run.", 0) == 0 ||
-                                span_name.rfind("sim.", 0) == 0 ||
-                                span_name.rfind("discovery.", 0) == 0 ||
-                                span_name.rfind("pbft.", 0) == 0;
-      if (!replay_layer) continue;
-      shape.push_back({span_name, rec.sim_begin, rec.sim_end, rec.arg});
-    }
-    return shape;
-  };
-  const std::vector<Shape> serial_shape = shape_of(*serial.spans);
-  const std::vector<Shape> parallel_shape = shape_of(*parallel.spans);
-  ASSERT_EQ(serial_shape.size(), parallel_shape.size()) << name;
-  EXPECT_FALSE(serial_shape.empty()) << name;
-  for (std::size_t i = 0; i < serial_shape.size(); ++i) {
-    EXPECT_TRUE(serial_shape[i] == parallel_shape[i])
-        << name << " record " << i << ": " << serial_shape[i].name << " vs "
-        << parallel_shape[i].name;
+    // Legacy counter fields are mirrors of the snapshot's standard
+    // names — they can never drift from it.
+    EXPECT_EQ(observed.evaluations, observed.metrics.counter("eval.requested"))
+        << name;
+    EXPECT_EQ(observed.eval_cache_hits,
+              observed.metrics.counter("eval.cache_hits"))
+        << name;
+    EXPECT_EQ(observed.signatures_verified,
+              observed.metrics.counter("sig.verified"))
+        << name;
+    EXPECT_EQ(observed.signatures_cached,
+              observed.metrics.counter("sig.cached"))
+        << name;
+    EXPECT_EQ(observed.big_scc_fallbacks,
+              observed.metrics.counter("engine.big_scc_fallbacks"))
+        << name;
+    EXPECT_EQ(observed.arena_bytes_peak,
+              observed.metrics.gauge("engine.arena_bytes_peak"))
+        << name;
   }
 }
 

@@ -2,8 +2,8 @@
 """Bench-regression gate: compare a fresh bench run against a checked-in
 BENCH_*.json baseline and fail when throughput dropped beyond tolerance.
 
-Rows are matched on their identity fields (workload / strategy / n / mode /
-threads); rows carrying `"gate": false` are reported but never enforced. The
+Rows are matched on their identity fields (workload / strategy / n / mode);
+rows carrying `"gate": false` are reported but never enforced. The
 compared metric is chosen per row:
 
   * speedup_vs_cold / speedup_vs_fresh — preferred when present
@@ -19,21 +19,8 @@ compared metric is chosen per row:
     perfectly uniform global slowdown is indistinguishable from a slower
     machine and is deliberately not flagged.)
 
-Rows may additionally carry `parallel_speedup` (bench_scale's threads axis:
-serial seconds / threaded seconds, same-machine ratio). It is checked on
-top of the row's primary metric, under its own --parallel-tolerance: the
-recorded baseline may come from a single-core machine where every speedup
-sits near 1.0, so the gate only needs to catch the kernel *losing* ground
-(a serialization bug or new contention), not to demand scaling the runner
-cannot exhibit. Rows recorded with `host_cpus` <= 1 skip the
-parallel_speedup gate entirely (reported as info): a 1-core recording's
-oversubscription ratios are hardware artifacts, and comparing them against
-a multi-core runner gates on the machines, not the kernel. Rows without
-`host_cpus` (pre-recording baselines) keep the old enforced behavior.
-
 Usage:
   check_bench_regression.py BASELINE.json CURRENT.json [--tolerance 0.30]
-      [--parallel-tolerance 0.35]
 """
 
 from __future__ import annotations
@@ -47,11 +34,9 @@ from typing import Any
 Row = dict[str, Any]
 RowKey = tuple[tuple[str, Any], ...]
 
-IDENTITY_KEYS = ("workload", "strategy", "n", "mode", "threads")
+IDENTITY_KEYS = ("workload", "strategy", "n", "mode")
 RATIO_METRICS = ("speedup_vs_cold", "speedup_vs_fresh", "speedup_vs_scalar")
 ABSOLUTE_METRICS = ("events_per_sec", "evals_per_sec")
-# Secondary per-row metric, checked in addition to the primary one above.
-PARALLEL_METRIC = "parallel_speedup"
 
 
 def row_key(row: Row) -> RowKey:
@@ -73,20 +58,10 @@ def geomean(values: list[float]) -> float:
 
 
 def normalizer(rows: list[Row]) -> float:
-    """Geometric mean of the gated absolute-metric values of one file.
-
-    Rows running more than one thread are excluded: their throughput
-    relative to the serial rows legitimately swings with the runner's core
-    count (a 1-core recording machine pins them below serial, a multi-core
-    CI runner lifts them above), and letting them into the geomean would
-    shift every other row's normalized value with the hardware rather than
-    with the code.
-    """
+    """Geometric mean of the gated absolute-metric values of one file."""
     values: list[float] = []
     for row in rows:
         if row.get("gate", True) is False:
-            continue
-        if int(row.get("threads", 1)) > 1:
             continue
         metric = metric_for(row)
         if metric in ABSOLUTE_METRICS:
@@ -103,13 +78,6 @@ def main() -> int:
         type=float,
         default=0.30,
         help="maximum allowed fractional drop vs baseline (default 0.30)",
-    )
-    parser.add_argument(
-        "--parallel-tolerance",
-        type=float,
-        default=0.35,
-        help="maximum allowed fractional drop of parallel_speedup vs "
-        "baseline (default 0.35)",
     )
     args = parser.parse_args()
 
@@ -163,49 +131,6 @@ def main() -> int:
                 f"{floor:.3f} (baseline {base_value:.3f}, tolerance "
                 f"{args.tolerance:.0%})"
             )
-
-        # Secondary check: the intra-run parallel speedup ratio, where both
-        # baseline and current carry it. Ratios are same-machine, so they
-        # compare as-is; its own tolerance because recorded values may come
-        # from hardware that cannot scale (see module docstring).
-        par_base = float(base_row.get(PARALLEL_METRIC, 0.0))
-        par_cur_raw = cur_row.get(PARALLEL_METRIC)
-        if par_base > 0 and par_cur_raw is not None:
-            par_cur = float(par_cur_raw)
-            par_floor = par_base * (1.0 - args.parallel_tolerance)
-            par_regressed = par_cur < par_floor
-            # A baseline recorded on a single-core host cannot exhibit
-            # scaling; its speedup rows are machine artifacts, so the gate
-            # is informational there (see module docstring).
-            baseline_host_cpus = base_row.get("host_cpus")
-            single_core_baseline = (
-                baseline_host_cpus is not None
-                and int(baseline_host_cpus) <= 1
-            )
-            if single_core_baseline:
-                par_status = "info"
-                print(
-                    f"{par_status:10s} {label:45s} {PARALLEL_METRIC}: "
-                    f"baseline={par_base:.3f} current={par_cur:.3f} "
-                    f"(single-core baseline; gate skipped)"
-                )
-                continue
-            if enforced:
-                checked += 1
-                par_status = "REGRESSION" if par_regressed else "ok"
-            else:
-                par_status = "info"
-            print(
-                f"{par_status:10s} {label:45s} {PARALLEL_METRIC}: "
-                f"baseline={par_base:.3f} current={par_cur:.3f} "
-                f"(floor={par_floor:.3f})"
-            )
-            if enforced and par_regressed:
-                failures.append(
-                    f"{label}: {PARALLEL_METRIC} {par_cur:.3f} < floor "
-                    f"{par_floor:.3f} (baseline {par_base:.3f}, tolerance "
-                    f"{args.parallel_tolerance:.0%})"
-                )
 
     if checked == 0:
         print("error: no gated rows found", file=sys.stderr)

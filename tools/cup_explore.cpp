@@ -5,13 +5,9 @@
 //   cup_explore --replay '<line>'       replay a one-line genome artifact
 //   cup_explore --scenario NAME [--seed N]
 //                                       replay a registry scenario by name
-//   cup_explore --digests TAG [--seed N] [--parallel-eval N]
+//   cup_explore --digests TAG [--seed N]
 //                                       one `name digest` line per registry
-//                                       scenario carrying TAG (repeatable).
-//                                       The CI parallel-determinism gate
-//                                       diffs this output across
-//                                       --parallel-eval settings: any
-//                                       difference is a determinism bug.
+//                                       scenario carrying TAG (repeatable)
 //   cup_explore --smoke                 CI gate: fixed tiny budget; asserts
 //                                       the planted bridge-hiding family is
 //                                       rediscovered and every finding
@@ -51,7 +47,7 @@ int usage(const char* argv0) {
                "          [--corpus-out FILE] [--findings-out FILE]\n"
                "       %s --replay '<genome line>'\n"
                "       %s --scenario NAME [--seed N]\n"
-               "       %s --digests TAG [--seed N] [--parallel-eval N]\n"
+               "       %s --digests TAG [--seed N]\n"
                "       %s --smoke\n"
                "       %s --wire-smoke\n",
                argv0, argv0, argv0, argv0, argv0, argv0);
@@ -83,10 +79,7 @@ int replay(const std::string& line) {
 }
 
 /// One `name digest` line per registry scenario carrying any of `tags`.
-/// Digests must be invariant under `parallel_eval` (the WorkPool contract);
-/// the CI gate runs this at two thread counts and diffs the outputs.
-int digests_for_tags(const std::vector<std::string>& tags, std::uint64_t seed,
-                     std::size_t parallel_eval) {
+int digests_for_tags(const std::vector<std::string>& tags, std::uint64_t seed) {
   const auto& registry = cup::ScenarioRegistry::paper();
   std::vector<std::string> names;
   for (const std::string& tag : tags) {
@@ -100,8 +93,7 @@ int digests_for_tags(const std::vector<std::string>& tags, std::uint64_t seed,
     return 2;
   }
   for (const std::string& name : names) {
-    const cup::RunReport report = cup::run_scenario(
-        registry.builder(name, seed).parallel_eval(parallel_eval).build());
+    const cup::RunReport report = registry.run(name, seed);
     std::printf("%s %s\n", name.c_str(), report.digest().c_str());
   }
   return 0;
@@ -317,7 +309,6 @@ int main(int argc, char** argv) {
   std::string scenario_name;
   std::vector<std::string> digest_tags;
   std::uint64_t scenario_seed = 1;
-  std::uint64_t parallel_eval = 0;
   bool want_smoke = false;
   bool want_wire_smoke = false;
 
@@ -342,8 +333,6 @@ int main(int argc, char** argv) {
       scenario_name = argv[++i];
     } else if (arg == "--digests" && i + 1 < argc) {
       digest_tags.emplace_back(argv[++i]);
-    } else if (arg == "--parallel-eval" && next_value(value)) {
-      parallel_eval = value;
     } else if (arg == "--seed" && next_value(value)) {
       scenario_seed = value;
     } else if (arg == "--master-seed" && next_value(value)) {
@@ -370,9 +359,7 @@ int main(int argc, char** argv) {
   if (want_smoke) return smoke(options);
   if (want_wire_smoke) return wire_smoke(options);
   if (!replay_line.empty()) return replay(replay_line);
-  if (!digest_tags.empty()) {
-    return digests_for_tags(digest_tags, scenario_seed, parallel_eval);
-  }
+  if (!digest_tags.empty()) return digests_for_tags(digest_tags, scenario_seed);
   if (!scenario_name.empty()) {
     return run_scenario_by_name(scenario_name, scenario_seed);
   }

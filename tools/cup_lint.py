@@ -70,11 +70,6 @@ DIGEST_PATH_MODULES = (
     # The blocked-bitset kernels back membership probes inside candidate
     # enumeration — their containers feed digest-visible iteration order.
     "src/common/bitset64.hpp",
-    # The fork-join pool carries the intra-run parallel fan-out: its slot
-    # and scratch containers are where a completion-order reduction would
-    # first become possible, so they stay in the inventory.
-    "src/common/work_pool.hpp",
-    "src/common/work_pool.cpp",
     "src/cup/runner.hpp",
     "src/cup/runner.cpp",
     "src/cup/batch_runner.hpp",
@@ -613,9 +608,9 @@ def container_inventory(files: list[SourceFile]) -> list[dict[str, Any]]:
     spellings: list[tuple[str, bool]] = [(t, True) for t in ORDERED_CONTAINERS]
     spellings += [(f"std::{t}", False) for t in UNORDERED_TYPES]
     spellings += [(f"std::pmr::{t}", False) for t in UNORDERED_TYPES]
-    # `(` is accepted as an initializer so the parallel kernel's pre-sized
-    # slot vectors — `std::vector<T> slots(n);`, the index-addressed form
-    # the WorkPool determinism contract requires — are inventoried too.
+    # `(` is accepted as an initializer so pre-sized slot vectors —
+    # `std::vector<T> slots(n);`, the index-addressed form a parallel
+    # reduction needs to stay deterministic — are inventoried too.
     decl_res = [
         (
             re.compile(
