@@ -14,10 +14,13 @@
 // (BFT-CUP) and Definition-2 (BFT-CUPFT) verdicts for the given fault
 // configuration, every self-declarable sink with its connectivity, and the
 // DOT rendering for visualization.
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "graph/extended_osr.hpp"
 #include "graph/figures.hpp"
@@ -76,16 +79,39 @@ int run_demo() {
   return 0;
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s <edge-list-file> [f] [faulty-id ...]\n"
+               "       %s --demo\n",
+               argv0, argv0);
+  return 2;
+}
+
+/// A strict unsigned decimal argument: no sign, nothing after the digits.
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || end != s.data() + s.size()) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--demo") return run_demo();
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <edge-list-file> [f] [faulty-id ...]\n"
-                 "       %s --demo\n",
-                 argv[0], argv[0]);
-    return 2;
+  if (argc < 2) return usage(argv[0]);
+
+  // A typo'd f or id is a usage error, not an abort or a wrapped negative.
+  std::size_t f = 1;
+  bftcup::IdSet faulty;
+  for (int i = 2; i < argc; ++i) {
+    const std::optional<std::uint64_t> value = parse_u64(argv[i]);
+    if (!value) return usage(argv[0]);
+    if (i == 2) {
+      f = static_cast<std::size_t>(*value);
+    } else {
+      faulty.insert(bftcup::ProcessId(*value));
+    }
   }
 
   std::ifstream in(argv[1]);
@@ -99,13 +125,6 @@ int main(int argc, char** argv) {
   if (!g) {
     std::fprintf(stderr, "malformed edge list\n");
     return 2;
-  }
-
-  std::size_t f = 1;
-  if (argc >= 3) f = static_cast<std::size_t>(std::stoul(argv[2]));
-  bftcup::IdSet faulty;
-  for (int i = 3; i < argc; ++i) {
-    faulty.insert(bftcup::ProcessId(std::stoull(argv[i])));
   }
 
   report(argv[1], *g, faulty, f);

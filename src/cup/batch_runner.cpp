@@ -5,12 +5,10 @@
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "common/sys_resource.hpp"
 #include "common/thread_annotations.hpp"
 #include "cup/run_context.hpp"
 
@@ -91,16 +89,6 @@ RunRecord summarize(std::string scenario, std::uint64_t seed,
   record.delivered = report.messages_delivered;
   record.bytes = report.bytes_sent;
   record.value = report.common_value.value_or(0);
-  record.evaluations = report.evaluations;
-  record.eval_hits = report.eval_cache_hits;
-  record.signatures = report.signatures_verified;
-  record.sig_hits = report.signatures_cached;
-  record.recycled = report.contexts_recycled;
-  record.arena_peak = report.arena_bytes_peak;
-  record.peak_rss = peak_rss_bytes();
-  record.frames_mutated = report.frames_mutated;
-  record.frames_rejected = report.frames_rejected;
-  record.frames_lost = report.frames_lost;
   record.digest = report.digest();
   return record;
 }
@@ -148,11 +136,6 @@ std::vector<ScenarioStats> BatchReport::scenarios() const {
     if (run.latency >= 0) latencies[index].push_back(run.latency);
     s.messages_total += run.messages;
     s.bytes_total += run.bytes;
-    s.evaluations_total += run.evaluations;
-    s.eval_hits_total += run.eval_hits;
-    s.signatures_total += run.signatures;
-    s.sig_hits_total += run.sig_hits;
-    s.peak_rss_max = std::max(s.peak_rss_max, run.peak_rss);
   }
   for (std::size_t i = 0; i < stats.size(); ++i) {
     auto& lat = latencies[i];
@@ -179,32 +162,12 @@ namespace {
 
 constexpr const char* kRunsCsvHeader =
     "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
-    "delivered,bytes,value,evaluations,eval_hits,signatures,sig_hits,"
-    "recycled,arena_peak,peak_rss,frames_mutated,frames_rejected,"
-    "frames_lost,digest";
-
-// Earlier headers, still accepted on import (see from_runs_csv): the
-// pre-hostile-wire 19-column format, the pre-peak-rss 18-column format, the
-// pre-run-engine 16-column format, and the pre-cache-counter 12-column one.
-constexpr const char* kPeakRssRunsCsvHeader =
-    "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
-    "delivered,bytes,value,evaluations,eval_hits,signatures,sig_hits,"
-    "recycled,arena_peak,peak_rss,digest";
-constexpr const char* kRunEngineRunsCsvHeader =
-    "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
-    "delivered,bytes,value,evaluations,eval_hits,signatures,sig_hits,"
-    "recycled,arena_peak,digest";
-constexpr const char* kCacheCounterRunsCsvHeader =
-    "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
-    "delivered,bytes,value,evaluations,eval_hits,signatures,sig_hits,digest";
-constexpr const char* kLegacyRunsCsvHeader =
-    "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
     "delivered,bytes,value,digest";
+constexpr std::size_t kRunsCsvFields = 12;
 
 /// RFC-4180-style field quoting: fields containing the separator, a quote,
 /// or a line break are wrapped in double quotes with embedded quotes
-/// doubled. Everything else is emitted verbatim, so files of pre-escaping
-/// releases are byte-identical (their names never needed quoting).
+/// doubled. Everything else is emitted verbatim.
 std::string csv_field(const std::string& value) {
   if (value.find_first_of(",\"\r\n") == std::string::npos) return value;
   std::string out;
@@ -220,9 +183,9 @@ std::string csv_field(const std::string& value) {
 
 /// Splits the CSV text into logical records: newlines inside a quoted
 /// field belong to the field (csv_field quotes them), so a record may span
-/// physical lines. Unquoted input (every legacy export) splits exactly
-/// like a plain getline loop. Trailing \r (CRLF input) is stripped outside
-/// quotes. Throws on an unterminated quote at end of input.
+/// physical lines. Unquoted input splits exactly like a plain getline
+/// loop. Trailing \r (CRLF input) is stripped outside quotes. Throws on an
+/// unterminated quote at end of input.
 std::vector<std::string> split_csv_records(const std::string& text) {
   std::vector<std::string> records;
   std::string record;
@@ -245,8 +208,7 @@ std::vector<std::string> split_csv_records(const std::string& text) {
   return records;
 }
 
-/// Splits one CSV record, honoring csv_field's quoting. Unquoted rows
-/// (every legacy export) split exactly as the old naive splitter did.
+/// Splits one CSV record, honoring csv_field's quoting.
 std::vector<std::string> split_csv(const std::string& line) {
   std::vector<std::string> out;
   std::string field;
@@ -281,6 +243,29 @@ std::vector<std::string> split_csv(const std::string& line) {
   return out;
 }
 
+/// One numeric CSV field, strictly: std::from_chars must consume the whole
+/// field, so a sign on an unsigned column, trailing garbage, padding or an
+/// empty field is malformed rather than silently truncated or wrapped.
+template <typename T>
+T csv_number(const std::string& field, const std::string& line) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [next, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc{} || next != end) {
+    throw std::invalid_argument("BatchReport: malformed CSV number \"" +
+                                field + "\" in row: " + line);
+  }
+  return value;
+}
+
+/// One boolean CSV field: runs_csv writes exactly "1" or "0".
+bool csv_flag(const std::string& field, const std::string& line) {
+  if (field == "1") return true;
+  if (field == "0") return false;
+  throw std::invalid_argument("BatchReport: malformed CSV flag \"" + field +
+                              "\" in row: " + line);
+}
+
 }  // namespace
 
 std::string BatchReport::runs_csv() const {
@@ -298,16 +283,6 @@ std::string BatchReport::runs_csv() const {
     out += ',' + std::to_string(r.delivered);
     out += ',' + std::to_string(r.bytes);
     out += ',' + std::to_string(r.value);
-    out += ',' + std::to_string(r.evaluations);
-    out += ',' + std::to_string(r.eval_hits);
-    out += ',' + std::to_string(r.signatures);
-    out += ',' + std::to_string(r.sig_hits);
-    out += ',' + std::to_string(r.recycled);
-    out += ',' + std::to_string(r.arena_peak);
-    out += ',' + std::to_string(r.peak_rss);
-    out += ',' + std::to_string(r.frames_mutated);
-    out += ',' + std::to_string(r.frames_rejected);
-    out += ',' + std::to_string(r.frames_lost);
     out += ',' + csv_field(r.digest);
     out += '\n';
   }
@@ -317,65 +292,32 @@ std::string BatchReport::runs_csv() const {
 BatchReport BatchReport::from_runs_csv(const std::string& csv) {
   std::vector<RunRecord> runs;
   bool header = true;
-  // 22 = current format; 19 = pre-hostile-wire; 18 = pre-peak-rss; 16 =
-  // pre-run-engine; 12 = pre-cache-counter. Old formats stay accepted so
-  // persisted sweep outputs keep loading (absent counters read 0). Rows must
-  // match the arity their header announced — a mixed file is corrupt.
-  std::size_t expected_fields = 0;
   for (const std::string& line : split_csv_records(csv)) {
     if (line.empty()) continue;
     if (header) {
-      if (line == kRunsCsvHeader) {
-        expected_fields = 22;
-      } else if (line == kPeakRssRunsCsvHeader) {
-        expected_fields = 19;
-      } else if (line == kRunEngineRunsCsvHeader) {
-        expected_fields = 18;
-      } else if (line == kCacheCounterRunsCsvHeader) {
-        expected_fields = 16;
-      } else if (line == kLegacyRunsCsvHeader) {
-        expected_fields = 12;
-      } else {
+      if (line != kRunsCsvHeader) {
         throw std::invalid_argument("BatchReport: unexpected CSV header");
       }
       header = false;
       continue;
     }
     const auto fields = split_csv(line);
-    if (fields.size() != expected_fields) {
+    if (fields.size() != kRunsCsvFields) {
       throw std::invalid_argument("BatchReport: malformed CSV row: " + line);
     }
     RunRecord r;
     r.scenario = fields[0];
-    r.seed = std::stoull(fields[1]);
+    r.seed = csv_number<std::uint64_t>(fields[1], line);
     r.verdict = fields[2];
-    r.agreement = fields[3] == "1";
-    r.validity = fields[4] == "1";
-    r.terminated = fields[5] == "1";
-    r.latency = std::stoll(fields[6]);
-    r.messages = std::stoull(fields[7]);
-    r.delivered = std::stoull(fields[8]);
-    r.bytes = std::stoull(fields[9]);
-    r.value = std::stoull(fields[10]);
-    if (fields.size() >= 16) {
-      r.evaluations = std::stoull(fields[11]);
-      r.eval_hits = std::stoull(fields[12]);
-      r.signatures = std::stoull(fields[13]);
-      r.sig_hits = std::stoull(fields[14]);
-    }
-    if (fields.size() >= 18) {
-      r.recycled = std::stoull(fields[15]);
-      r.arena_peak = std::stoull(fields[16]);
-    }
-    if (fields.size() >= 19) {
-      r.peak_rss = std::stoull(fields[17]);
-    }
-    if (fields.size() == 22) {
-      r.frames_mutated = std::stoull(fields[18]);
-      r.frames_rejected = std::stoull(fields[19]);
-      r.frames_lost = std::stoull(fields[20]);
-    }
-    r.digest = fields.back();
+    r.agreement = csv_flag(fields[3], line);
+    r.validity = csv_flag(fields[4], line);
+    r.terminated = csv_flag(fields[5], line);
+    r.latency = csv_number<std::int64_t>(fields[6], line);
+    r.messages = csv_number<std::uint64_t>(fields[7], line);
+    r.delivered = csv_number<std::uint64_t>(fields[8], line);
+    r.bytes = csv_number<std::uint64_t>(fields[9], line);
+    r.value = csv_number<std::uint64_t>(fields[10], line);
+    r.digest = fields[11];
     runs.push_back(std::move(r));
   }
   return BatchReport(std::move(runs));
@@ -385,8 +327,7 @@ std::string BatchReport::summary_csv() const {
   std::string out =
       "scenario,runs,solved,pass_rate,agreement_violations,"
       "validity_violations,non_terminations,latency_min,latency_p50,"
-      "latency_p99,latency_max,messages_total,bytes_total,evaluations_total,"
-      "eval_hits_total,signatures_total,sig_hits_total,peak_rss_max\n";
+      "latency_p99,latency_max,messages_total,bytes_total\n";
   for (const ScenarioStats& s : scenarios()) {
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.4f", s.pass_rate());
@@ -404,11 +345,6 @@ std::string BatchReport::summary_csv() const {
     out += ',' + std::to_string(s.latency_max);
     out += ',' + std::to_string(s.messages_total);
     out += ',' + std::to_string(s.bytes_total);
-    out += ',' + std::to_string(s.evaluations_total);
-    out += ',' + std::to_string(s.eval_hits_total);
-    out += ',' + std::to_string(s.signatures_total);
-    out += ',' + std::to_string(s.sig_hits_total);
-    out += ',' + std::to_string(s.peak_rss_max);
     out += '\n';
   }
   return out;
@@ -461,16 +397,6 @@ std::string BatchReport::to_json() const {
     out += ",\"delivered\":" + std::to_string(r.delivered);
     out += ",\"bytes\":" + std::to_string(r.bytes);
     out += ",\"value\":" + std::to_string(r.value);
-    out += ",\"evaluations\":" + std::to_string(r.evaluations);
-    out += ",\"eval_hits\":" + std::to_string(r.eval_hits);
-    out += ",\"signatures\":" + std::to_string(r.signatures);
-    out += ",\"sig_hits\":" + std::to_string(r.sig_hits);
-    out += ",\"recycled\":" + std::to_string(r.recycled);
-    out += ",\"arena_peak\":" + std::to_string(r.arena_peak);
-    out += ",\"peak_rss\":" + std::to_string(r.peak_rss);
-    out += ",\"frames_mutated\":" + std::to_string(r.frames_mutated);
-    out += ",\"frames_rejected\":" + std::to_string(r.frames_rejected);
-    out += ",\"frames_lost\":" + std::to_string(r.frames_lost);
     out += ",\"digest\":\"" + json_escape(r.digest) + "\"}";
   }
   out += "]}";
@@ -576,6 +502,14 @@ class JsonCursor {
     return v;
   }
 
+  /// Only whitespace may follow the document.
+  void expect_end() {
+    skip_ws();
+    if (pos_ != text_.size()) {
+      throw std::invalid_argument("BatchReport JSON: trailing text");
+    }
+  }
+
   bool boolean() {
     skip_ws();
     if (text_.compare(pos_, 4, "true") == 0) {
@@ -653,26 +587,6 @@ BatchReport BatchReport::from_json(const std::string& json) {
           r.bytes = cursor.unsigned_integer();
         } else if (key == "value") {
           r.value = cursor.unsigned_integer();
-        } else if (key == "evaluations") {
-          r.evaluations = cursor.unsigned_integer();
-        } else if (key == "eval_hits") {
-          r.eval_hits = cursor.unsigned_integer();
-        } else if (key == "signatures") {
-          r.signatures = cursor.unsigned_integer();
-        } else if (key == "sig_hits") {
-          r.sig_hits = cursor.unsigned_integer();
-        } else if (key == "recycled") {
-          r.recycled = cursor.unsigned_integer();
-        } else if (key == "arena_peak") {
-          r.arena_peak = cursor.unsigned_integer();
-        } else if (key == "peak_rss") {
-          r.peak_rss = cursor.unsigned_integer();
-        } else if (key == "frames_mutated") {
-          r.frames_mutated = cursor.unsigned_integer();
-        } else if (key == "frames_rejected") {
-          r.frames_rejected = cursor.unsigned_integer();
-        } else if (key == "frames_lost") {
-          r.frames_lost = cursor.unsigned_integer();
         } else if (key == "digest") {
           r.digest = cursor.string();
         } else {
@@ -686,29 +600,21 @@ BatchReport BatchReport::from_json(const std::string& json) {
     cursor.expect(']');
   }
   cursor.expect('}');
+  cursor.expect_end();
   return BatchReport(std::move(runs));
 }
 
 void BatchReport::print_summary(std::FILE* out) const {
-  std::fprintf(out,
-               "%-36s %5s %9s %7s %9s %9s %9s %12s %12s %9s %6s %8s\n",
-               "scenario", "runs", "pass", "viol", "lat-min", "lat-p50",
-               "lat-p99", "messages", "bytes", "evals", "hit%", "rss-MiB");
+  std::fprintf(out, "%-36s %5s %9s %7s %9s %9s %9s %12s %12s\n", "scenario",
+               "runs", "pass", "viol", "lat-min", "lat-p50", "lat-p99",
+               "messages", "bytes");
   for (const ScenarioStats& s : scenarios()) {
-    const double hit_rate =
-        s.evaluations_total == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(s.eval_hits_total) /
-                  static_cast<double>(s.evaluations_total);
-    const double rss_mib =
-        static_cast<double>(s.peak_rss_max) / (1024.0 * 1024.0);
     std::fprintf(out,
                  "%-36s %5zu %8.0f%% %7zu %9" PRId64 " %9" PRId64 " %9" PRId64
-                 " %12" PRIu64 " %12" PRIu64 " %9" PRIu64 " %5.0f%% %8.1f\n",
+                 " %12" PRIu64 " %12" PRIu64 "\n",
                  s.scenario.c_str(), s.runs, 100.0 * s.pass_rate(),
                  s.agreement_violations + s.validity_violations, s.latency_min,
-                 s.latency_p50, s.latency_p99, s.messages_total, s.bytes_total,
-                 s.evaluations_total, hit_rate, rss_mib);
+                 s.latency_p50, s.latency_p99, s.messages_total, s.bytes_total);
   }
 }
 
@@ -754,16 +660,16 @@ struct FailureSlot {
 };
 
 /// Drains indices [0, count) through a work-stealing std::thread pool.
-/// Every worker owns one recyclable RunContext (when `pooled`) handed to
-/// each unit of work it claims — the run-engine steady state. The work
+/// Every worker owns one recyclable RunContext handed to each unit of work
+/// it claims — the run-engine steady state; a scenario built with
+/// context_pooling(false) still runs fresh inside RunContext::run. The work
 /// queue is a single atomic cursor; report aggregation needs no lock
 /// because results land in caller-owned slots indexed by i (disjoint per
 /// run), which also makes the output order independent of thread
 /// placement. The first exception wins and is rethrown after the pool
 /// drains.
-void pool_execute(
-    std::size_t count, std::size_t requested_threads, bool pooled,
-    const std::function<void(std::size_t, RunContext*)>& work) {
+void pool_execute(std::size_t count, std::size_t requested_threads,
+                  const std::function<void(std::size_t, RunContext&)>& work) {
   std::size_t threads =
       requested_threads != 0
           ? requested_threads
@@ -774,13 +680,12 @@ void pool_execute(
   FailureSlot failure;
 
   auto worker = [&] {
-    std::optional<RunContext> context;
-    if (pooled) context.emplace();
+    RunContext context;
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= count) return;
       try {
-        work(i, context ? &*context : nullptr);
+        work(i, context);
       } catch (...) {
         failure.store(std::current_exception());
         return;
@@ -801,21 +706,14 @@ void pool_execute(
   }
 }
 
-/// One point through the worker's context (or fresh when pooling is off —
-/// runner-level or scenario-level).
-RunReport execute_point(const SweepPoint& point, RunContext* context) {
-  if (context == nullptr) return run_scenario(point.config);
-  return context->run(point.config);  // honors config.context_pooling
-}
-
 }  // namespace
 
 BatchReport BatchRunner::run(std::vector<SweepPoint> points) const {
   std::vector<RunRecord> records(points.size());
-  pool_execute(points.size(), options_.threads, options_.context_pooling,
-               [&](std::size_t i, RunContext* context) {
+  pool_execute(points.size(), options_.threads,
+               [&](std::size_t i, RunContext& context) {
                  records[i] = summarize(points[i].scenario, points[i].seed,
-                                        execute_point(points[i], context));
+                                        context.run(points[i].config));
                });
 
   if (options_.verify_determinism) {
@@ -840,9 +738,9 @@ BatchReport BatchRunner::run(std::vector<SweepPoint> points) const {
 std::vector<RunReport> BatchRunner::run_reports(
     std::vector<SweepPoint> points) const {
   std::vector<RunReport> reports(points.size());
-  pool_execute(points.size(), options_.threads, options_.context_pooling,
-               [&](std::size_t i, RunContext* context) {
-                 reports[i] = execute_point(points[i], context);
+  pool_execute(points.size(), options_.threads,
+               [&](std::size_t i, RunContext& context) {
+                 reports[i] = context.run(points[i].config);
                });
 
   if (options_.verify_determinism) {

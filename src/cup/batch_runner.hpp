@@ -3,9 +3,10 @@
 // A `Sweep` names a set of scenarios (inline builders, registry entries, or
 // whole registry tags) crossed with a seed range; `BatchRunner` expands it
 // into independent (scenario, seed) runs, executes them across a
-// std::thread pool — each run owns its simulator, so the sweep is
-// embarrassingly parallel — and aggregates a `BatchReport` with per-scenario
-// pass rates, latency percentiles, traffic totals, and CSV/JSON export.
+// std::thread pool — each worker owns a recyclable RunContext, so the
+// sweep is embarrassingly parallel — and aggregates a `BatchReport` with
+// per-scenario pass rates, latency percentiles, traffic totals, and
+// CSV/JSON export.
 //
 // Determinism: the simulator guarantees bit-identical replay for a
 // (scenario, seed) pair. `Options::verify_determinism` re-runs every point
@@ -76,8 +77,9 @@ class Sweep {
   std::size_t seed_count_ = 1;
 };
 
-/// Flattened outcome of one run — everything the experiment tables report,
-/// in plain scalars so reports round-trip through CSV/JSON.
+/// Flattened outcome of one run: its behavior and digest, in plain scalars
+/// so reports round-trip through CSV/JSON. Engine counters stay in
+/// RunReport::metrics (see merge_run_metrics).
 struct RunRecord {
   std::string scenario;
   std::uint64_t seed = 0;
@@ -90,29 +92,7 @@ struct RunRecord {
   std::uint64_t delivered = 0;
   std::uint64_t bytes = 0;
   std::uint64_t value = 0;  ///< common decided value; 0 when none
-  // Cache effectiveness (see RunReport): where search/crypto effort went.
-  // Under a pooled BatchRunner these describe the executing context's
-  // warm caches and so depend on thread placement; the behavioral fields
-  // and the digest never do.
-  std::uint64_t evaluations = 0;
-  std::uint64_t eval_hits = 0;
-  std::uint64_t signatures = 0;  ///< HMAC verifications computed
-  std::uint64_t sig_hits = 0;    ///< served by the verification memo
-  // Run-engine counters (RunReport::contexts_recycled / arena_bytes_peak).
-  std::uint64_t recycled = 0;    ///< prior runs served by the context
-  std::uint64_t arena_peak = 0;  ///< arena bytes high-water
-  /// Process peak RSS in bytes when this record was summarized
-  /// (common/sys_resource.hpp: ru_maxrss, normalized to bytes on every
-  /// platform). A process-wide high-water mark, not a per-run figure —
-  /// meaningful for the batch's memory ceiling, and excluded from the
-  /// digest like every other executing-context property.
-  std::uint64_t peak_rss = 0;
-  // Hostile-wire counters (RunReport::frames_*): zero unless the scenario
-  // enables the wire mutation layer or the lossy-network model.
-  std::uint64_t frames_mutated = 0;   ///< deliveries perturbed on the wire
-  std::uint64_t frames_rejected = 0;  ///< frames the hardened decoder refused
-  std::uint64_t frames_lost = 0;      ///< sends dropped by the loss model
-  std::string digest;            ///< RunReport::digest()
+  std::string digest;       ///< RunReport::digest()
 
   friend bool operator==(const RunRecord&, const RunRecord&) = default;
 };
@@ -122,11 +102,10 @@ struct RunRecord {
                                   const RunReport& report);
 
 /// Batch-level aggregation of per-run metrics snapshots (RunReport::metrics,
-/// src/obs/metrics.hpp): counters and histogram buckets add, gauges keep
-/// their maximum. Both operations are commutative and associative, so a
-/// pooled batch and its serial replay merge to identical totals for every
-/// placement-independent metric — the obs analogue of the cache-counter
-/// sums batch_runner_test already pins.
+/// src/obs/metrics.hpp), the way to get a batch's engine totals: counters
+/// and histogram buckets add, gauges keep their maximum. Both operations are
+/// commutative and associative, so a pooled batch and its serial replay
+/// merge to identical totals for every placement-independent metric.
 [[nodiscard]] obs::MetricsSnapshot merge_run_metrics(
     const std::vector<RunReport>& reports);
 
@@ -146,14 +125,6 @@ struct ScenarioStats {
   std::int64_t latency_max = -1;
   std::uint64_t messages_total = 0;
   std::uint64_t bytes_total = 0;
-  // Cache effectiveness across the scenario's runs.
-  std::uint64_t evaluations_total = 0;
-  std::uint64_t eval_hits_total = 0;
-  std::uint64_t signatures_total = 0;
-  std::uint64_t sig_hits_total = 0;
-  /// Highest RunRecord::peak_rss across the scenario's runs (bytes; the
-  /// process-wide high-water mark as of the scenario's last-summarized run).
-  std::uint64_t peak_rss_max = 0;
 
   [[nodiscard]] double pass_rate() const {
     return runs == 0 ? 0.0
@@ -205,12 +176,6 @@ class BatchRunner {
     /// equality with the pooled run — both the simulator's bit-replay
     /// guarantee and the run engine's recycling tripwire. Doubles the work.
     bool verify_determinism = false;
-    /// Give each worker a recyclable cup::RunContext (pooled simulator,
-    /// arena, cross-run caches) instead of a fresh simulator per run.
-    /// Scenarios built with context_pooling(false) opt out per point.
-    /// Behavior and digests are identical either way; only the
-    /// cache-effectiveness counters differ.
-    bool context_pooling = true;
   };
 
   BatchRunner() = default;

@@ -16,7 +16,7 @@ RunReport RunContext::run(const Scenario& scenario) {
   }
 
   sim::Simulator::Options options = detail::sim_options_for(scenario);
-  options.arena = scenario.arena ? &arena_ : nullptr;
+  options.arena = &arena_;
   options.keyring = &keyring_;
 
   if (eval_cache_->entry_count() > kEvalCacheMaxEntries) {
@@ -38,16 +38,8 @@ RunReport RunContext::run(const Scenario& scenario) {
     simulator_->reset(options);
   }
 
-  RunReport report =
-      detail::execute_scenario(scenario, *simulator_, eval_cache_, &metrics_);
-  report.contexts_recycled = recycled;
-  report.arena_bytes_peak = scenario.arena ? arena_.bytes_high_water() : 0;
-  if (scenario.metrics) {
-    // Post-run gauges, mirroring the fields above (see run_scenario).
-    report.metrics.set_gauge("engine.arena_bytes_peak",
-                             report.arena_bytes_peak);
-    report.metrics.set_gauge("engine.contexts_recycled", recycled);
-  }
+  RunReport report = detail::execute_scenario(scenario, *simulator_,
+                                              eval_cache_, arena_, recycled);
   ++runs_;
   return report;
 }

@@ -27,17 +27,16 @@
 // exponential membership searches of a batch are answered from the memo.
 //
 // Not thread-safe: one RunContext per worker, by construction in
-// BatchRunner. Per-run counters in the returned reports are deltas, but
-// they describe this context's cache state — under a thread pool they
-// depend on which worker executed which prior runs (the behavioral fields
-// and the digest never do).
+// BatchRunner. Each run's metrics come from a registry local to that run,
+// but the cache hit/miss splits among them describe this context's warm
+// caches — under a thread pool they depend on which worker executed which
+// prior runs (the behavioral fields and the digest never do).
 #pragma once
 
 #include <memory>
 
 #include "crypto/keyring_cache.hpp"
 #include "cup/runner.hpp"
-#include "obs/metrics.hpp"
 #include "sim/run_arena.hpp"
 
 namespace bftcup::cup {
@@ -53,20 +52,11 @@ class RunContext {
 
   /// Runs `scenario` on the recycled engine state; observationally
   /// identical to run_scenario(scenario). Honors the scenario's
-  /// context_pooling / arena knobs (pooling off delegates to a fresh
-  /// run_scenario call).
+  /// context_pooling knob (off delegates to a fresh run_scenario call).
   [[nodiscard]] RunReport run(const Scenario& scenario);
 
   /// Completed runs, including delegated fresh ones.
   [[nodiscard]] std::uint64_t runs_executed() const { return runs_; }
-
-  /// The context's cumulative metrics registry (src/obs/metrics.hpp):
-  /// every pooled run on this context accumulates into it, and each run's
-  /// RunReport::metrics is its per-run delta — the same cumulative/delta
-  /// convention as the cross-run caches. Thread-confined with the context.
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const {
-    return metrics_;
-  }
 
  private:
   /// Entry caps for the cross-run memos: crossing one empties that memo
@@ -79,7 +69,6 @@ class RunContext {
 
   sim::RunArena arena_;
   crypto::KeyringCache keyring_;
-  obs::MetricsRegistry metrics_;
   std::shared_ptr<protocol::SharedEvalCache> eval_cache_;
   std::unique_ptr<sim::Simulator> simulator_;  ///< created on first run
   std::uint64_t recycled_ = 0;  ///< pooled runs served by simulator_

@@ -85,7 +85,7 @@ sim::Simulator::Options sim_options_for(const Scenario& scenario) {
 RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    obs::MetricsRegistry* metrics) {
+    const sim::RunArena& arena, std::uint64_t contexts_recycled) {
   // Cross-run caches are cumulative; report deltas against entry.
   const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache->stats();
   const crypto::VerifyCache::Stats verify_stats0 = simulator.verify_stats();
@@ -94,16 +94,10 @@ RunReport execute_scenario(
   protocol::reset_big_scc_fallbacks();
 
   // Observability scope (README "Observability"), installed thread-locally
-  // for the whole run. The registry is the caller's cumulative one
-  // (RunContext) or a run-local stand-in; either way the report carries the
-  // per-run delta. The tracer is always per-run: a flight recorder whose
+  // for the whole run. Both observers are per-run: the registry's snapshot
+  // becomes RunReport::metrics, and the tracer is a flight recorder whose
   // ring dies with the report it fills.
-  obs::MetricsRegistry local_metrics;
-  obs::MetricsRegistry* registry =
-      scenario.metrics ? (metrics != nullptr ? metrics : &local_metrics)
-                       : nullptr;
-  const obs::MetricsSnapshot metrics0 =
-      registry != nullptr ? registry->snapshot() : obs::MetricsSnapshot{};
+  obs::MetricsRegistry registry;
   std::unique_ptr<obs::SpanTracer> tracer;
   if (scenario.trace_capacity > 0) {
     tracer = std::make_unique<obs::SpanTracer>(scenario.trace_capacity);
@@ -113,7 +107,7 @@ RunReport execute_scenario(
         },
         &simulator);
   }
-  const obs::ObsScope obs_scope(registry, tracer.get());
+  const obs::ObsScope obs_scope(&registry, tracer.get());
 
   if (scenario.make_policy || scenario.loss.enabled) {
     std::unique_ptr<sim::DelayPolicy> policy =
@@ -192,7 +186,7 @@ RunReport execute_scenario(
     params.pbft_base_timeout = scenario.pbft_base_timeout;
     params.search = search;
     params.eval_cache = eval_cache;
-    params.arena = scenario.arena ? simulator.run_resource() : nullptr;
+    params.arena = simulator.run_resource();
 
     switch (scenario.mode) {
       case Mode::kAuth:
@@ -244,7 +238,7 @@ RunReport execute_scenario(
   report.bytes_sent = trace.bytes_sent();
   report.sent_by_type = trace.sent_by_type();
   // Hostile-wire counters come straight from the trace (per-run by
-  // construction); the registry mirror below is additive like the others.
+  // construction) and are copied into the registry below.
   report.frames_mutated = trace.frames_mutated();
   report.frames_rejected = trace.frames_rejected();
   report.frames_lost = trace.frames_lost();
@@ -255,58 +249,47 @@ RunReport execute_scenario(
                             trace.memberships().end());
   report.membership_times.insert(trace.membership_times().begin(),
                                  trace.membership_times().end());
-  const std::uint64_t evals =
-      eval_cache->stats().evaluations - eval_stats0.evaluations;
-  const std::uint64_t eval_hits = eval_cache->stats().hits - eval_stats0.hits;
   const auto& verify_stats = simulator.verify_stats();
   const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
   const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;
-  const std::uint64_t fallbacks = protocol::big_scc_fallbacks();
-  if (registry != nullptr) {
-    // Migrated counter plumbing: the registry is the carrier and the
-    // legacy report fields below mirror the snapshot's standard names, so
-    // the two can never drift apart while both exist.
-    registry->counter("eval.requested").add(evals);
-    registry->counter("eval.cache_hits").add(eval_hits);
-    registry->counter("sig.verified").add(lookups - sig_hits);
-    registry->counter("sig.cached").add(sig_hits);
-    registry->counter("engine.big_scc_fallbacks").add(fallbacks);
-    // wire.* rows appear only on runs where the hostile wire actually acted:
-    // a zero add would still intern the counter and grow every clean run's
-    // snapshot, which the obs determinism suite pins.
-    if (report.frames_mutated != 0) {
-      registry->counter("wire.frames_mutated").add(report.frames_mutated);
-      const sim::Trace::WireKindHistogram& by_kind = trace.mutated_by_kind();
-      for (std::size_t i = 0; i < by_kind.size(); ++i) {
-        if (by_kind[i] == 0) continue;
-        registry
-            ->counter(std::string("wire.mutated.") +
-                      sim::to_string(static_cast<sim::WireMutationKind>(i)))
-            .add(by_kind[i]);
-      }
+  registry.counter("eval.requested")
+      .add(eval_cache->stats().evaluations - eval_stats0.evaluations);
+  registry.counter("eval.cache_hits")
+      .add(eval_cache->stats().hits - eval_stats0.hits);
+  registry.counter("sig.verified").add(lookups - sig_hits);
+  registry.counter("sig.cached").add(sig_hits);
+  registry.counter("engine.big_scc_fallbacks")
+      .add(protocol::big_scc_fallbacks());
+  // wire.* rows appear only on runs where the hostile wire actually acted:
+  // a zero add would still intern the counter and grow every clean run's
+  // snapshot.
+  if (report.frames_mutated != 0) {
+    registry.counter("wire.frames_mutated").add(report.frames_mutated);
+    const sim::Trace::WireKindHistogram& by_kind = trace.mutated_by_kind();
+    for (std::size_t i = 0; i < by_kind.size(); ++i) {
+      if (by_kind[i] == 0) continue;
+      registry
+          .counter(std::string("wire.mutated.") +
+                   sim::to_string(static_cast<sim::WireMutationKind>(i)))
+          .add(by_kind[i]);
     }
-    if (report.frames_rejected != 0) {
-      registry->counter("wire.frames_rejected").add(report.frames_rejected);
-    }
-    if (report.frames_lost != 0) {
-      registry->counter("wire.frames_lost").add(report.frames_lost);
-    }
-    registry->gauge("proc.peak_rss_bytes").set_max(peak_rss_bytes());
-    report.metrics = obs::MetricsSnapshot::delta(metrics0,
-                                                 registry->snapshot());
-    report.evaluations = report.metrics.counter("eval.requested");
-    report.eval_cache_hits = report.metrics.counter("eval.cache_hits");
-    report.signatures_verified = report.metrics.counter("sig.verified");
-    report.signatures_cached = report.metrics.counter("sig.cached");
-    report.big_scc_fallbacks =
-        report.metrics.counter("engine.big_scc_fallbacks");
-  } else {
-    report.evaluations = evals;
-    report.eval_cache_hits = eval_hits;
-    report.signatures_verified = lookups - sig_hits;
-    report.signatures_cached = sig_hits;
-    report.big_scc_fallbacks = fallbacks;
   }
+  if (report.frames_rejected != 0) {
+    registry.counter("wire.frames_rejected").add(report.frames_rejected);
+  }
+  if (report.frames_lost != 0) {
+    registry.counter("wire.frames_lost").add(report.frames_lost);
+  }
+  registry.gauge("proc.peak_rss_bytes").set_max(peak_rss_bytes());
+  registry.gauge("engine.arena_bytes_peak").set(arena.bytes_high_water());
+  registry.gauge("engine.contexts_recycled").set(contexts_recycled);
+  report.metrics = registry.snapshot();
+  report.evaluations = report.metrics.counter("eval.requested");
+  report.eval_cache_hits = report.metrics.counter("eval.cache_hits");
+  report.signatures_verified = report.metrics.counter("sig.verified");
+  report.signatures_cached = report.metrics.counter("sig.cached");
+  report.big_scc_fallbacks = report.metrics.counter("engine.big_scc_fallbacks");
+  report.arena_bytes_peak = report.metrics.gauge("engine.arena_bytes_peak");
   if (tracer != nullptr) {
     report.spans = std::make_shared<const obs::SpanTrace>(tracer->take());
   }
@@ -329,27 +312,18 @@ RunReport execute_scenario(
 
 RunReport run_scenario(const Scenario& scenario) {
   sim::Simulator::Options options = detail::sim_options_for(scenario);
-  // A one-shot run still routes its hot allocations through a local arena
-  // when the knob is on: same code path the pooled engine uses, exercised
-  // by the entire test corpus.
+  // A one-shot run still routes its hot allocations through a local arena:
+  // same code path the pooled engine uses, exercised by the entire test
+  // corpus.
   sim::RunArena arena;
-  if (scenario.arena) options.arena = &arena;
+  options.arena = &arena;
   sim::Simulator simulator(options);
   // Always created so evaluation counts reach the report; the memo itself
   // honors the knob.
   auto eval_cache =
       std::make_shared<protocol::SharedEvalCache>(scenario.eval_cache);
-  RunReport report = detail::execute_scenario(scenario, simulator, eval_cache);
-  report.arena_bytes_peak = scenario.arena ? arena.bytes_high_water() : 0;
-  if (scenario.metrics) {
-    // Post-run gauges: values the run body cannot know (the arena's
-    // high-water is read after the report is built). Injected straight
-    // into the snapshot, same mirror discipline as the counters.
-    report.metrics.set_gauge("engine.arena_bytes_peak",
-                             report.arena_bytes_peak);
-    report.metrics.set_gauge("engine.contexts_recycled", 0);
-  }
-  return report;
+  return detail::execute_scenario(scenario, simulator, eval_cache, arena,
+                                  /*contexts_recycled=*/0);
 }
 
 }  // namespace bftcup::cup

@@ -74,24 +74,12 @@ struct Scenario {
   /// when `search` is set — the provided strategy's own options govern.
   bool incremental_search = true;
 
-  // --- run-engine knobs (README "Run engine"). Like the cache knobs, both
-  // leave run digests bit-identical — the recycling property suite and
-  // BatchRunner's verify_determinism assert it.
   /// Allow BatchRunner / RunContext to execute this scenario on a recycled
   /// context (pooled simulator + cross-run caches). Off forces a fresh
   /// simulator per run — the A/B baseline bench_runengine measures against.
+  /// Digest-neutral like the cache knobs (README "Run engine").
   bool context_pooling = true;
-  /// Back the run's hot allocations (trace records, node scratch, pending
-  /// buffers) with the context's bump arena. Off uses the plain heap.
-  bool arena = true;
 
-  // --- observability knobs (README "Observability"). Observation only:
-  // both leave run digests bit-identical — the obs determinism suite
-  // replays the corpus with them flipped and asserts it.
-  /// Collect the run's metrics delta into RunReport::metrics (counters /
-  /// gauges / histograms from src/obs/metrics.hpp). The legacy RunReport
-  /// counter fields are populated either way and hold identical values.
-  bool metrics = true;
   /// Span flight-recorder capacity in records; 0 (default) disables
   /// tracing entirely — no tracer is installed and span sites cost one
   /// thread-local load. Nonzero attaches a SpanTracer over the run and
@@ -116,9 +104,11 @@ struct RunReport {
   /// adversary explorer). Excluded from digest() like messages_dropped.
   // cup-lint: digest-excluded(coverage feature; golden digests predate it)
   sim::Trace::MsgHistogram sent_by_type{};
-  // Cache-effectiveness counters (where the run's search/crypto time went).
-  // Like messages_dropped they are excluded from digest(): they vary with
-  // the cache knobs while the replayed behavior does not.
+  // Mirrors of `metrics` (below) that the benchmark harnesses and the
+  // explorer's coverage signature read. Each is set once: copied from the
+  // snapshot's standard name, or copied into it. Like messages_dropped they
+  // are excluded from digest(): they vary with the cache knobs and the
+  // executing context while the replayed behavior does not.
   // cup-lint: digest-excluded(cache knob, behavior-neutral)
   std::uint64_t evaluations = 0;       ///< membership evaluations requested
   // cup-lint: digest-excluded(cache knob, behavior-neutral)
@@ -127,13 +117,10 @@ struct RunReport {
   std::uint64_t signatures_verified = 0;  ///< HMAC verifications computed
   // cup-lint: digest-excluded(cache knob, behavior-neutral)
   std::uint64_t signatures_cached = 0;    ///< served by the verification memo
-  // Run-engine counters (digest-excluded like the cache counters; they
-  // describe the *executing context*, not the run's behavior, and so vary
-  // with pooling and thread placement).
+  /// RunArena high-water: a property of the executing context, not of the
+  /// run's behavior (gauge engine.arena_bytes_peak).
   // cup-lint: digest-excluded(executing-context property, placement-varying)
-  std::uint64_t contexts_recycled = 0;  ///< prior runs this context served
-  // cup-lint: digest-excluded(executing-context property, placement-varying)
-  std::uint64_t arena_bytes_peak = 0;   ///< RunArena high-water, 0 w/o arena
+  std::uint64_t arena_bytes_peak = 0;
   /// SCCs routed through the big-SCC certification path (sink_search.hpp)
   /// during this run — a scale diagnostic: nonzero means the topology grew
   /// components past the enumeration caps and candidate coverage switched
@@ -155,8 +142,8 @@ struct RunReport {
   // Observability artifacts (src/obs/). Observation only, by the layer's
   // determinism contract; cup_lint R3's obs clause rejects any obs:: field
   // that reaches digest(), on top of the marker discipline below.
-  /// Per-run metrics delta (Scenario::metrics). The legacy counters above
-  /// are mirrors of this snapshot's standard names when it is collected.
+  /// The run's metrics: the snapshot of its run-local registry, always
+  /// collected. The counters above mirror this snapshot's standard names.
   // cup-lint: digest-excluded(observability snapshot, behavior-neutral by contract)
   obs::MetricsSnapshot metrics;
   /// Span flight-recorder contents when Scenario::trace_capacity > 0;
@@ -192,18 +179,16 @@ namespace detail {
 
 /// The run body shared by run_scenario (fresh simulator per call) and
 /// RunContext (recycled simulator). `simulator` must be freshly
-/// constructed or reset for the scenario's sim options; `eval_cache`'s
-/// memo flag must match scenario.eval_cache. Counters in the report are
-/// deltas against the entry-time stats, so cumulative cross-run caches
-/// report per-run figures. `metrics` optionally supplies the executing
-/// context's cumulative MetricsRegistry (RunContext passes its own, so
-/// registry contents persist across pooled runs); when null and
-/// scenario.metrics is set, a run-local registry is used — the reported
-/// delta is identical either way.
+/// constructed or reset for the scenario's sim options with `arena` as its
+/// arena; `eval_cache`'s memo flag must match scenario.eval_cache;
+/// `contexts_recycled` counts the prior runs the executing context served.
+/// Cache counters in the report are deltas against the entry-time stats,
+/// so cumulative cross-run caches report per-run figures; every metric is
+/// collected in a registry local to this call.
 [[nodiscard]] RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    obs::MetricsRegistry* metrics = nullptr);
+    const sim::RunArena& arena, std::uint64_t contexts_recycled);
 
 }  // namespace detail
 

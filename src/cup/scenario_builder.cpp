@@ -9,6 +9,12 @@ namespace {
   throw ScenarioError("ScenarioBuilder: " + what);
 }
 
+/// A probability check NaN fails: every comparison with NaN is false, so
+/// the range test is written as the condition that must hold.
+bool in_unit_interval(double p) {
+  return p >= 0.0 && p <= 1.0;
+}
+
 }  // namespace
 
 ScenarioBuilder::ScenarioBuilder(graph::Digraph g) {
@@ -202,27 +208,15 @@ ScenarioBuilder& ScenarioBuilder::eval_cache(bool enabled) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::incremental_search(bool enabled) {
+ScenarioBuilder& ScenarioBuilder::caching(bool enabled) {
+  scenario_.eval_cache = enabled;
   scenario_.incremental_search = enabled;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::verify_cache(bool enabled) {
   scenario_.sim.verify_cache = enabled;
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::caching(bool enabled) {
-  return eval_cache(enabled).incremental_search(enabled).verify_cache(enabled);
-}
-
 ScenarioBuilder& ScenarioBuilder::context_pooling(bool enabled) {
   scenario_.context_pooling = enabled;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::arena(bool enabled) {
-  scenario_.arena = enabled;
   return *this;
 }
 
@@ -233,11 +227,6 @@ ScenarioBuilder& ScenarioBuilder::tracing(bool enabled) {
 
 ScenarioBuilder& ScenarioBuilder::trace_capacity(std::size_t records) {
   scenario_.trace_capacity = records;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::metrics(bool enabled) {
-  scenario_.metrics = enabled;
   return *this;
 }
 
@@ -322,7 +311,7 @@ Scenario ScenarioBuilder::build() const {
     }
   }
   if (s.sim.wire.enabled) {
-    if (s.sim.wire.rate < 0.0 || s.sim.wire.rate > 1.0) {
+    if (!in_unit_interval(s.sim.wire.rate)) {
       fail("wire mutation rate must be in [0, 1]");
     }
     if (s.sim.wire.kind_mask == 0 ||
@@ -335,10 +324,10 @@ Scenario ScenarioBuilder::build() const {
     }
   }
   if (s.loss.enabled) {
-    if (s.loss.drop_p < 0.0 || s.loss.drop_p > 1.0) {
+    if (!in_unit_interval(s.loss.drop_p)) {
       fail("loss drop probability must be in [0, 1]");
     }
-    if (s.loss.burst_drop_p < 0.0 || s.loss.burst_drop_p > 1.0) {
+    if (!in_unit_interval(s.loss.burst_drop_p)) {
       fail("burst drop probability must be in [0, 1]");
     }
     if (s.loss.jitter < 0) fail("loss jitter must be non-negative");

@@ -127,37 +127,25 @@ class ScenarioBuilder {
 
   /// Per-simulation shared evaluation memo (canonical view -> sink/core result).
   ScenarioBuilder& eval_cache(bool enabled = true);
-  /// Dirty-SCC candidate reuse inside the default search strategy. Ignored
-  /// when a custom search() is installed (its own SearchOptions govern).
-  ScenarioBuilder& incremental_search(bool enabled = true);
-  /// Signature-verification memo (accepts and rejects) for the whole run.
-  ScenarioBuilder& verify_cache(bool enabled = true);
-  /// Master switch: sets all three knobs at once (`caching(false)` runs the
-  /// fully cold engine — the pre-caching code path).
+  /// Master switch over the eval memo, dirty-SCC candidate reuse in the
+  /// default search strategy, and the signature-verification memo
+  /// (`caching(false)` runs the fully cold engine — the pre-caching path).
   ScenarioBuilder& caching(bool enabled);
 
-  // --- run-engine knobs (README "Run engine"). Digest-neutral like the
-  // cache knobs; they are mirrored into RunReport's contexts_recycled /
-  // arena_bytes_peak counters. Defaults: both enabled.
-
   /// Allow BatchRunner / RunContext to execute this scenario on a recycled
-  /// pooled context. Off forces a fresh simulator per run.
+  /// pooled context (README "Run engine"). Off forces a fresh simulator per
+  /// run. Digest-neutral like the cache knobs. Default: enabled.
   ScenarioBuilder& context_pooling(bool enabled = true);
-  /// Back the run's hot allocations with the context's bump arena.
-  ScenarioBuilder& arena(bool enabled = true);
 
-  // --- observability knobs (README "Observability"). Observation only:
-  // digest-neutral; the obs determinism suite replays the corpus with them
-  // flipped to assert it.
+  // --- observability (README "Observability"). Metrics are always
+  // collected; tracing is observation only and digest-neutral — the obs
+  // determinism suite replays the corpus with it on and off to assert it.
 
   /// Span tracing over the run's hot layers: on installs a SpanTracer with
   /// the default flight-recorder capacity and exports RunReport::spans.
   ScenarioBuilder& tracing(bool enabled = true);
   /// Explicit flight-recorder capacity in span records (0 = tracing off).
   ScenarioBuilder& trace_capacity(std::size_t records);
-  /// Collect the run's metrics delta into RunReport::metrics. The legacy
-  /// RunReport counters are populated identically either way.
-  ScenarioBuilder& metrics(bool enabled = true);
 
   /// Default flight-recorder capacity installed by tracing(true): deep
   /// enough to hold every span of the registry scenarios, and a bounded

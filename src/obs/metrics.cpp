@@ -25,21 +25,6 @@ void HistogramData::merge(const HistogramData& other) {
   if (other.max > max) max = other.max;
 }
 
-HistogramData HistogramData::delta(const HistogramData& before,
-                                   const HistogramData& after) {
-  HistogramData d;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    d.buckets[i] = after.buckets[i] - before.buckets[i];
-  }
-  d.count = after.count - before.count;
-  d.sum = after.sum - before.sum;
-  // The cumulative max is monotone; a per-run max would need per-run
-  // tracking. Report the period's ceiling: exact when the run set it,
-  // an upper bound otherwise.
-  d.max = after.max;
-  return d;
-}
-
 std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
   auto it = counters.find(std::string(name));
   return it == counters.end() ? 0 : it->second;
@@ -48,28 +33,6 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
 std::uint64_t MetricsSnapshot::gauge(std::string_view name) const {
   auto it = gauges.find(std::string(name));
   return it == gauges.end() ? 0 : it->second;
-}
-
-void MetricsSnapshot::set_gauge(std::string_view name, std::uint64_t value) {
-  gauges[std::string(name)] = value;
-}
-
-MetricsSnapshot MetricsSnapshot::delta(const MetricsSnapshot& before,
-                                       const MetricsSnapshot& after) {
-  MetricsSnapshot d;
-  for (const auto& [name, value] : after.counters) {
-    auto it = before.counters.find(name);
-    const std::uint64_t base = it == before.counters.end() ? 0 : it->second;
-    d.counters.emplace(name, value - base);
-  }
-  d.gauges = after.gauges;
-  for (const auto& [name, data] : after.histograms) {
-    auto it = before.histograms.find(name);
-    d.histograms.emplace(name, it == before.histograms.end()
-                                   ? data
-                                   : HistogramData::delta(it->second, data));
-  }
-  return d;
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {

@@ -1,12 +1,10 @@
 // Run-scoped metrics registry (README "Observability").
 //
-// Named counters, gauges and log2-bucket histograms, thread-confined per
-// RunContext exactly like the membership caches: one registry per executing
-// context, mutated only by the run's own thread, never shared. The registry
-// itself is cumulative across the runs a recycled context serves; each run
-// reports the *delta* between its entry and exit snapshots, the same
-// convention the cross-run cache counters already follow, so per-run
-// figures stay placement-independent where the underlying quantity is.
+// Named counters, gauges and log2-bucket histograms in a run-local registry:
+// the runner creates one per run, installs it on the run's own thread, and
+// copies its snapshot into RunReport::metrics when the run ends. Nothing
+// survives into the next run, so a report holds exactly the names that run
+// touched, whichever recycled context executed it.
 //
 // Nothing in this module may ever feed RunReport::digest(): metric values
 // describe where the engine spent its effort, not what the run decided.
@@ -38,9 +36,6 @@ struct HistogramData {
   static std::size_t bucket_of(std::uint64_t value);
   void record(std::uint64_t value);
   void merge(const HistogramData& other);
-  /// Per-run view of a cumulative histogram: `after` minus `before`.
-  [[nodiscard]] static HistogramData delta(const HistogramData& before,
-                                           const HistogramData& after);
 
   friend bool operator==(const HistogramData&, const HistogramData&) = default;
 };
@@ -55,18 +50,9 @@ struct MetricsSnapshot {
 
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
   [[nodiscard]] std::uint64_t gauge(std::string_view name) const;
-  /// Post-run gauge injection (arena high-water, peak RSS): values known
-  /// only after the run body returns are set straight on the snapshot.
-  void set_gauge(std::string_view name, std::uint64_t value);
   [[nodiscard]] bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
-
-  /// Per-run delta between two snapshots of one cumulative registry:
-  /// counters and histogram buckets subtract, gauges report the `after`
-  /// level (a gauge is a level, not an accumulation).
-  [[nodiscard]] static MetricsSnapshot delta(const MetricsSnapshot& before,
-                                             const MetricsSnapshot& after);
 
   /// Placement-independent aggregation (BatchRunner): counters and
   /// histogram buckets add, gauges keep the maximum. Both operations are

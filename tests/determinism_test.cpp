@@ -260,15 +260,14 @@ TEST(GoldenCorpusTest, DigestsMatchThePreRefactorImplementation) {
 
 TEST(GoldenCorpusTest, DigestsSurviveTheFullObservabilityStack) {
   // The observation-only contract against the strongest oracle available:
-  // with metrics collection AND the span flight recorder attached, every
-  // golden digest must still match the constants captured before src/obs/
-  // existed. Complements obs_determinism_test's explored/dyn sweep with the
-  // paper-figure corpus.
+  // with the span flight recorder attached on top of the always-on metrics,
+  // every golden digest must still match the constants captured before
+  // src/obs/ existed. Complements obs_determinism_test's explored/dyn sweep
+  // with the paper-figure corpus.
   const auto& registry = cup::ScenarioRegistry::paper();
   for (const GoldenDigest& golden : kGoldenCorpus) {
     const cup::RunReport report =
         cup::run_scenario(registry.builder(golden.scenario, golden.seed)
-                              .metrics(true)
                               .tracing(true)
                               .build());
     EXPECT_EQ(report.digest(), golden.digest)

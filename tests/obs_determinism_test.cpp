@@ -1,10 +1,10 @@
-// The observation-only property: Scenario::metrics and trace_capacity must
-// be invisible in results. Every explored-corpus and dynamic registry
-// scenario is replayed with the full observability stack attached — metrics
-// on, the span flight recorder installed — and the RunReport digest must be
-// byte-identical to the bare run. The corpus covers adversarial topologies
-// (big-SCC shapes included, so the certification span and fallback counter
-// fire) and fault-timeline churn.
+// The observation-only property: the always-on metrics registry and
+// Scenario::trace_capacity must be invisible in results. Every
+// explored-corpus and dynamic registry scenario is replayed with the span
+// flight recorder installed, and the RunReport digest must be
+// byte-identical to the untraced run. The corpus covers adversarial
+// topologies (big-SCC shapes included, so the certification span and
+// fallback counter fire) and fault-timeline churn.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,24 +33,20 @@ TEST(ObsDeterminismTest, CorpusDigestsAreObsInvariant) {
   ASSERT_FALSE(names.empty());
 
   for (const std::string& name : names) {
-    // Baseline: observability fully off (no registry, no tracer).
+    // Baseline: no tracer (metrics are always collected).
     const RunReport bare = cup::run_scenario(
-        registry.builder(name).seed(1).metrics(false).build());
-    EXPECT_TRUE(bare.metrics.empty()) << name;
+        registry.builder(name).seed(1).tracing(false).build());
     EXPECT_EQ(bare.spans, nullptr) << name;
 
-    const RunReport observed = cup::run_scenario(registry.builder(name)
-                                                     .seed(1)
-                                                     .metrics(true)
-                                                     .tracing(true)
-                                                     .build());
+    const RunReport observed = cup::run_scenario(
+        registry.builder(name).seed(1).tracing(true).build());
     EXPECT_EQ(observed.digest(), bare.digest()) << name << " with obs on";
     EXPECT_EQ(observed.verdict(), bare.verdict()) << name;
     ASSERT_NE(observed.spans, nullptr) << name;
     EXPECT_GT(observed.spans->started, 0u) << name;
     EXPECT_FALSE(observed.metrics.empty()) << name;
 
-    // Legacy counter fields are mirrors of the snapshot's standard
+    // The RunReport counter fields are mirrors of the snapshot's standard
     // names — they can never drift from it.
     EXPECT_EQ(observed.evaluations, observed.metrics.counter("eval.requested"))
         << name;

@@ -1,5 +1,5 @@
 // Unit coverage for the observability layer (src/obs/): metrics registry
-// snapshot/delta/merge algebra, the span flight-recorder ring, thread-local
+// snapshot/merge algebra, the span flight-recorder ring, thread-local
 // scope install/restore, and the Chrome trace-event exporter's document
 // shape. The cross-cutting property — obs on/off never moves a digest — is
 // obs_determinism_test.cpp's job; this file pins the layer's own contracts.
@@ -25,7 +25,7 @@ TEST(HistogramDataTest, BucketsByBitWidth) {
   EXPECT_EQ(HistogramData::bucket_of(~std::uint64_t{0}), 64u);
 }
 
-TEST(HistogramDataTest, RecordMergeDelta) {
+TEST(HistogramDataTest, RecordAndMerge) {
   HistogramData h;
   h.record(0);
   h.record(3);
@@ -45,15 +45,8 @@ TEST(HistogramDataTest, RecordMergeDelta) {
   EXPECT_EQ(merged.count, 5u);
   EXPECT_EQ(merged.sum, 1106u);
   EXPECT_EQ(merged.max, 1000u);
-
-  // Delta of a cumulative histogram: per-bucket subtraction; max reports
-  // the `after` high-water (documented upper bound for the window).
-  const HistogramData d = HistogramData::delta(h, merged);
-  EXPECT_EQ(d.count, 1u);
-  EXPECT_EQ(d.sum, 1000u);
-  EXPECT_EQ(d.max, 1000u);
-  EXPECT_EQ(d.buckets[10], 1u);
-  EXPECT_EQ(d.buckets[2], 0u);
+  EXPECT_EQ(merged.buckets[10], 1u);
+  EXPECT_EQ(merged.buckets[2], 2u);
 }
 
 TEST(MetricsRegistryTest, InternedReferencesAreStableAndSnapshotted) {
@@ -76,26 +69,6 @@ TEST(MetricsRegistryTest, InternedReferencesAreStableAndSnapshotted) {
   EXPECT_EQ(snap.counter("absent"), 0u);
   EXPECT_EQ(snap.gauge("g"), 7u);
   EXPECT_EQ(snap.histograms.at("h").count, 1u);
-}
-
-TEST(MetricsSnapshotTest, DeltaSubtractsCountersAndReportsGaugeLevels) {
-  MetricsRegistry registry;
-  registry.counter("runs").add(5);
-  registry.gauge("level").set(10);
-  registry.histogram("h").record(4);
-  const MetricsSnapshot before = registry.snapshot();
-
-  registry.counter("runs").add(2);
-  registry.counter("fresh").add(1);  // name born after `before`
-  registry.gauge("level").set(8);
-  registry.histogram("h").record(4);
-  const MetricsSnapshot after = registry.snapshot();
-
-  const MetricsSnapshot d = MetricsSnapshot::delta(before, after);
-  EXPECT_EQ(d.counter("runs"), 2u);
-  EXPECT_EQ(d.counter("fresh"), 1u);
-  EXPECT_EQ(d.gauge("level"), 8u);  // a gauge is a level, not a count
-  EXPECT_EQ(d.histograms.at("h").count, 1u);
 }
 
 TEST(MetricsSnapshotTest, MergeAddsCountersAndMaxesGauges) {

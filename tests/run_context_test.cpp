@@ -76,18 +76,13 @@ TEST(RunContextTest, KnobsAreDigestNeutral) {
   const std::string reference = cup::run_scenario(base).digest();
 
   for (const bool pooling : {false, true}) {
-    for (const bool arena : {false, true}) {
-      const auto* entry = ScenarioRegistry::paper().find("dyn/crash-mid-discovery");
-      ASSERT_NE(entry, nullptr);
-      const Scenario scenario = entry->make(5)
-                                    .seed(5)
-                                    .context_pooling(pooling)
-                                    .arena(arena)
-                                    .build();
-      RunContext context;
-      EXPECT_EQ(context.run(scenario).digest(), reference)
-          << "pooling=" << pooling << " arena=" << arena;
-    }
+    const auto* entry = ScenarioRegistry::paper().find("dyn/crash-mid-discovery");
+    ASSERT_NE(entry, nullptr);
+    const Scenario scenario =
+        entry->make(5).seed(5).context_pooling(pooling).build();
+    RunContext context;
+    EXPECT_EQ(context.run(scenario).digest(), reference)
+        << "pooling=" << pooling;
   }
 }
 
@@ -96,7 +91,7 @@ TEST(RunContextTest, RunEngineCountersDescribeTheContext) {
 
   RunContext context;
   const RunReport first = context.run(scenario);
-  EXPECT_EQ(first.contexts_recycled, 0u);
+  EXPECT_EQ(first.metrics.gauge("engine.contexts_recycled"), 0u);
   EXPECT_GT(first.arena_bytes_peak, 0u);
 
   // Identical replays on the recycled context: the work *requested* is a
@@ -107,21 +102,13 @@ TEST(RunContextTest, RunEngineCountersDescribeTheContext) {
   std::uint64_t warm_hits = 0;
   for (int replay = 1; replay <= 10; ++replay) {
     const RunReport r = context.run(scenario);
-    EXPECT_EQ(r.contexts_recycled, static_cast<std::uint64_t>(replay));
+    EXPECT_EQ(r.metrics.gauge("engine.contexts_recycled"),
+              static_cast<std::uint64_t>(replay));
     EXPECT_EQ(r.evaluations, first.evaluations) << "replay " << replay;
     EXPECT_EQ(r.digest(), first.digest()) << "replay " << replay;
     warm_hits += r.eval_cache_hits;
   }
   EXPECT_GT(warm_hits, 0u);
-}
-
-TEST(RunContextTest, ArenaOffRunsReportNoArenaBytes) {
-  const auto* entry = ScenarioRegistry::paper().find("dyn/staggered-join");
-  ASSERT_NE(entry, nullptr);
-  const Scenario scenario = entry->make(3).seed(3).arena(false).build();
-  RunContext context;
-  const RunReport report = context.run(scenario);
-  EXPECT_EQ(report.arena_bytes_peak, 0u);
 }
 
 TEST(RunContextTest, PoolingOffDelegatesToFreshRuns) {
@@ -131,10 +118,36 @@ TEST(RunContextTest, PoolingOffDelegatesToFreshRuns) {
   RunContext context;
   const RunReport a = context.run(scenario);
   const RunReport b = context.run(scenario);
-  EXPECT_EQ(a.contexts_recycled, 0u);
-  EXPECT_EQ(b.contexts_recycled, 0u);  // never recycled: fresh every time
+  // Never recycled: fresh every time.
+  EXPECT_EQ(a.metrics.gauge("engine.contexts_recycled"), 0u);
+  EXPECT_EQ(b.metrics.gauge("engine.contexts_recycled"), 0u);
   EXPECT_EQ(a.digest(), b.digest());
   EXPECT_EQ(context.runs_executed(), 2u);
+}
+
+TEST(RunContextTest, MetricsSnapshotHoldsOnlyThisRun) {
+  // A hostile-wire run interns wire.* counters; a clean run recycled after
+  // it on the same context must report exactly the counters a fresh run of
+  // the clean scenario reports — no zero-valued rows left over. The storm
+  // never decides, so its horizon is cut to keep the test fast (and cheap
+  // under the sanitizers); every mutation kind still fires.
+  const auto* storm_entry = ScenarioRegistry::paper().find("wire/fig1b-storm");
+  ASSERT_NE(storm_entry, nullptr);
+  RunContext context;
+  const RunReport storm =
+      context.run(storm_entry->make(1).seed(1).horizon(20'000).build());
+  ASSERT_GT(storm.metrics.counter("wire.mutated.garbage"), 0u);
+  const Scenario clean = scenario_for("fig1b/silent", 1);
+  const RunReport recycled = context.run(clean);
+  ASSERT_EQ(recycled.metrics.gauge("engine.contexts_recycled"), 1u);
+  const auto counter_names = [](const RunReport& report) {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : report.metrics.counters) {
+      names.push_back(name);
+    }
+    return names;
+  };
+  EXPECT_EQ(counter_names(recycled), counter_names(cup::run_scenario(clean)));
 }
 
 }  // namespace

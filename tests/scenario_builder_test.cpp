@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cup/scenario_builder.hpp"
 
 namespace bftcup::cup {
@@ -139,6 +141,17 @@ TEST(ScenarioBuilderTest, NonPositivePeriodsRejected) {
   EXPECT_THROW(ScenarioBuilder(triangle()).horizon(0).build(),
                ScenarioError);
   EXPECT_THROW(ScenarioBuilder(triangle()).delta(0).build(), ScenarioError);
+}
+
+TEST(ScenarioBuilderTest, NanProbabilitiesRejected) {
+  // Every comparison with NaN is false, so a range check written as
+  // "p < 0 || p > 1" would let NaN through and run a wire that never acts.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ScenarioBuilder(triangle()).wire_mutation(nan).build(),
+               ScenarioError);
+  EXPECT_THROW(ScenarioBuilder(triangle()).loss(nan).build(), ScenarioError);
+  EXPECT_THROW(ScenarioBuilder(triangle()).loss_burst(0, 10, 0, nan).build(),
+               ScenarioError);
 }
 
 TEST(ScenarioBuilderTest, ErrorsNameTheProblem) {

@@ -28,10 +28,12 @@
 // Every run the explorer reports is a deterministic (genome, seed) pair;
 // the printed line IS the artifact. Feed it back through --replay to get
 // the identical verdict and digest, on any machine.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "explore/explorer.hpp"
 
@@ -316,11 +318,12 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next_value = [&](std::uint64_t& out) {
       if (i + 1 >= argc) return false;
-      const char* s = argv[++i];
-      char* end = nullptr;
-      out = std::strtoull(s, &end, 10);
-      // A typo'd number must be a usage error, not a silent zero.
-      return *s != '\0' && end != nullptr && *end == '\0';
+      const std::string_view s = argv[++i];
+      // A typo'd number must be a usage error, not a silent zero or a
+      // wrapped negative: from_chars takes no sign and must consume it all.
+      const auto [end, ec] =
+          std::from_chars(s.data(), s.data() + s.size(), out);
+      return ec == std::errc{} && end == s.data() + s.size();
     };
     std::uint64_t value = 0;
     if (arg == "--smoke") {

@@ -24,11 +24,13 @@
 // windows and message histograms are bit-stable across machines; only the
 // wall-time columns vary run to run.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/explorer.hpp"
@@ -127,7 +129,7 @@ void print_summary(const cup::RunReport& report) {
 
   // Hostile-wire rows (only when the wire touched the run): the headline
   // counters straight from the report, then the per-mutation-kind split
-  // from the wire.* metrics family when the run carried a registry.
+  // from the wire.* metrics family.
   if (report.frames_mutated > 0 || report.frames_rejected > 0 ||
       report.frames_lost > 0) {
     std::printf("\n%-28s %10s\n", "hostile wire", "frames");
@@ -145,16 +147,14 @@ void print_summary(const cup::RunReport& report) {
     }
   }
 
-  if (!report.metrics.empty()) {
-    std::printf("\n%-28s %10s\n", "metric", "value");
-    for (const auto& [name, value] : report.metrics.counters) {
-      std::printf("%-28s %10llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    }
-    for (const auto& [name, value] : report.metrics.gauges) {
-      std::printf("%-28s %10llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    }
+  std::printf("\n%-28s %10s\n", "metric", "value");
+  for (const auto& [name, value] : report.metrics.counters) {
+    std::printf("%-28s %10llu\n", name.c_str(),
+                static_cast<unsigned long long>(value));
+  }
+  for (const auto& [name, value] : report.metrics.gauges) {
+    std::printf("%-28s %10llu\n", name.c_str(),
+                static_cast<unsigned long long>(value));
   }
 }
 
@@ -213,11 +213,12 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const auto next_value = [&](std::uint64_t& out) {
       if (i + 1 >= argc) return false;
-      const char* s = argv[++i];
-      char* end = nullptr;
-      out = std::strtoull(s, &end, 10);
-      // A typo'd number must be a usage error, not a silent zero.
-      return *s != '\0' && end != nullptr && *end == '\0';
+      const std::string_view s = argv[++i];
+      // A typo'd number must be a usage error, not a silent zero or a
+      // wrapped negative: from_chars takes no sign and must consume it all.
+      const auto [end, ec] =
+          std::from_chars(s.data(), s.data() + s.size(), out);
+      return ec == std::errc{} && end == s.data() + s.size();
     };
     std::uint64_t value = 0;
     if (arg == "--scenario" && i + 1 < argc) {
