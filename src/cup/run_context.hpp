@@ -11,7 +11,7 @@
 //    keeps every grown capacity (event-queue buckets, slot vectors, memo
 //    hash buckets);
 //  * a RunArena backing the per-run hot allocations (trace records,
-//    discovery scratch, pending buffers), rewound — not freed — per run;
+//    pending buffers), rewound — not freed — per run;
 //  * a KeyringCache so per-process secrets are derived once per
 //    (key-seed, id) and shared by every run that reuses them;
 //  * cross-run *content-addressed* caches: the SharedEvalCache (keyed by
@@ -60,7 +60,7 @@ class RunContext {
 
  private:
   /// Entry caps for the cross-run memos: crossing one empties that memo
-  /// (capacity and gate statistics are kept). A bound on footprint for
+  /// (capacity and counters are kept). A bound on footprint for
   /// million-run fuzzing sessions, never a correctness lever.
   // Eval entries carry their canonical view bytes (~KB each); signature
   // entries carry a payload + signature (~100 B each).

@@ -126,11 +126,7 @@ RunReport execute_scenario(
   }
 
   std::shared_ptr<const protocol::SinkSearch> search = scenario.search;
-  if (!search) {
-    protocol::SearchOptions options;
-    options.incremental = scenario.incremental_search;
-    search = std::make_shared<protocol::ExhaustiveSinkSearch>(options);
-  }
+  if (!search) search = std::make_shared<protocol::ExhaustiveSinkSearch>();
 
   const IdSet vertices = scenario.graph.vertices();
   const IdSet correct = vertices.set_difference(scenario.faulty);

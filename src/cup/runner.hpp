@@ -70,8 +70,9 @@ struct Scenario {
   /// Share one evaluation memo (canonical view -> sink/core result) across all
   /// correct nodes of the run.
   bool eval_cache = true;
-  /// Dirty-SCC candidate reuse in the *default* search strategy. Ignored
-  /// when `search` is set — the provided strategy's own options govern.
+  /// Read nowhere in the library; has no effect. Kept only because the
+  /// end-to-end benchmark harness (bench/e2e/layers.cpp) still copies it
+  /// into SearchOptions::incremental.
   bool incremental_search = true;
 
   /// Allow BatchRunner / RunContext to execute this scenario on a recycled

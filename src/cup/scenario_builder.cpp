@@ -210,7 +210,6 @@ ScenarioBuilder& ScenarioBuilder::eval_cache(bool enabled) {
 
 ScenarioBuilder& ScenarioBuilder::caching(bool enabled) {
   scenario_.eval_cache = enabled;
-  scenario_.incremental_search = enabled;
   scenario_.sim.verify_cache = enabled;
   return *this;
 }

@@ -121,14 +121,13 @@ class ScenarioBuilder {
   ScenarioBuilder& closure_guard(bool enabled = true);
 
   // --- membership-engine cache knobs ---------------------------------------
-  // All three layers store pure functions of immutable inputs, so toggling
-  // them cannot change a run's digest (the determinism suite asserts this);
-  // they exist for A/B benchmarks and ablations. Defaults: all enabled.
+  // Both memos store pure functions of immutable inputs, so toggling them
+  // cannot change a run's digest (the determinism suite asserts this); they
+  // exist for A/B benchmarks and ablations. Defaults: both enabled.
 
   /// Per-simulation shared evaluation memo (canonical view -> sink/core result).
   ScenarioBuilder& eval_cache(bool enabled = true);
-  /// Master switch over the eval memo, dirty-SCC candidate reuse in the
-  /// default search strategy, and the signature-verification memo
+  /// Master switch over the eval memo and the signature-verification memo
   /// (`caching(false)` runs the fully cold engine — the pre-caching path).
   ScenarioBuilder& caching(bool enabled);
 

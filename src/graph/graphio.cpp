@@ -68,6 +68,10 @@ std::optional<Digraph> parse_edge_list(std::string_view text) {
     const auto a = parse_u64(line.substr(0, arrow));
     const auto b = parse_u64(line.substr(arrow + 2));
     if (!a || !b) return std::nullopt;
+    // Both endpoints are processes of the system even when the line is a
+    // self-loop, which Digraph::add_edge drops before adding any vertex.
+    g.add_vertex(ProcessId(*a));
+    g.add_vertex(ProcessId(*b));
     g.add_edge(ProcessId(*a), ProcessId(*b));
   }
   return g;

@@ -63,20 +63,14 @@ std::optional<CoreResult> try_find_core(const KnowledgeView& view,
   if (cache == nullptr) return try_find_core(view, search);
   ++cache->stats().evaluations;
   if (!cache->memo_enabled()) return try_find_core(view, search);
-  // See try_find_sink: churn-phase evaluations skip the digest probe and
-  // suspend the view's scratch memos.
-  const std::size_t view_size = view.received().size();
-  const auto gate = cache->admit(view_size);
-  view.eval_scratch().memo_suspended = !gate.keep_scratch;
-  if (!gate.probe) return try_find_core(view, search);
 
-  const EvalKeyView key{search.cache_key(), 0, view_canonical(view)};
+  Bytes canon;
+  view_canonical(view, canon);
+  const EvalKeyView key{search.cache_key(), 0, canon};
   if (const auto* hit = cache->find_core(key)) {
     ++cache->stats().hits;
-    cache->record_probe(view_size, /*hit=*/true);
     return *hit;
   }
-  cache->record_probe(view_size, /*hit=*/false);
   std::optional<CoreResult> result = try_find_core(view, search);
   cache->store_core(key, result);
   return result;

@@ -5,14 +5,11 @@
 
 namespace bftcup::protocol {
 
-Discovery::Discovery(ProcessId self, IdSet own_pd, SimTime period,
-                     std::pmr::memory_resource* scratch_mr)
+Discovery::Discovery(ProcessId self, IdSet own_pd, SimTime period)
     : self_(self),
       own_pd_(std::move(own_pd)),
       period_(period),
-      view_(self, own_pd_) {
-  if (scratch_mr != nullptr) view_.use_scratch_resource(scratch_mr);
-}
+      view_(self, own_pd_) {}
 
 void Discovery::start(sim::Context& ctx) {
   if (started_) return;

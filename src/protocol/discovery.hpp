@@ -20,11 +20,7 @@ class Discovery {
   /// Timer kind used for the periodic discovery task.
   static constexpr int kTimerKind = 1;
 
-  /// `scratch_mr` (optional) backs the view's membership-engine memo pads —
-  /// the run engine passes its per-run arena here (see KnowledgeView::
-  /// use_scratch_resource for the lifetime contract).
-  Discovery(ProcessId self, IdSet own_pd, SimTime period,
-            std::pmr::memory_resource* scratch_mr = nullptr);
+  Discovery(ProcessId self, IdSet own_pd, SimTime period);
 
   /// Signs the node's own PD and arms the periodic task (Alg. 1 lines 1-2).
   void start(sim::Context& ctx);

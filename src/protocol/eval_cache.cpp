@@ -1,7 +1,5 @@
 #include "protocol/eval_cache.hpp"
 
-#include <bit>
-
 #include "obs/span_tracer.hpp"
 
 namespace bftcup::protocol {
@@ -28,42 +26,20 @@ EvalKey own_key(const EvalKeyView& view) {
 
 }  // namespace
 
-const Bytes& view_canonical(const KnowledgeView& view) {
-  EvalScratch& scratch = view.eval_scratch();
-  if (scratch.canon_revision != view.revision()) {
-    Bytes& out = scratch.canon;
-    out.clear();
-    // Length-framed, sorted-order serialization: injective on view
-    // contents, so byte equality is view equality.
-    append_id_set(out, view.known());
-    append_u64(out, view.pds().size());
-    for (const auto& [owner, pd] : view.pds()) {
-      append_u64(out, owner.raw());
-      append_id_set(out, pd);
-    }
-    scratch.canon_revision = view.revision();
+void view_canonical(const KnowledgeView& view, Bytes& out) {
+  // Length-framed, sorted-order serialization: injective on view contents,
+  // so byte equality is view equality. Sized up front (one u64 per count,
+  // id and owner), so the buffer grows once per call.
+  std::size_t words = 2 + view.known().size();
+  for (const auto& [owner, pd] : view.pds()) words += 2 + pd.size();
+  out.clear();
+  out.reserve(words * 8);
+  append_id_set(out, view.known());
+  append_u64(out, view.pds().size());
+  for (const auto& [owner, pd] : view.pds()) {
+    append_u64(out, owner.raw());
+    append_id_set(out, pd);
   }
-  return scratch.canon;
-}
-
-SharedEvalCache::ProbeDecision SharedEvalCache::admit(std::size_t view_size) {
-  Bucket& bucket = buckets_[std::bit_width(view_size)];
-  ++bucket.evals;
-  // Scratch memos only run where recurrence is *proven* (a digest hit in
-  // this bucket); warmup and retry probes are digest-only, so a purely
-  // churning workload pays nothing beyond a handful of view hashes.
-  if (bucket.hits > 0) return {true, true};
-  if (bucket.probes < kProbeWarmup) return {true, false};
-  // Closed bucket: a periodic digest-only retry keeps a late-converging or
-  // cross-run recurring view family from being locked out forever.
-  if (bucket.evals % kProbeRetry == 0) return {true, false};
-  return {false, false};
-}
-
-void SharedEvalCache::record_probe(std::size_t view_size, bool hit) {
-  Bucket& bucket = buckets_[std::bit_width(view_size)];
-  ++bucket.probes;
-  if (hit) ++bucket.hits;
 }
 
 const std::optional<SinkResult>* SharedEvalCache::find_sink(

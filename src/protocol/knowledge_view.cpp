@@ -1,35 +1,8 @@
 #include "protocol/knowledge_view.hpp"
 
 #include "common/bitset64.hpp"
-#include "protocol/eval_cache.hpp"
 
 namespace bftcup::protocol {
-
-// Out of line: EvalScratch is incomplete in the header.
-KnowledgeView::KnowledgeView() = default;
-KnowledgeView::KnowledgeView(KnowledgeView&&) noexcept = default;
-KnowledgeView& KnowledgeView::operator=(KnowledgeView&&) noexcept = default;
-KnowledgeView::~KnowledgeView() = default;
-
-KnowledgeView::KnowledgeView(const KnowledgeView& other)
-    : known_(other.known_),
-      received_(other.received_),
-      pds_(other.pds_),
-      revision_(other.revision_) {}
-
-KnowledgeView& KnowledgeView::operator=(const KnowledgeView& other) {
-  if (this == &other) return *this;
-  known_ = other.known_;
-  received_ = other.received_;
-  pds_ = other.pds_;
-  revision_ = other.revision_;
-  // Content may have changed entirely; drop the derived state rather than
-  // inherit the source's (copies may diverge — see header).
-  snapshot_revision_ = kNoRevision;
-  snapshot_ = SccSnapshot{};
-  scratch_.reset();
-  return *this;
-}
 
 KnowledgeView::KnowledgeView(ProcessId self, const IdSet& own_pd) {
   known_.insert(self);
@@ -45,15 +18,10 @@ bool KnowledgeView::add_pd(ProcessId owner, const IdSet& pd) {
     received_.insert(owner);
     changed = true;
   }
-  if (changed) ++revision_;
   return changed;
 }
 
-bool KnowledgeView::add_known(ProcessId id) {
-  const bool changed = known_.insert(id);
-  if (changed) ++revision_;
-  return changed;
-}
+bool KnowledgeView::add_known(ProcessId id) { return known_.insert(id); }
 
 const IdSet* KnowledgeView::pd_of(ProcessId owner) const {
   auto it = pds_.find(owner);
@@ -67,24 +35,6 @@ graph::Digraph KnowledgeView::knowledge_graph() const {
     for (ProcessId target : pd) g.add_edge(owner, target);
   }
   return g;
-}
-
-const KnowledgeView::SccSnapshot& KnowledgeView::received_scc_snapshot() const {
-  if (snapshot_revision_ != revision_) {
-    snapshot_.received_graph = knowledge_graph().induced(received_);
-    snapshot_.sccs = graph::strongly_connected_components(snapshot_.received_graph);
-    snapshot_revision_ = revision_;
-  }
-  return snapshot_;
-}
-
-EvalScratch& KnowledgeView::eval_scratch() const {
-  if (!scratch_) {
-    scratch_ = scratch_mr_ != nullptr
-                   ? std::make_unique<EvalScratch>(scratch_mr_)
-                   : std::make_unique<EvalScratch>();
-  }
-  return *scratch_;
 }
 
 std::size_t KnowledgeView::out_reach_count(const IdSet& s1,
@@ -124,7 +74,6 @@ KnowledgeView KnowledgeView::omniscient(const graph::Digraph& g) {
     view.received_.insert(id);
     view.pds_.emplace(id, g.out_neighbors(id));
   }
-  ++view.revision_;
   return view;
 }
 

@@ -7,46 +7,27 @@
 //   S_known    -> known()
 //   S_received -> received() (the keys of pds())
 //
-// The view is *versioned*: every content change bumps a monotone revision
-// counter, and the expensive derived structures the membership engine needs
-// — the received-knowledge graph, its SCC decomposition, per-S1 split memos,
-// per-SCC candidate caches — are rebuilt lazily and only when the revision
-// moved. Two invariants make this sound (see README "Membership engine
-// caching"):
-//   * PDs are immutable once received (first version wins, mirroring
-//     "PD_i always returns the same set"), and
-//   * known()/received() grow monotonically.
+// The view holds content only; every derived structure (knowledge graph,
+// SCCs, candidates) is computed per evaluation. PDs are immutable once
+// received (first version wins, mirroring "PD_i always returns the same
+// set") and known()/received() grow monotonically (see README "Membership
+// engine caching").
 #pragma once
 
 #include <map>
-#include <memory>
-#include <memory_resource>
-#include <optional>
 
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
-#include "graph/scc.hpp"
 
 namespace bftcup::protocol {
 
-class EvalScratch;  // protocol/eval_cache.hpp — memo pads for the searches
-
 class KnowledgeView {
  public:
-  KnowledgeView();
+  KnowledgeView() = default;
 
   /// Initializes the view for process `self` with its own participant
   /// detector output (Alg. 1 line 1).
   KnowledgeView(ProcessId self, const IdSet& own_pd);
-
-  // Copies carry the content but never the memo pads: a copy may diverge
-  // (receive different PDs for the same owner), which would poison shared
-  // caches. Moves transfer everything.
-  KnowledgeView(const KnowledgeView& other);
-  KnowledgeView& operator=(const KnowledgeView& other);
-  KnowledgeView(KnowledgeView&&) noexcept;
-  KnowledgeView& operator=(KnowledgeView&&) noexcept;
-  ~KnowledgeView();
 
   /// Records `owner`'s PD. Returns true if this changed the view (new owner
   /// or — from a Byzantine equivocator — different contents, which the view
@@ -62,40 +43,10 @@ class KnowledgeView {
   [[nodiscard]] const std::map<ProcessId, IdSet>& pds() const { return pds_; }
   [[nodiscard]] const IdSet* pd_of(ProcessId owner) const;
 
-  /// Monotone content version: bumped by every mutation that changed the
-  /// view. Derived-structure caches key their freshness on it.
-  [[nodiscard]] std::uint64_t revision() const { return revision_; }
-
   /// The knowledge graph K: vertices = S_known, edges j -> k for every
   /// received PD_j containing k. Only received PDs contribute edges — a
   /// process cannot use out-edges it has not seen evidence for.
   [[nodiscard]] graph::Digraph knowledge_graph() const;
-
-  /// K restricted to S_received plus its SCC decomposition — the structure
-  /// every candidate search starts from. Rebuilt lazily at the current
-  /// revision and cached; construction matches
-  /// knowledge_graph().induced(received()) bit-for-bit, so SCC enumeration
-  /// order (and therefore candidate order) is identical to an uncached run.
-  struct SccSnapshot {
-    graph::Digraph received_graph;
-    graph::SccResult sccs;
-  };
-  [[nodiscard]] const SccSnapshot& received_scc_snapshot() const;
-
-  /// Lazily created memo pads for the membership engine (split/κ memos,
-  /// per-SCC candidate caches, content digest). Logically const: everything
-  /// stored is a pure function of the view content, so reads through the
-  /// scratch can never change an observable result.
-  [[nodiscard]] EvalScratch& eval_scratch() const;
-
-  /// Routes the memo pads' node allocations through `mr` (the run engine's
-  /// per-run arena). Must be called before the first eval_scratch() use;
-  /// the view (and with it the scratch) must be destroyed before the
-  /// resource is rewound. Copies deliberately do not inherit the resource —
-  /// a copy's lifetime is not tied to the run that owns the arena.
-  void use_scratch_resource(std::pmr::memory_resource* mr) {
-    scratch_mr_ = mr;
-  }
 
   /// Number of processes in S1 with an out-edge (per received PDs) into
   /// `targets` — the paper's  S1 --k--> targets  count.
@@ -114,15 +65,6 @@ class KnowledgeView {
   IdSet known_;
   IdSet received_;
   std::map<ProcessId, IdSet> pds_;
-  std::uint64_t revision_ = 0;
-
-  // Lazily maintained derived state. Mutable: rebuilding a cache of a pure
-  // function of the content is logically const.
-  static constexpr std::uint64_t kNoRevision = ~std::uint64_t{0};
-  mutable std::uint64_t snapshot_revision_ = kNoRevision;
-  mutable SccSnapshot snapshot_;
-  mutable std::unique_ptr<EvalScratch> scratch_;
-  std::pmr::memory_resource* scratch_mr_ = nullptr;  ///< null = default heap
 };
 
 }  // namespace bftcup::protocol

@@ -24,22 +24,14 @@ std::optional<SinkResult> try_find_sink(const KnowledgeView& view,
   if (cache == nullptr) return try_find_sink(view, f, search);
   ++cache->stats().evaluations;
   if (!cache->memo_enabled()) return try_find_sink(view, f, search);
-  // The probe gate skips the whole-view canonicalization while churn makes
-  // hits impossible (see SharedEvalCache); gated and retry evaluations
-  // also suspend the view's scratch memos and run the plain search — the
-  // result is identical either way.
-  const std::size_t view_size = view.received().size();
-  const auto gate = cache->admit(view_size);
-  view.eval_scratch().memo_suspended = !gate.keep_scratch;
-  if (!gate.probe) return try_find_sink(view, f, search);
 
-  const EvalKeyView key{search.cache_key(), f, view_canonical(view)};
+  Bytes canon;
+  view_canonical(view, canon);
+  const EvalKeyView key{search.cache_key(), f, canon};
   if (const auto* hit = cache->find_sink(key)) {
     ++cache->stats().hits;
-    cache->record_probe(view_size, /*hit=*/true);
     return *hit;
   }
-  cache->record_probe(view_size, /*hit=*/false);
   std::optional<SinkResult> result = try_find_sink(view, f, search);
   cache->store_sink(key, result);
   return result;

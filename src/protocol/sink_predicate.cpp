@@ -7,7 +7,6 @@
 #include "common/bitset64.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/scc.hpp"
-#include "protocol/eval_cache.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -131,53 +130,23 @@ bool is_sink(const KnowledgeView& view, std::size_t f, const IdSet& s1,
   return derived.has_value() && *derived == s2;
 }
 
-namespace {
-
-/// The κ + split computation proper; callers have already handled the
-/// not-fully-received early-out. `probe_words` optionally backs the
-/// adaptive S1 probe with reusable (arena) storage.
-EvalScratch::SplitMemo compute_thresholds(
-    const KnowledgeView& view, const IdSet& s1,
-    std::pmr::vector<std::uint64_t>* probe_words) {
-  EvalScratch::SplitMemo out;
-  const AdaptiveIdProbe s1_probe(s1, probe_words);
-  out.kappa = graph::strong_connectivity(induced_knowledge(view, s1, s1_probe));
-  if (out.kappa == 0) return out;
+std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
+                                                   const IdSet& s1) {
+  if (s1.empty() || !s1.is_subset_of(view.received())) return {};
+  const AdaptiveIdProbe s1_probe(s1);
+  const std::size_t kappa =
+      graph::strong_connectivity(induced_knowledge(view, s1, s1_probe));
+  if (kappa == 0) return {};
 
   // g is bounded by P2 (g <= κ-1) and P1 (2g+1 <= |S1|). One counting pass
   // serves every threshold.
   const OutsideCounts counts = outside_counts(view, s1, s1_probe);
-  const std::size_t g_max = std::min(out.kappa - 1, (s1.size() - 1) / 2);
+  const std::size_t g_max = std::min(kappa - 1, (s1.size() - 1) / 2);
+  std::vector<AdmissibleSplit> splits;
   for (std::size_t g = 0; g <= g_max; ++g) {
-    if (escapes_at(counts, g) <= g) {
-      out.splits.push_back({g, s2_at(counts, g)});
-    }
+    if (escapes_at(counts, g) <= g) splits.push_back({g, s2_at(counts, g)});
   }
-  return out;
-}
-
-}  // namespace
-
-std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
-                                                   const IdSet& s1) {
-  if (s1.empty() || !s1.is_subset_of(view.received())) return {};
-  return compute_thresholds(view, s1, nullptr).splits;
-}
-
-const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
-    const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch) {
-  static const std::vector<AdmissibleSplit> kEmpty;
-  // A not-fully-received S1 has no splits but may gain some later; it must
-  // not be stored (the memo has no invalidation by design).
-  if (s1.empty() || !s1.is_subset_of(view.received())) return kEmpty;
-  if (const auto it = scratch.splits.find(s1); it != scratch.splits.end()) {
-    ++scratch.stats.split_hits;
-    return it->second.splits;
-  }
-  ++scratch.stats.split_misses;
-  return scratch.splits
-      .emplace(s1, compute_thresholds(view, s1, &scratch.probe_words))
-      .first->second.splits;
+  return splits;
 }
 
 std::optional<std::size_t> is_sink_star(const KnowledgeView& view,

@@ -52,12 +52,4 @@ struct AdmissibleSplit {
 [[nodiscard]] std::vector<AdmissibleSplit> admissible_thresholds(
     const KnowledgeView& view, const IdSet& s1);
 
-/// Memoized variant backed by the view's EvalScratch: splits (and κ) for an
-/// all-received S1 are pure functions of its members' immutable PDs, so the
-/// memo never needs invalidation — later add_pd calls provably cannot change
-/// them (README "Membership engine caching"). Returns a reference into the
-/// memo; an S1 that is not fully received is answered cold and not stored.
-[[nodiscard]] const std::vector<AdmissibleSplit>& admissible_thresholds_memo(
-    const KnowledgeView& view, const IdSet& s1, EvalScratch& scratch);
-
 }  // namespace bftcup::protocol

@@ -1,14 +1,13 @@
 #include "protocol/sink_search.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <set>
 
 #include "common/fnv.hpp"
 #include "common/logging.hpp"
 #include "common/random.hpp"
+#include "graph/scc.hpp"
 #include "obs/span_tracer.hpp"
-#include "protocol/eval_cache.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -34,19 +33,9 @@ void note_big_scc_fallback(std::size_t scc_size, std::size_t cap) {
                           << " (logged once per run)";
 }
 
-/// Appends every admissible split of `s1` as a candidate. Shared by the cold
-/// and incremental paths; a non-null `memo` routes the split computation
-/// through the view's per-S1 split memo (nullptr = cold, no memo at all:
-/// churn-suspended or non-incremental evaluation).
-void collect_candidates_for(const KnowledgeView& view, EvalScratch* memo,
-                            const IdSet& s1, std::vector<SinkCandidate>& out) {
-  if (memo != nullptr) {
-    for (const AdmissibleSplit& split :
-         admissible_thresholds_memo(view, s1, *memo)) {
-      out.push_back({s1, split.s2, split.g});
-    }
-    return;
-  }
+/// Appends every admissible split of `s1` as a candidate.
+void collect_candidates_for(const KnowledgeView& view, const IdSet& s1,
+                            std::vector<SinkCandidate>& out) {
   for (AdmissibleSplit& split : admissible_thresholds(view, s1)) {
     out.push_back({s1, std::move(split.s2), split.g});
   }
@@ -58,8 +47,8 @@ void collect_candidates_for(const KnowledgeView& view, EvalScratch* memo,
 /// allocation is its first capacity growth — the FlatSet-scratch half of
 /// the run engine's near-zero-heap steady state. collect_candidates_for
 /// copies S1 into whatever it emits, so reuse cannot leak.
-void enumerate_exhaustive(const KnowledgeView& view, EvalScratch* memo,
-                          const IdSet& scc, std::vector<SinkCandidate>& out) {
+void enumerate_exhaustive(const KnowledgeView& view, const IdSet& scc,
+                          std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
   IdSet s1;
@@ -70,20 +59,20 @@ void enumerate_exhaustive(const KnowledgeView& view, EvalScratch* memo,
       // ids is sorted, so these inserts are ordered appends.
       if (mask & (std::uint64_t{1} << b)) s1.insert(ids[b]);
     }
-    collect_candidates_for(view, memo, s1, out);
+    collect_candidates_for(view, s1, out);
   }
 }
 
 /// Candidates the structured strategy derives from one SCC: C itself, then
 /// C \ D for every removal set D with |D| <= removal_cap.
-void enumerate_structured(const KnowledgeView& view, EvalScratch* memo,
-                          const IdSet& scc, std::size_t removal_cap,
+void enumerate_structured(const KnowledgeView& view, const IdSet& scc,
+                          std::size_t removal_cap,
                           std::vector<SinkCandidate>& out) {
   const auto& ids = scc.values();
   const std::size_t n = ids.size();
   const std::size_t cap = std::min(removal_cap, n - 1);
 
-  collect_candidates_for(view, memo, scc, out);
+  collect_candidates_for(view, scc, out);
   for (std::size_t d = 1; d <= cap; ++d) {
     std::vector<std::size_t> combo(d);
     for (std::size_t i = 0; i < d; ++i) combo[i] = i;
@@ -91,7 +80,7 @@ void enumerate_structured(const KnowledgeView& view, EvalScratch* memo,
     while (more) {
       IdSet s1 = scc;
       for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, memo, s1, out);
+      collect_candidates_for(view, s1, out);
 
       // Advance to the next d-combination of {0..n-1}.
       more = false;
@@ -109,95 +98,10 @@ void enumerate_structured(const KnowledgeView& view, EvalScratch* memo,
 
 /// SCCs of the knowledge graph restricted to processes with received PDs —
 /// any strongly connected S1 (P2 needs κ >= 1) is a subset of one of these.
-/// Shared by the cold path and churn-suspended incremental evaluations;
-/// the snapshot the warm incremental path reads is built from the
-/// identical construction, so enumeration order matches bit-for-bit.
+/// Both strategies walk them in this order, which fixes candidate order.
 std::vector<IdSet> received_sccs(const KnowledgeView& view) {
   const graph::Digraph k = view.knowledge_graph().induced(view.received());
   return graph::strongly_connected_components(k).members;
-}
-
-/// Drives one full SCC list (cold / churn-suspended evaluations: every SCC
-/// is enumerated, no candidate cache).
-template <typename Enumerate>
-std::vector<SinkCandidate> enumerate_sequence(const KnowledgeView& view,
-                                              const std::vector<IdSet>& sccs,
-                                              const Enumerate& enumerate) {
-  std::vector<SinkCandidate> out;
-  for (const IdSet& scc : sccs) enumerate(view, nullptr, scc, out);
-  return out;
-}
-
-/// The incremental driver shared by both strategies. Iterates the current
-/// SCC decomposition in order; an SCC whose member set is present in the
-/// strategy's cache is clean (PDs are immutable and known() growth cannot
-/// alter its candidates — README "Membership engine caching"), everything
-/// else is dirty and re-enumerated through `enumerate`, with the per-S1
-/// split memo absorbing subsets already costed in an earlier revision.
-/// Output order is identical to a cold run: current SCC order, and within
-/// an SCC the enumeration order `enumerate` defines.
-template <typename Enumerate>
-std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
-                                                  const std::string& cache_key,
-                                                  const Enumerate& enumerate) {
-  std::vector<SinkCandidate> out;
-  EvalScratch& scratch = view.eval_scratch();
-
-  // Churn-phase evaluation (see EvalScratch::memo_suspended): enumerate at
-  // cold speed — no candidate cache, no prune, no split memo, and no
-  // persistent per-view snapshot (a churning view's snapshot is rebuilt
-  // every revision anyway, and keeping one graph resident per node evicts
-  // the max-flow scratch from cache). Identical output, none of the
-  // bookkeeping that cannot amortize.
-  if (scratch.memo_suspended) {
-    return enumerate_sequence(view, received_sccs(view), enumerate);
-  }
-
-  const auto& snapshot = view.received_scc_snapshot();
-  EvalScratch::StrategyCache& cache = scratch.strategies[cache_key];
-
-  // Drop entries for SCCs that no longer exist (they merged into a bigger
-  // component); their subsets stay warm in the split memo.
-  if (cache.pruned_revision != view.revision()) {
-    std::vector<const IdSet*> current;
-    current.reserve(snapshot.sccs.members.size());
-    for (const IdSet& scc : snapshot.sccs.members) current.push_back(&scc);
-    const auto by_value = [](const IdSet* a, const IdSet* b) {
-      return *a < *b;
-    };
-    std::sort(current.begin(), current.end(), by_value);
-    std::erase_if(cache.by_scc, [&](const auto& entry) {
-      return !std::binary_search(current.begin(), current.end(), &entry.first,
-                                 by_value);
-    });
-    cache.pruned_revision = view.revision();
-  }
-
-  for (const IdSet& scc : snapshot.sccs.members) {
-    const auto it = cache.by_scc.find(scc);
-    if (it != cache.by_scc.end() && it->second.filled) {
-      ++scratch.stats.scc_hits;
-      out.insert(out.end(), it->second.candidates.begin(),
-                 it->second.candidates.end());
-      continue;
-    }
-    ++scratch.stats.scc_misses;
-    // Two-touch admission (see EvalScratch::CachedCandidates): record the
-    // key on first sight, store the candidate vector only once the same
-    // member set survives to a second enumeration. Discovery-churn SCCs
-    // are pruned before their second touch and never pay the copy.
-    if (it == cache.by_scc.end()) {
-      enumerate(view, &scratch, scc, out);  // straight into the output
-      cache.by_scc.emplace(scc, EvalScratch::CachedCandidates{});
-      continue;
-    }
-    std::vector<SinkCandidate> fresh;
-    enumerate(view, &scratch, scc, fresh);
-    out.insert(out.end(), fresh.begin(), fresh.end());
-    it->second.filled = true;
-    it->second.candidates = std::move(fresh);
-  }
-  return out;
 }
 
 /// Big-SCC certification: components too large to enumerate are *certified
@@ -208,12 +112,12 @@ std::vector<SinkCandidate> incremental_candidates(const KnowledgeView& view,
 /// without touching 2^|C| subsets. Around C, seeded samples of C \ D
 /// probe the bounded-removal family the structured strategy would sweep.
 /// The RNG seed is FNV over the member ids: a pure function of the
-/// component, so replays, cross-thread runs, and the incremental cache all
-/// see the same candidate stream (and no ambient entropy enters — R2).
-void enumerate_big_scc(const KnowledgeView& view, EvalScratch* memo,
-                       const IdSet& scc, std::size_t removal_cap,
-                       std::size_t samples, std::vector<SinkCandidate>& out) {
-  collect_candidates_for(view, memo, scc, out);
+/// component, so replays and cross-thread runs see the same candidate
+/// stream (and no ambient entropy enters — R2).
+void enumerate_big_scc(const KnowledgeView& view, const IdSet& scc,
+                       std::size_t removal_cap, std::size_t samples,
+                       std::vector<SinkCandidate>& out) {
+  collect_candidates_for(view, scc, out);
   if (samples == 0) return;
 
   const auto& ids = scc.values();
@@ -244,9 +148,35 @@ void enumerate_big_scc(const KnowledgeView& view, EvalScratch* memo,
       if (!seen.insert(combo).second) continue;
       IdSet s1 = scc;
       for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, memo, s1, out);
+      collect_candidates_for(view, s1, out);
     }
   }
+}
+
+/// The loop both strategies share: every received SCC in order, routed to
+/// the big-SCC certification path above `enumeration_cap` members and to the
+/// strategy's own `enumerate` otherwise.
+template <typename Enumerate>
+std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
+                                          std::size_t enumeration_cap,
+                                          const SearchOptions& options,
+                                          const Enumerate& enumerate) {
+  std::vector<SinkCandidate> out;
+  for (const IdSet& scc : received_sccs(view)) {
+    const obs::ScopedSpan span("membership.scc_eval", scc.size());
+    if (obs::MetricsRegistry* m = obs::current_metrics()) {
+      m->histogram("eval.scc_size").record(scc.size());
+    }
+    if (scc.size() > enumeration_cap) {
+      note_big_scc_fallback(scc.size(), enumeration_cap);
+      const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
+      enumerate_big_scc(view, scc, options.removal_cap,
+                        options.big_scc_samples, out);
+      continue;
+    }
+    enumerate(scc, out);
+  }
+  return out;
 }
 
 std::string options_key(const char* name, const SearchOptions& options) {
@@ -278,52 +208,20 @@ StructuredSinkSearch::StructuredSinkSearch(SearchOptions options)
 
 std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
     const KnowledgeView& view) const {
-  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
-                                const IdSet& scc,
-                                std::vector<SinkCandidate>& out) {
-    const obs::ScopedSpan span("membership.scc_eval", scc.size());
-    if (obs::MetricsRegistry* m = obs::current_metrics()) {
-      m->histogram("eval.scc_size").record(scc.size());
-    }
-    if (scc.size() > options_.exhaustive_cap) {
-      note_big_scc_fallback(scc.size(), options_.exhaustive_cap);
-      const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, memo, scc, options_.removal_cap,
-                        options_.big_scc_samples, out);
-      return;
-    }
-    enumerate_exhaustive(v, memo, scc, out);
-  };
-
-  if (options_.incremental) {
-    return incremental_candidates(view, cache_key_, enumerate);
-  }
-  return enumerate_sequence(view, received_sccs(view), enumerate);
+  return enumerate_sccs(
+      view, options_.exhaustive_cap, options_,
+      [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
+        enumerate_exhaustive(view, scc, out);
+      });
 }
 
 std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     const KnowledgeView& view) const {
-  const auto enumerate = [this](const KnowledgeView& v, EvalScratch* memo,
-                                const IdSet& scc,
-                                std::vector<SinkCandidate>& out) {
-    const obs::ScopedSpan span("membership.scc_eval", scc.size());
-    if (obs::MetricsRegistry* m = obs::current_metrics()) {
-      m->histogram("eval.scc_size").record(scc.size());
-    }
-    if (scc.size() > kStructuredEnumerationCap) {
-      note_big_scc_fallback(scc.size(), kStructuredEnumerationCap);
-      const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(v, memo, scc, options_.removal_cap,
-                        options_.big_scc_samples, out);
-      return;
-    }
-    enumerate_structured(v, memo, scc, options_.removal_cap, out);
-  };
-
-  if (options_.incremental) {
-    return incremental_candidates(view, cache_key_, enumerate);
-  }
-  return enumerate_sequence(view, received_sccs(view), enumerate);
+  return enumerate_sccs(
+      view, kStructuredEnumerationCap, options_,
+      [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
+        enumerate_structured(view, scc, options_.removal_cap, out);
+      });
 }
 
 std::unique_ptr<SinkSearch> make_default_search() {

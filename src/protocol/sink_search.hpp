@@ -15,16 +15,13 @@
 //    members are mutually (f+1)-connected, and at most f Byzantine/silent
 //    processes perturb the component).
 //
-// Both strategies are *incremental* by default: they key a candidate cache
-// in the view's EvalScratch by SCC member set, so only components whose
-// membership changed since the last evaluation are re-enumerated (the
-// dirty-SCC mechanism), and within a re-enumerated component the per-S1
-// split memo answers every subset already seen. Candidate order — and
-// therefore every downstream decision — is bit-identical to a cold run;
-// `SearchOptions::incremental = false` bypasses every memo for A/B testing.
+// Both strategies walk the SCCs of the received-knowledge graph in order and
+// enumerate each one from scratch on every evaluation, so candidate order —
+// and therefore every downstream decision — is a pure function of the view.
+// The only membership memo sits above them: the shared evaluation cache
+// (protocol/eval_cache.hpp) answers repeated views whole.
 //
-// Property tests cross-validate the two strategies on random graphs, and
-// incremental-vs-cold equality across randomized add_pd sequences.
+// Property tests cross-validate the two strategies on random graphs.
 #pragma once
 
 #include <memory>
@@ -64,8 +61,8 @@ struct SearchOptions {
   /// (content-addressed, via src/common/random — cup_lint R2 clean), so
   /// the candidate stream is a pure function of the view.
   std::size_t big_scc_samples = 24;
-  /// Reuse candidates of unchanged SCCs and memoized per-S1 splits across
-  /// evaluations (see file comment). Results are bit-identical either way.
+  /// Read nowhere; has no effect. Kept only because the end-to-end
+  /// benchmark harness (bench/e2e/layers.cpp) still assigns it.
   bool incremental = true;
 
   /// Copy with every field clamped to a safe value (exhaustive_cap <= 63).
@@ -84,8 +81,8 @@ class SinkSearch {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Identity of the strategy *and* its parameters — equal keys must mean
-  /// equal candidate output for equal views. Keys the per-view candidate
-  /// caches and the per-simulation SharedEvalCache.
+  /// equal candidate output for equal views. Keys the per-simulation
+  /// SharedEvalCache.
   [[nodiscard]] virtual const std::string& cache_key() const = 0;
 };
 

@@ -6,7 +6,7 @@
 // every byte reusable without returning anything to the heap — so the
 // steady state of a pooled batch workload performs near-zero malloc/free
 // traffic for the containers routed through it (trace records, pending
-// delivery buffers, EvalScratch memo nodes).
+// delivery buffers).
 //
 // LIFETIME CONTRACT: rewind() invalidates every allocation handed out since
 // the last rewind. Anything arena-backed must be destroyed before the owner

@@ -328,8 +328,8 @@ TEST(BatchRunnerTest, MergedMetricsArePlacementIndependent) {
   ASSERT_FALSE(serial_total.empty());
   EXPECT_EQ(pooled_total, serial_total);
 
-  // Under recycled contexts the hit/miss splits and the incremental-search
-  // enumeration volume move with each worker's warm caches, but the
+  // Under recycled contexts the hit/miss splits and the search enumeration
+  // volume move with each worker's warm caches, but the
   // behavior-fact totals — work *requested*, verification total, event
   // count — are functions of the runs alone and must survive any placement.
   BatchRunner::Options recycled_options;

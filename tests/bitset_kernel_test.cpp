@@ -182,20 +182,6 @@ TEST(AdaptiveIdProbeTest, AgreesWithFlatSetAcrossRepresentations) {
   }
 }
 
-TEST(AdaptiveIdProbeTest, ScratchBackedProbeMatchesOwned) {
-  IdSet set;
-  for (std::uint64_t i = 0; i < 128; ++i) set.insert(ProcessId(100 + 2 * i));
-  std::pmr::vector<std::uint64_t> scratch;
-  const AdaptiveIdProbe owned(set);
-  const AdaptiveIdProbe borrowed(set, &scratch);
-  ASSERT_TRUE(owned.dense());
-  ASSERT_TRUE(borrowed.dense());
-  EXPECT_FALSE(scratch.empty());
-  for (std::uint64_t raw = 0; raw < 500; ++raw) {
-    EXPECT_EQ(owned.contains(ProcessId(raw)), borrowed.contains(ProcessId(raw)));
-  }
-}
-
 TEST(FlatSetMergeTest, InsertAllMatchesElementwiseInsert) {
   Rng rng(31337);
   for (int round = 0; round < 50; ++round) {

@@ -327,10 +327,9 @@ TEST(GoldenCorpusTest, ExploredCorpusReplaysFromRegistryNamesAlone) {
 }
 
 TEST(GoldenCorpusTest, DigestsAreInvariantUnderDisabledCaches) {
-  // The membership-engine caches (dirty-SCC candidate reuse, the shared
-  // evaluation memo, the signature-verification memo) store pure functions
-  // of immutable inputs; turning every layer off must replay each golden
-  // digest byte-identically. A representative slice of the corpus covering
+  // The membership-engine caches (the shared evaluation memo and the
+  // signature memos) store pure functions of immutable inputs; turning them
+  // off must replay each golden digest byte-identically. A representative slice of the corpus covering
   // every node mode and adversary family keeps the double-run affordable.
   constexpr const char* kCacheInvarianceSubset[] = {
       "adhoc/f1",

@@ -42,6 +42,17 @@ TEST(EdgeListTest, MalformedRejected) {
   EXPECT_FALSE(parse_edge_list("v abc\n").has_value());
 }
 
+TEST(EdgeListTest, SelfLoopKeepsItsVertex) {
+  // The loop itself is dropped, as everywhere in Digraph, but process 5 is
+  // still part of the system the file names.
+  const auto g = parse_edge_list("5 -> 5\n1 -> 2\n");
+  ASSERT_TRUE(g.has_value());
+  EXPECT_TRUE(g->has_vertex(p(5)));
+  EXPECT_EQ(g->vertex_count(), 3U);
+  EXPECT_EQ(g->edge_count(), 1U);
+  EXPECT_FALSE(g->has_edge(p(5), p(5)));
+}
+
 TEST(EdgeListTest, RoundTripFigure) {
   const Digraph original = figures::fig1b().graph;
   const auto back = parse_edge_list(to_edge_list(original));

@@ -107,12 +107,9 @@ TEST(BigSccSearchTest, CertifiesCompleteComponentBeyondEveryCap) {
   // full threshold range.
   const auto view = protocol::KnowledgeView::omniscient(complete_graph(70));
   for (const bool structured : {false, true}) {
-    protocol::SearchOptions options;
-    options.incremental = false;
     std::vector<protocol::SinkCandidate> candidates =
-        structured
-            ? protocol::StructuredSinkSearch(options).candidates(view)
-            : protocol::ExhaustiveSinkSearch(options).candidates(view);
+        structured ? protocol::StructuredSinkSearch().candidates(view)
+                   : protocol::ExhaustiveSinkSearch().candidates(view);
     IdSet all;
     for (std::uint64_t i = 1; i <= 70; ++i) all.insert(p(i));
     // g up to (|S1|-1)/2 = 34 for the whole component (κ-1 = 68 is larger).
@@ -128,10 +125,7 @@ TEST(BigSccSearchTest, RefutesRingComponentBeyondEveryCap) {
   // A 70-ring: κ = 1, so the component certifies only at g = 0, and every
   // sampled C \ D breaks the ring (κ = 0) and yields nothing.
   const auto view = protocol::KnowledgeView::omniscient(ring_graph(70));
-  protocol::SearchOptions options;
-  options.incremental = false;
-  const auto candidates =
-      protocol::StructuredSinkSearch(options).candidates(view);
+  const auto candidates = protocol::StructuredSinkSearch().candidates(view);
   ASSERT_EQ(candidates.size(), 1U);
   EXPECT_EQ(candidates[0].g, 0U);
   EXPECT_EQ(candidates[0].s1.size(), 70U);
@@ -139,29 +133,20 @@ TEST(BigSccSearchTest, RefutesRingComponentBeyondEveryCap) {
 
 TEST(BigSccSearchTest, SampledPathIsDeterministic) {
   // The sampling RNG is seeded from the component's member ids, so two
-  // independent searches (and the incremental/cold pair) agree exactly.
+  // independent searches agree exactly.
   Rng rng(99);
   graph::Digraph g = random_backbone_graph(80, 240, rng);
   const auto view = protocol::KnowledgeView::omniscient(g);
-  protocol::SearchOptions cold;
-  cold.incremental = false;
-  const auto first = protocol::StructuredSinkSearch(cold).candidates(view);
-  const auto second = protocol::StructuredSinkSearch(cold).candidates(view);
+  const auto first = protocol::StructuredSinkSearch().candidates(view);
+  const auto second = protocol::StructuredSinkSearch().candidates(view);
   EXPECT_EQ(first, second);
-
-  protocol::SearchOptions incr;
-  incr.incremental = true;
-  const auto view2 = protocol::KnowledgeView::omniscient(g);
-  EXPECT_EQ(protocol::StructuredSinkSearch(incr).candidates(view2), first);
 }
 
 TEST(BigSccSearchTest, FallbackCounterCountsAndResets) {
   protocol::reset_big_scc_fallbacks();
   EXPECT_EQ(protocol::big_scc_fallbacks(), 0U);
   const auto view = protocol::KnowledgeView::omniscient(ring_graph(70));
-  protocol::SearchOptions options;
-  options.incremental = false;
-  const protocol::StructuredSinkSearch search(options);
+  const protocol::StructuredSinkSearch search;
   (void)search.candidates(view);
   EXPECT_EQ(protocol::big_scc_fallbacks(), 1U);
   (void)search.candidates(view);
@@ -181,7 +166,6 @@ TEST(BigSccSearchTest, SamplesRecoverPlantedSubcomponent) {
   g.add_edge(p(1), p(70));
   const auto view = protocol::KnowledgeView::omniscient(g);
   protocol::SearchOptions options;
-  options.incremental = false;
   options.removal_cap = 1;
   // There are only 70 single removals; a budget of 300 (4x attempts, seeded
   // deterministically from the member ids) collects essentially all of

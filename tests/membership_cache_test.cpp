@@ -1,23 +1,18 @@
-// The incremental membership engine's contract: every cache layer stores
-// pure functions of immutable inputs, so results are bit-identical with
-// caching on or off.
+// The membership memos' contract: the shared evaluation memo and the
+// signature memos store pure functions of immutable inputs, so results are
+// bit-identical with caching on or off.
 //
-// 1. Property: across randomized add_pd sequences on random_cupft graphs,
-//    an incremental strategy (dirty-SCC candidate reuse + split memo,
-//    persistent across steps) returns the exact candidate sequence of a
-//    cold search, for both strategies.
-// 2. The per-simulation shared evaluation cache returns the cold result
-//    and reports hits once views converge.
-// 3. The signature-verification memo serves accepts AND rejects without
+// 1. The per-simulation shared evaluation memo returns the cold result and
+//    serves every repeated view from memory.
+// 2. The signature-verification memo serves accepts AND rejects without
 //    changing outcomes.
-// 4. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
+// 3. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
 //    64-bit mask out of range (UB) — oversized caps are clamped and
-//    oversized SCCs are skipped promptly.
+//    oversized SCCs take the big-SCC certification path promptly.
 #include <gtest/gtest.h>
 
 #include "crypto/verify_cache.hpp"
 #include "cup/scenario_registry.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "protocol/core.hpp"
 #include "protocol/eval_cache.hpp"
@@ -27,117 +22,13 @@
 namespace bftcup {
 namespace {
 
-using protocol::EvalScratch;
 using protocol::ExhaustiveSinkSearch;
 using protocol::KnowledgeView;
 using protocol::SearchOptions;
 using protocol::SharedEvalCache;
-using protocol::SinkCandidate;
-using protocol::StructuredSinkSearch;
 
 ProcessId p(std::uint64_t raw) {
   return ProcessId(raw);
-}
-
-/// All (owner, PD) pairs of a graph, in a deterministic shuffled order.
-std::vector<std::pair<ProcessId, IdSet>> shuffled_pds(const graph::Digraph& g,
-                                                      Rng& rng) {
-  std::vector<std::pair<ProcessId, IdSet>> pds;
-  for (ProcessId id : g.vertices()) {
-    pds.emplace_back(id, g.out_neighbors(id));
-  }
-  rng.shuffle(pds);
-  return pds;
-}
-
-template <typename Strategy>
-void expect_incremental_matches_cold(const graph::Digraph& g,
-                                     std::uint64_t seed) {
-  Rng rng(seed);
-  const auto pds = shuffled_pds(g, rng);
-  ASSERT_FALSE(pds.empty());
-
-  SearchOptions warm_options;
-  warm_options.incremental = true;
-  SearchOptions cold_options;
-  cold_options.incremental = false;
-  const Strategy warm(warm_options);
-  const Strategy cold(cold_options);
-
-  KnowledgeView view(pds.front().first, pds.front().second);
-  for (std::size_t i = 1; i < pds.size(); ++i) {
-    view.add_pd(pds[i].first, pds[i].second);
-    // Same view, same options apart from the memo flag: the candidate
-    // sequences must be identical element-for-element (order included —
-    // downstream tie-breaks depend on it).
-    const std::vector<SinkCandidate> warm_result = warm.candidates(view);
-    const std::vector<SinkCandidate> cold_result = cold.candidates(view);
-    ASSERT_EQ(warm_result, cold_result)
-        << "strategy=" << warm.name() << " seed=" << seed << " step=" << i;
-  }
-  // The warm run must actually have exercised the caches.
-  const EvalScratch::Stats& stats = view.eval_scratch().stats;
-  EXPECT_GT(stats.scc_hits + stats.split_hits, 0U) << warm.name();
-}
-
-TEST(IncrementalSearchPropertyTest, ExhaustiveMatchesColdOnRandomCupft) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed * 101);
-    graph::generators::CupftParams params;
-    params.f = 1;
-    params.core_size = 5 + seed % 3;
-    params.periphery = 6;
-    const auto sys = graph::generators::random_cupft(params, rng);
-    expect_incremental_matches_cold<ExhaustiveSinkSearch>(sys.graph, seed);
-  }
-}
-
-TEST(IncrementalSearchPropertyTest, StructuredMatchesColdOnRandomCupft) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed * 131);
-    graph::generators::CupftParams params;
-    params.f = 1;
-    params.core_size = 5 + seed % 3;
-    params.periphery = 8;
-    const auto sys = graph::generators::random_cupft(params, rng);
-    expect_incremental_matches_cold<StructuredSinkSearch>(sys.graph, seed);
-  }
-}
-
-TEST(IncrementalSearchPropertyTest, SplitMemoSurvivesUnrelatedAddPd) {
-  // The per-S1 split memo is never invalidated; adding an unrelated PD must
-  // leave memoized answers equal to a cold recomputation.
-  const auto sys = [] {
-    Rng rng(7);
-    graph::generators::CupftParams params;
-    return graph::generators::random_cupft(params, rng);
-  }();
-  KnowledgeView view = KnowledgeView::omniscient(sys.graph);
-
-  const ExhaustiveSinkSearch warm;  // defaults: incremental
-  const auto before = warm.candidates(view);
-
-  // The ground-truth core's κ must have been memoized during enumeration,
-  // and must match an independent computation.
-  const IdSet safe_core = sys.sink.set_difference(sys.faulty);
-  const auto memo_kappa = view.eval_scratch().memoized_kappa(safe_core);
-  ASSERT_TRUE(memo_kappa.has_value());
-  EXPECT_EQ(*memo_kappa,
-            graph::strong_connectivity(
-                view.knowledge_graph().induced(safe_core)));
-
-  // A brand-new process advertising a PD full of fresh ids: known() grows,
-  // received() grows, no existing SCC changes membership.
-  view.add_pd(p(900), IdSet{p(901), p(902)});
-  const auto after = warm.candidates(view);
-
-  SearchOptions cold_options;
-  cold_options.incremental = false;
-  const ExhaustiveSinkSearch cold(cold_options);
-  EXPECT_EQ(after, cold.candidates(view));
-  EXPECT_GE(after.size(), before.size());
-  // κ memo entries survive unrelated revisions untouched.
-  EXPECT_EQ(view.eval_scratch().memoized_kappa(safe_core), memo_kappa);
 }
 
 TEST(SharedEvalCacheTest, SinkResultMatchesColdAndReportsHits) {
@@ -192,6 +83,30 @@ TEST(SharedEvalCacheTest, CoreResultKeyedByViewDigest) {
   EXPECT_NE(a1->members, b1->members);
 }
 
+TEST(SharedEvalCacheTest, RepeatedViewHitsAfterAStreakOfMisses) {
+  // Four distinct same-sized views miss in a row, as during discovery
+  // churn; the memo is still consulted afterwards, so the first view hits.
+  std::vector<KnowledgeView> views;
+  for (std::uint64_t base : {0, 100, 200, 300}) {
+    graph::Digraph ring;
+    for (std::uint64_t i = 1; i <= 8; ++i) {
+      ring.add_edge(p(base + i), p(base + i % 8 + 1));
+    }
+    views.push_back(KnowledgeView::omniscient(ring));
+  }
+  const ExhaustiveSinkSearch search;
+  SharedEvalCache cache(true);
+  for (const KnowledgeView& view : views) {
+    (void)protocol::try_find_sink(view, 0, search, &cache);
+  }
+  ASSERT_EQ(cache.stats().hits, 0U);
+  const auto repeated =
+      protocol::try_find_sink(views.front(), 0, search, &cache);
+  EXPECT_EQ(cache.stats().hits, 1U);
+  EXPECT_EQ(repeated.has_value(),
+            protocol::try_find_sink(views.front(), 0, search).has_value());
+}
+
 TEST(VerifyCacheTest, MemoizesAcceptsAndRejects) {
   crypto::KeyRegistry registry(42);
   crypto::VerifyCache cache(true);
@@ -239,10 +154,6 @@ TEST(SearchOptionsTest, OversizedExhaustiveCapIsClampedNotUndefined) {
   EXPECT_EQ(candidates[0].s1, all);
   EXPECT_TRUE(candidates[0].s2.empty());
   EXPECT_EQ(candidates[0].g, 0U);
-
-  SearchOptions cold = huge;
-  cold.incremental = false;
-  EXPECT_EQ(ExhaustiveSinkSearch(cold).candidates(view), candidates);
 }
 
 TEST(RunReportCacheStatsTest, SurfacedAndExcludedFromDigest) {

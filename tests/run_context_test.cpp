@@ -93,22 +93,21 @@ TEST(RunContextTest, RunEngineCountersDescribeTheContext) {
   const RunReport first = context.run(scenario);
   EXPECT_EQ(first.metrics.gauge("engine.contexts_recycled"), 0u);
   EXPECT_GT(first.arena_bytes_peak, 0u);
+  ASSERT_GT(first.evaluations, 0u);
 
   // Identical replays on the recycled context: the work *requested* is a
-  // pure function of the run (evaluations constant), and within a few
-  // replays the probe gate's deterministic retry cadence must realign with
-  // a stored view and start serving membership evaluations from the
-  // retained memo (the cadence cycles through at most kProbeRetry offsets).
-  std::uint64_t warm_hits = 0;
-  for (int replay = 1; replay <= 10; ++replay) {
+  // pure function of the run (evaluations constant), and every view the
+  // replay evaluates was stored by the first run, so the retained memo —
+  // consulted on every evaluation — serves all of them from the first
+  // replay on.
+  for (int replay = 1; replay <= 3; ++replay) {
     const RunReport r = context.run(scenario);
     EXPECT_EQ(r.metrics.gauge("engine.contexts_recycled"),
               static_cast<std::uint64_t>(replay));
     EXPECT_EQ(r.evaluations, first.evaluations) << "replay " << replay;
+    EXPECT_EQ(r.eval_cache_hits, r.evaluations) << "replay " << replay;
     EXPECT_EQ(r.digest(), first.digest()) << "replay " << replay;
-    warm_hits += r.eval_cache_hits;
   }
-  EXPECT_GT(warm_hits, 0u);
 }
 
 TEST(RunContextTest, PoolingOffDelegatesToFreshRuns) {

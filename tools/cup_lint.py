@@ -74,6 +74,22 @@ DIGEST_PATH_MODULES = (
     "src/cup/runner.cpp",
     "src/cup/batch_runner.hpp",
     "src/cup/batch_runner.cpp",
+    # Membership: RunReport::digest() hashes the memberships nodes adopt,
+    # and candidate order in the search, the predicate and the core rule
+    # decides which one that is. The eval memo's hash maps are probed by
+    # key, never walked.
+    "src/protocol/knowledge_view.hpp",
+    "src/protocol/knowledge_view.cpp",
+    "src/protocol/sink_predicate.hpp",
+    "src/protocol/sink_predicate.cpp",
+    "src/protocol/sink_search.hpp",
+    "src/protocol/sink_search.cpp",
+    "src/protocol/sink.hpp",
+    "src/protocol/sink.cpp",
+    "src/protocol/core.hpp",
+    "src/protocol/core.cpp",
+    "src/protocol/eval_cache.hpp",
+    "src/protocol/eval_cache.cpp",
     # The observability layer rides on digest-path runs: registries iterate
     # for snapshots and the tracer/export order must be replayable, so its
     # containers stay in the inventory and under R1.
@@ -127,9 +143,7 @@ ORDERED_CONTAINERS = (
     "IdSet",
     # Blocked bitsets iterate ascending (for_each_set) — ordered containers
     # in the replay-determinism sense, like the FlatSet they can stand in for.
-    "BasicBitSet",
     "BitSet",
-    "PmrBitSet",
 )
 
 MARKER_RE = re.compile(
