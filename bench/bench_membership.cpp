@@ -3,7 +3,7 @@
 // One workload, discovery/exhaustive, at n ∈ {16, 64, 128} processes: full
 // run_scenario wall time (discovery to membership to decision) on a
 // generated CUPFT system, every node evaluating per merge. Each n runs
-// cold (`caching(false)`: no shared evaluation memo, no signature memos —
+// cold (`caching(false)`: no shared evaluation memo, no signature memo —
 // the pre-engine code path) and cached (both memos on).
 //
 // Emits BENCH_membership.json (one row per n: cached timing + speedup vs

@@ -1,13 +1,13 @@
-// Run-engine throughput: runs/sec of the pooled RunContext vs fresh
-// simulators — the unit of work BatchRunner and the adversary explorer
-// execute millions of times.
+// Run-engine throughput: runs/sec of a long-lived RunContext vs one-shot
+// run_scenario calls (a new context per run) — the unit of work
+// BatchRunner and the adversary explorer execute millions of times.
 //
 // Workloads, each on the sharded CUPFT system (one 8-clique core + 3-cycle
 // periphery, the membership engine's target regime):
 //
 //  - seed-sweep/<n>: one scenario crossed with 32 seeds, the BatchRunner
-//    pattern. Pooling recycles the simulator, arena, keyring, and the
-//    content-addressed caches; the converged views of the topology are
+//    pattern. Pooling recycles the simulator (with its signature memo) and
+//    the evaluation memo; the converged views of the topology are
 //    identical across seeds, so the exponential membership searches of the
 //    steady state are answered from the retained evaluation memo.
 //  - replay/<n>: the same (scenario, seed) 32 times, the shrinker / CI
@@ -69,23 +69,22 @@ std::uint64_t seed_for(const std::string& workload, std::uint64_t i) {
   return workload == "replay" ? 7 : 1 + i;
 }
 
-/// One timed leg over the workload's run list. Fresh mode disables pooling
-/// per scenario (the pre-run-engine execution path) and uses a throwaway
-/// context; pooled mode recycles the *persistent* context the caller owns,
-/// like a long-lived BatchRunner / explorer worker does — the steady state
-/// the engine exists for, not the first 32 runs after a cold start (the
-/// discarded warmup rep absorbs those).
+/// One timed leg over the workload's run list. Fresh mode calls
+/// run_scenario, a new context per run; pooled mode recycles the
+/// *persistent* context the caller owns, like a long-lived BatchRunner /
+/// explorer worker does — the steady state the engine exists for, not the
+/// first 32 runs after a cold start (the discarded warmup rep absorbs
+/// those).
 double run_leg(const std::string& workload, std::size_t n,
                cup::RunContext* pooled, std::uint64_t& events,
                std::vector<std::string>* digests) {
-  cup::RunContext fresh_context;
-  cup::RunContext& context = pooled != nullptr ? *pooled : fresh_context;
   events = 0;
   const double t0 = now_seconds();
   for (std::uint64_t i = 0; i < kRuns; ++i) {
-    cup::Scenario scenario = make_scenario(n, seed_for(workload, i));
-    scenario.context_pooling = pooled != nullptr;
-    const cup::RunReport report = context.run(scenario);
+    const cup::Scenario scenario = make_scenario(n, seed_for(workload, i));
+    const cup::RunReport report = pooled != nullptr
+                                      ? pooled->run(scenario)
+                                      : cup::run_scenario(scenario);
     events += report.messages_delivered;
     if (digests != nullptr) digests->push_back(report.digest());
   }

@@ -3,7 +3,7 @@
 // The simulator's trace records (decisions, memberships) hold at most one
 // entry per process, are written once and read many times, and — unlike
 // node-based std::map — want reserve() so a recycled run context can
-// pre-size them from scenario hints and an arena can back their storage.
+// pre-size them from scenario hints.
 // Entries are kept sorted by key, so iteration order matches std::map and
 // the digest serialization that was pinned on it.
 #pragma once
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -21,13 +20,7 @@ template <typename K, typename V>
 class FlatMap {
  public:
   using value_type = std::pair<K, V>;
-  using storage_type = std::pmr::vector<value_type>;
-  using const_iterator = typename storage_type::const_iterator;
-
-  FlatMap() = default;
-  /// Routes element storage through `mr` (e.g. a sim::RunArena). The map
-  /// must be destroyed before the resource is rewound or destroyed.
-  explicit FlatMap(std::pmr::memory_resource* mr) : items_(mr) {}
+  using const_iterator = typename std::vector<value_type>::const_iterator;
 
   void reserve(std::size_t n) { items_.reserve(n); }
 
@@ -70,7 +63,7 @@ class FlatMap {
         [](const value_type& entry, const K& k) { return entry.first < k; });
   }
 
-  storage_type items_;
+  std::vector<value_type> items_;
 };
 
 }  // namespace bftcup

@@ -42,9 +42,9 @@
 /// Documentation-only marker: the tagged type is deliberately *not*
 /// mutex-protected because it is thread-confined — owned by exactly one
 /// Simulator / RunContext / pool worker and never shared across threads
-/// (SharedEvalCache, VerifyCache, SignCache, KeyringCache). The TSan CI
-/// preset is the dynamic check of this claim; README "Static analysis"
-/// records the audit. Greppable on purpose.
+/// (SharedEvalCache, SignCache). The TSan CI preset is the dynamic check of
+/// this claim; README "Static analysis" records the audit. Greppable on
+/// purpose.
 #define BFTCUP_THREAD_CONFINED
 
 namespace bftcup {

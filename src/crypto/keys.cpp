@@ -1,10 +1,10 @@
 #include "crypto/keys.hpp"
 
 #include "crypto/hmac.hpp"
-#include "crypto/keyring_cache.hpp"
-#include "crypto/verify_cache.hpp"
+#include "crypto/sign_cache.hpp"
 
 namespace bftcup::crypto {
+namespace {
 
 Bytes derive_process_secret(std::uint64_t key_seed, ProcessId id) {
   Bytes material;
@@ -19,6 +19,8 @@ Bytes derive_process_secret(std::uint64_t key_seed, ProcessId id) {
   return Bytes(d.begin(), d.end());
 }
 
+}  // namespace
+
 KeyRegistry::KeyRegistry(std::uint64_t system_seed) : seed_(system_seed) {}
 
 void KeyRegistry::reset(std::uint64_t system_seed) {
@@ -27,7 +29,6 @@ void KeyRegistry::reset(std::uint64_t system_seed) {
 }
 
 const Bytes& KeyRegistry::secret_for(ProcessId id) {
-  if (keyring_ != nullptr) return keyring_->secret_for(seed_, id);
   auto it = secrets_.find(id);
   if (it == secrets_.end()) {
     it = secrets_.emplace(id, derive_process_secret(seed_, id)).first;
@@ -35,11 +36,20 @@ const Bytes& KeyRegistry::secret_for(ProcessId id) {
   return it->second;
 }
 
-Signature KeyRegistry::sign_as(ProcessId id, BytesView message) {
-  if (sign_cache_ != nullptr) {
-    return sign_cache_->sign(*this, seed_, id, message);
+Signature KeyRegistry::memoized_signature(ProcessId id, BytesView message,
+                                          bool& memo_hit) {
+  if (sign_cache_ == nullptr) return compute_signature(id, message);
+  if (const Signature* memo = sign_cache_->find(seed_, id, message)) {
+    memo_hit = true;
+    return *memo;
   }
-  return compute_signature(id, message);
+  return sign_cache_->insert(seed_, id, message,
+                             compute_signature(id, message));
+}
+
+Signature KeyRegistry::sign_as(ProcessId id, BytesView message) {
+  bool memo_hit = false;
+  return memoized_signature(id, message, memo_hit);
 }
 
 Signature KeyRegistry::compute_signature(ProcessId id, BytesView message) {
@@ -54,7 +64,10 @@ Signature KeyRegistry::compute_signature(ProcessId id, BytesView message) {
 
 bool KeyRegistry::verify(ProcessId id, BytesView message,
                          const Signature& sig) {
-  const Signature expected = sign_as(id, message);
+  bool memo_hit = false;
+  const Signature expected = memoized_signature(id, message, memo_hit);
+  ++verify_stats_.lookups;
+  if (memo_hit) ++verify_stats_.hits;
   return constant_time_equal(
       BytesView(expected.bytes.data(), expected.bytes.size()),
       BytesView(sig.bytes.data(), sig.bytes.size()));

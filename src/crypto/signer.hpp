@@ -7,7 +7,6 @@
 #pragma once
 
 #include "crypto/keys.hpp"
-#include "crypto/verify_cache.hpp"
 
 namespace bftcup::crypto {
 
@@ -26,26 +25,22 @@ class Signer {
   KeyRegistry* registry_;
 };
 
+/// Verification capability: any process may check anyone's signature.
+/// Every call goes through KeyRegistry::verify, so a repeated (signer,
+/// payload) pair — re-delivered SignedPds, quorum certificates, forgery
+/// floods — is served from the registry's sign memo when one is attached
+/// (see crypto/sign_cache.hpp).
 class Verifier {
  public:
-  /// Without a cache every verify() recomputes the MAC; with one, repeated
-  /// (signer, payload, signature) triples — re-delivered SignedPds, quorum
-  /// certificates, forgery floods — are served from the memo (accepts and
-  /// rejects alike; see crypto/verify_cache.hpp).
-  explicit Verifier(KeyRegistry* registry, VerifyCache* cache = nullptr)
-      : registry_(registry), cache_(cache) {}
+  explicit Verifier(KeyRegistry* registry) : registry_(registry) {}
 
   [[nodiscard]] bool verify(ProcessId signer, BytesView message,
                             const Signature& sig) const {
-    if (cache_ != nullptr) {
-      return cache_->verify(*registry_, signer, message, sig);
-    }
     return registry_->verify(signer, message, sig);
   }
 
  private:
   KeyRegistry* registry_;
-  VerifyCache* cache_;
 };
 
 }  // namespace bftcup::crypto

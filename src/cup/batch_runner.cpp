@@ -661,13 +661,11 @@ struct FailureSlot {
 
 /// Drains indices [0, count) through a work-stealing std::thread pool.
 /// Every worker owns one recyclable RunContext handed to each unit of work
-/// it claims — the run-engine steady state; a scenario built with
-/// context_pooling(false) still runs fresh inside RunContext::run. The work
-/// queue is a single atomic cursor; report aggregation needs no lock
-/// because results land in caller-owned slots indexed by i (disjoint per
-/// run), which also makes the output order independent of thread
-/// placement. The first exception wins and is rethrown after the pool
-/// drains.
+/// it claims — the run-engine steady state. The work queue is a single
+/// atomic cursor; report aggregation needs no lock because results land in
+/// caller-owned slots indexed by i (disjoint per run), which also makes the
+/// output order independent of thread placement. The first exception wins
+/// and is rethrown after the pool drains.
 void pool_execute(std::size_t count, std::size_t requested_threads,
                   const std::function<void(std::size_t, RunContext&)>& work) {
   std::size_t threads =

@@ -2,7 +2,7 @@
 // witness of Theorem 7 / Observation 1.
 //
 // Without knowing f, a process that finds ANY self-declarable sink
-// (∃ g >= min, S1, S2 with isSink(g, S1, S2)) and immediately runs consensus
+// (∃ g >= 1, S1, S2 with isSink(g, S1, S2)) and immediately runs consensus
 // with it can violate Agreement: in system AB (Fig. 2c) the two halves each
 // self-declare and decide different values. The experiment harness runs this
 // node on fig2a/fig2b/fig2c and measures the violation.
@@ -14,10 +14,7 @@ namespace bftcup::cup {
 
 class NaiveNode final : public CupNodeBase {
  public:
-  /// `min_g` mirrors Observation 1's examples, which use g >= 1 (a set that
-  /// tolerates no fault at all would not be declared a BFT sink).
-  NaiveNode(ProcessId id, Params params, std::size_t min_g = 1)
-      : CupNodeBase(id, std::move(params)), min_g_(min_g) {}
+  using CupNodeBase::CupNodeBase;
 
  protected:
   [[nodiscard]] std::optional<Membership> evaluate(
@@ -28,7 +25,7 @@ class NaiveNode final : public CupNodeBase {
     std::optional<Membership> best;
     std::size_t best_g = 0;
     for (const protocol::SinkCandidate& c : search().candidates(view)) {
-      if (c.g < min_g_) continue;
+      if (c.g < kMinG) continue;
       if (!best || c.g > best_g) {
         best = Membership{c.members(), c.g};
         best_g = c.g;
@@ -38,7 +35,9 @@ class NaiveNode final : public CupNodeBase {
   }
 
  private:
-  std::size_t min_g_;
+  /// Observation 1's examples use g >= 1: a set that tolerates no fault at
+  /// all would not be declared a BFT sink.
+  static constexpr std::size_t kMinG = 1;
 };
 
 }  // namespace bftcup::cup

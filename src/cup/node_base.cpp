@@ -10,10 +10,7 @@ CupNodeBase::CupNodeBase(ProcessId id, Params params)
     : sim::Process(id),
       params_(std::move(params)),
       discovery_(id, params_.pd, params_.discovery_period),
-      exchange_(id),
-      pending_pbft_(params_.arena != nullptr
-                        ? params_.arena
-                        : std::pmr::get_default_resource()) {
+      exchange_(id) {
   assert(params_.search != nullptr);
 }
 

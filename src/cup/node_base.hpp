@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -45,10 +44,6 @@ class CupNodeBase : public sim::Process {
     /// Per-simulation evaluation memo shared by every correct node (may be
     /// null); see protocol/eval_cache.hpp.
     std::shared_ptr<protocol::SharedEvalCache> eval_cache;
-    /// Per-run allocation arena for the node's pending-delivery buffer.
-    /// Null = plain heap. The node is destroyed before the owning run
-    /// context rewinds the arena.
-    std::pmr::memory_resource* arena = nullptr;
   };
 
   CupNodeBase(ProcessId id, Params params);
@@ -97,8 +92,7 @@ class CupNodeBase : public sim::Process {
   std::optional<protocol::PbftInstance> pbft_;
   /// PBFT traffic can arrive before we have discovered the sink/core
   /// ourselves; it is buffered and replayed once the instance exists.
-  /// Arena-backed in pooled runs (Params::arena).
-  std::pmr::vector<std::pair<ProcessId, msg::Message>> pending_pbft_;
+  std::vector<std::pair<ProcessId, msg::Message>> pending_pbft_;
   /// Set by on_recover: this node was down and may have missed the decision
   /// traffic, so once membership is (re)discovered it fetches the decided
   /// value even as a member. Never set in fault-free runs.

@@ -1,26 +1,23 @@
-// Recyclable run engine: one pooled execution context per worker thread.
+// The run engine: every scenario run executes on a RunContext.
 //
-// The unit of work this repo now executes millions of times — one short
-// scenario run inside BatchRunner or the adversary explorer — used to pay
-// full construction cost every time: a fresh Simulator, process table, key
-// derivations, trace buffers, and a cold evaluation cache, all used for a
-// few thousand events and thrown away. A RunContext keeps those engine
-// parts alive between runs:
+// The unit of work this repo executes millions of times — one short
+// scenario run inside BatchRunner or the adversary explorer — would pay
+// full construction cost every time if each run built its engine anew: a
+// Simulator, its process table, key derivations, and a cold evaluation
+// memo, all used for a few thousand events and thrown away. A RunContext
+// is those engine parts kept alive between runs, and nothing else:
 //
 //  * a resettable Simulator — Simulator::reset() clears run state but
-//    keeps every grown capacity (event-queue buckets, slot vectors, memo
-//    hash buckets);
-//  * a RunArena backing the per-run hot allocations (trace records,
-//    pending buffers), rewound — not freed — per run;
-//  * a KeyringCache so per-process secrets are derived once per
-//    (key-seed, id) and shared by every run that reuses them;
-//  * cross-run *content-addressed* caches: the SharedEvalCache (keyed by
-//    strategy + parameter + canonical view bytes) and the Simulator's signature
-//    memo (keyed by key-seed + signer + payload + signature). Every key
-//    binds all inputs its result depends on, so retained entries are
-//    exact answers, and a recycled run is observationally identical to a
-//    fresh one — the recycling property suite and BatchRunner's
-//    verify_determinism both assert digest equality against fresh runs.
+//    keeps every grown capacity (event-queue buckets, slot vectors) and
+//    the signature memo (keyed by key-seed + signer + payload);
+//  * the SharedEvalCache (keyed by strategy + parameter + canonical view
+//    bytes).
+//
+// Every memo key binds all inputs its result depends on, so retained
+// entries are exact answers, and a recycled run is observationally
+// identical to a fresh one — the recycling property suite and BatchRunner's
+// verify_determinism both assert digest equality against one-shot runs.
+// run_scenario is itself a one-shot context, so there is one run path.
 //
 // The payoff is structural: the converged knowledge views of a topology
 // family are identical across seeds, so after the first few runs the
@@ -34,28 +31,25 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
-#include "crypto/keyring_cache.hpp"
 #include "cup/runner.hpp"
-#include "sim/run_arena.hpp"
 
 namespace bftcup::cup {
 
 class RunContext {
  public:
   RunContext();
-  ~RunContext();
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
   RunContext(RunContext&&) = delete;
   RunContext& operator=(RunContext&&) = delete;
 
   /// Runs `scenario` on the recycled engine state; observationally
-  /// identical to run_scenario(scenario). Honors the scenario's
-  /// context_pooling knob (off delegates to a fresh run_scenario call).
+  /// identical to the same run on a new context.
   [[nodiscard]] RunReport run(const Scenario& scenario);
 
-  /// Completed runs, including delegated fresh ones.
+  /// Completed runs.
   [[nodiscard]] std::uint64_t runs_executed() const { return runs_; }
 
  private:
@@ -65,13 +59,10 @@ class RunContext {
   // Eval entries carry their canonical view bytes (~KB each); signature
   // entries carry a payload + signature (~100 B each).
   static constexpr std::size_t kEvalCacheMaxEntries = 1u << 14;
-  static constexpr std::size_t kVerifyCacheMaxEntries = 1u << 20;
+  static constexpr std::size_t kSignCacheMaxEntries = 1u << 20;
 
-  sim::RunArena arena_;
-  crypto::KeyringCache keyring_;
   std::shared_ptr<protocol::SharedEvalCache> eval_cache_;
-  std::unique_ptr<sim::Simulator> simulator_;  ///< created on first run
-  std::uint64_t recycled_ = 0;  ///< pooled runs served by simulator_
+  std::optional<sim::Simulator> simulator_;  ///< created on first run
   std::uint64_t runs_ = 0;
 };
 

@@ -68,27 +68,14 @@ std::string RunReport::digest() const {
 
 namespace detail {
 
-sim::Simulator::Options sim_options_for(const Scenario& scenario) {
-  sim::Simulator::Options options = scenario.sim;
-  if (options.expected_processes == 0) {
-    options.expected_processes = scenario.graph.vertex_count();
-  }
-  if (options.expected_events == 0) {
-    // Rule of thumb from the simcore benches: a discovery-to-decision run
-    // delivers a few dozen messages per process. A wrong hint only costs
-    // memory.
-    options.expected_events = 64 * options.expected_processes;
-  }
-  return options;
-}
-
 RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    const sim::RunArena& arena, std::uint64_t contexts_recycled) {
+    std::uint64_t contexts_recycled) {
   // Cross-run caches are cumulative; report deltas against entry.
   const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache->stats();
-  const crypto::VerifyCache::Stats verify_stats0 = simulator.verify_stats();
+  const crypto::KeyRegistry::VerifyStats verify_stats0 =
+      simulator.registry().verify_stats();
   // Bracket the run so the per-thread fallback counter and its once-per-run
   // warning rate limit are scoped to this scenario.
   protocol::reset_big_scc_fallbacks();
@@ -182,7 +169,6 @@ RunReport execute_scenario(
     params.pbft_base_timeout = scenario.pbft_base_timeout;
     params.search = search;
     params.eval_cache = eval_cache;
-    params.arena = simulator.run_resource();
 
     switch (scenario.mode) {
       case Mode::kAuth:
@@ -245,7 +231,7 @@ RunReport execute_scenario(
                             trace.memberships().end());
   report.membership_times.insert(trace.membership_times().begin(),
                                  trace.membership_times().end());
-  const auto& verify_stats = simulator.verify_stats();
+  const auto& verify_stats = simulator.registry().verify_stats();
   const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
   const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;
   registry.counter("eval.requested")
@@ -277,7 +263,6 @@ RunReport execute_scenario(
     registry.counter("wire.frames_lost").add(report.frames_lost);
   }
   registry.gauge("proc.peak_rss_bytes").set_max(peak_rss_bytes());
-  registry.gauge("engine.arena_bytes_peak").set(arena.bytes_high_water());
   registry.gauge("engine.contexts_recycled").set(contexts_recycled);
   report.metrics = registry.snapshot();
   report.evaluations = report.metrics.counter("eval.requested");
@@ -285,7 +270,6 @@ RunReport execute_scenario(
   report.signatures_verified = report.metrics.counter("sig.verified");
   report.signatures_cached = report.metrics.counter("sig.cached");
   report.big_scc_fallbacks = report.metrics.counter("engine.big_scc_fallbacks");
-  report.arena_bytes_peak = report.metrics.gauge("engine.arena_bytes_peak");
   if (tracer != nullptr) {
     report.spans = std::make_shared<const obs::SpanTrace>(tracer->take());
   }
@@ -305,21 +289,5 @@ RunReport execute_scenario(
 }
 
 }  // namespace detail
-
-RunReport run_scenario(const Scenario& scenario) {
-  sim::Simulator::Options options = detail::sim_options_for(scenario);
-  // A one-shot run still routes its hot allocations through a local arena:
-  // same code path the pooled engine uses, exercised by the entire test
-  // corpus.
-  sim::RunArena arena;
-  options.arena = &arena;
-  sim::Simulator simulator(options);
-  // Always created so evaluation counts reach the report; the memo itself
-  // honors the knob.
-  auto eval_cache =
-      std::make_shared<protocol::SharedEvalCache>(scenario.eval_cache);
-  return detail::execute_scenario(scenario, simulator, eval_cache, arena,
-                                  /*contexts_recycled=*/0);
-}
 
 }  // namespace bftcup::cup

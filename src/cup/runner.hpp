@@ -75,12 +75,6 @@ struct Scenario {
   /// into SearchOptions::incremental.
   bool incremental_search = true;
 
-  /// Allow BatchRunner / RunContext to execute this scenario on a recycled
-  /// context (pooled simulator + cross-run caches). Off forces a fresh
-  /// simulator per run — the A/B baseline bench_runengine measures against.
-  /// Digest-neutral like the cache knobs (README "Run engine").
-  bool context_pooling = true;
-
   /// Span flight-recorder capacity in records; 0 (default) disables
   /// tracing entirely — no tracer is installed and span sites cost one
   /// thread-local load. Nonzero attaches a SpanTracer over the run and
@@ -117,10 +111,10 @@ struct RunReport {
   // cup-lint: digest-excluded(cache knob, behavior-neutral)
   std::uint64_t signatures_verified = 0;  ///< HMAC verifications computed
   // cup-lint: digest-excluded(cache knob, behavior-neutral)
-  std::uint64_t signatures_cached = 0;    ///< served by the verification memo
-  /// RunArena high-water: a property of the executing context, not of the
-  /// run's behavior (gauge engine.arena_bytes_peak).
-  // cup-lint: digest-excluded(executing-context property, placement-varying)
+  std::uint64_t signatures_cached = 0;    ///< served by the signature memo
+  /// Always 0; has no effect. Kept only because the end-to-end benchmark
+  /// harness (bench/e2e/e2e_bench.cpp) still reads it.
+  // cup-lint: digest-excluded(inert field, always zero)
   std::uint64_t arena_bytes_peak = 0;
   /// SCCs routed through the big-SCC certification path (sink_search.hpp)
   /// during this run — a scale diagnostic: nonzero means the topology grew
@@ -167,6 +161,7 @@ struct RunReport {
   [[nodiscard]] std::string digest() const;
 };
 
+/// One-shot run: RunContext().run(scenario) (cup/run_context.hpp).
 [[nodiscard]] RunReport run_scenario(const Scenario& scenario);
 
 /// Default proposal for a process (kept stable across experiments).
@@ -174,22 +169,17 @@ struct RunReport {
 
 namespace detail {
 
-/// Simulator options for `scenario`: the scenario's sim block plus pre-size
-/// hints derived from the graph when the caller left them unset.
-[[nodiscard]] sim::Simulator::Options sim_options_for(const Scenario& scenario);
-
-/// The run body shared by run_scenario (fresh simulator per call) and
-/// RunContext (recycled simulator). `simulator` must be freshly
-/// constructed or reset for the scenario's sim options with `arena` as its
-/// arena; `eval_cache`'s memo flag must match scenario.eval_cache;
-/// `contexts_recycled` counts the prior runs the executing context served.
-/// Cache counters in the report are deltas against the entry-time stats,
-/// so cumulative cross-run caches report per-run figures; every metric is
-/// collected in a registry local to this call.
+/// RunContext's run body. `simulator` must be freshly constructed or reset
+/// for the scenario's sim options; `eval_cache`'s memo flag must match
+/// scenario.eval_cache; `contexts_recycled` counts the prior runs the
+/// executing context served. Cache counters in the report are deltas
+/// against the entry-time stats, so cumulative cross-run caches report
+/// per-run figures; every metric is collected in a registry local to this
+/// call.
 [[nodiscard]] RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    const sim::RunArena& arena, std::uint64_t contexts_recycled);
+    std::uint64_t contexts_recycled);
 
 }  // namespace detail
 

@@ -214,11 +214,6 @@ ScenarioBuilder& ScenarioBuilder::caching(bool enabled) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::context_pooling(bool enabled) {
-  scenario_.context_pooling = enabled;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::tracing(bool enabled) {
   scenario_.trace_capacity = enabled ? kDefaultTraceCapacity : 0;
   return *this;

@@ -127,14 +127,9 @@ class ScenarioBuilder {
 
   /// Per-simulation shared evaluation memo (canonical view -> sink/core result).
   ScenarioBuilder& eval_cache(bool enabled = true);
-  /// Master switch over the eval memo and the signature-verification memo
+  /// Master switch over the eval memo and the signature memo
   /// (`caching(false)` runs the fully cold engine — the pre-caching path).
   ScenarioBuilder& caching(bool enabled);
-
-  /// Allow BatchRunner / RunContext to execute this scenario on a recycled
-  /// pooled context (README "Run engine"). Off forces a fresh simulator per
-  /// run. Digest-neutral like the cache knobs. Default: enabled.
-  ScenarioBuilder& context_pooling(bool enabled = true);
 
   // --- observability (README "Observability"). Metrics are always
   // collected; tracing is observation only and digest-neutral — the obs

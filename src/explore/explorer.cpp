@@ -13,6 +13,9 @@
 namespace bftcup::explore {
 namespace {
 
+/// Coverage-new genomes kept in ExploreResult::corpus.
+constexpr std::size_t kMaxCorpus = 128;
+
 std::string sha256_hex(const std::string& text) {
   return to_hex(crypto::digest_bytes(crypto::sha256(to_bytes(text))));
 }
@@ -98,8 +101,7 @@ ExploreResult Explorer::explore(const std::vector<Genome>& seeds) const {
                            const std::vector<cup::RunReport>& reports) {
     for (std::size_t i = 0; i < genomes.size(); ++i) {
       const std::string signature = coverage_signature(reports[i]);
-      if (coverage.add(signature) &&
-          result.corpus.size() < options_.max_corpus) {
+      if (coverage.add(signature) && result.corpus.size() < kMaxCorpus) {
         result.corpus.push_back(
             {genomes[i], signature, reports[i].verdict()});
       }

@@ -27,8 +27,7 @@ namespace bftcup::explore {
 struct ExplorerOptions {
   std::uint64_t master_seed = 1;
   std::size_t generations = 6;
-  std::size_t population = 32;   ///< mutants attempted per generation
-  std::size_t max_corpus = 128;  ///< coverage-new genomes kept
+  std::size_t population = 32;  ///< mutants attempted per generation
   std::size_t max_findings_per_kind = 8;
   bool shrink = true;
   std::size_t threads = 0;  ///< BatchRunner pool width; 0 = hardware

@@ -1,6 +1,7 @@
 #include "explore/genome.hpp"
 
 #include <charconv>
+#include <limits>
 #include <utility>
 
 namespace bftcup::explore {
@@ -57,6 +58,17 @@ std::optional<std::uint64_t> parse_u64(const std::string& s) {
   const auto [next, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || next != s.data() + s.size()) return std::nullopt;
   return v;
+}
+
+/// parse_u64 for the 32-bit fields (wire rate and masks, loss permille): a
+/// value above UINT32_MAX is rejected, never truncated, so a parsed line
+/// prints back as itself.
+std::optional<std::uint32_t> parse_u32(const std::string& s) {
+  const auto v = parse_u64(s);
+  if (!v || *v > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(*v);
 }
 
 void append_ids(std::string& out, const IdSet& ids) {
@@ -360,20 +372,20 @@ std::optional<Genome> Genome::parse_line(const std::string& line) {
     } else if (key == "wm") {
       const auto parts = split(value, ':');
       if (parts.size() != 3) return std::nullopt;
-      const auto rate = parse_u64(parts[0]);
-      const auto kinds = parse_u64(parts[1]);
-      const auto types = parse_u64(parts[2]);
+      const auto rate = parse_u32(parts[0]);
+      const auto kinds = parse_u32(parts[1]);
+      const auto types = parse_u32(parts[2]);
       if (!rate || !kinds || !types) return std::nullopt;
-      genome.wire_rate_pm = static_cast<std::uint32_t>(*rate);
-      genome.wire_kinds = static_cast<std::uint32_t>(*kinds);
-      genome.wire_types = static_cast<std::uint32_t>(*types);
+      genome.wire_rate_pm = *rate;
+      genome.wire_kinds = *kinds;
+      genome.wire_types = *types;
     } else if (key == "loss") {
       const auto parts = split(value, ':');
       if (parts.size() != 2) return std::nullopt;
-      const auto pm = parse_u64(parts[0]);
+      const auto pm = parse_u32(parts[0]);
       const auto jitter = parse_u64(parts[1]);
       if (!pm || !jitter) return std::nullopt;
-      genome.loss_pm = static_cast<std::uint32_t>(*pm);
+      genome.loss_pm = *pm;
       genome.loss_jitter = static_cast<SimTime>(*jitter);
     } else if (key == "burst") {
       const auto parts = split(value, ':');

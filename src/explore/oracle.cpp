@@ -9,6 +9,10 @@
 namespace bftcup::explore {
 namespace {
 
+/// Ticks of undisturbed post-GST/post-disruption time a run must have had
+/// before NO-TERMINATION counts as a liveness finding.
+constexpr SimTime kLivenessSlack = 150'000;
+
 /// `genome` with every hostile-wire gene zeroed: the reliable-channel run
 /// the same adversary would have produced without the wire layer.
 Genome without_wire(const Genome& genome) {
@@ -112,8 +116,7 @@ std::optional<Classification> classify(const Genome& genome,
     return Classification{FindingKind::kValidity, satisfied};
   }
   if (report.all_correct_decided) {
-    if (options.include_witness && !satisfied &&
-        genome.mode != cup::Mode::kNaive) {
+    if (!satisfied && genome.mode != cup::Mode::kNaive) {
       return Classification{FindingKind::kWitness, satisfied};
     }
     return std::nullopt;
@@ -122,10 +125,10 @@ std::optional<Classification> classify(const Genome& genome,
   // and the run was fair (see file comment). A lossy or mutating wire
   // breaks the reliable-channel hypothesis Theorem 1 needs, so wire-active
   // runs never count as liveness findings.
-  if (!options.include_liveness || !satisfied || wire) return std::nullopt;
+  if (!satisfied || wire) return std::nullopt;
   if (genome.mode == cup::Mode::kNaive) return std::nullopt;
   if (!crashes_all_recover(genome)) return std::nullopt;
-  if (genome.horizon < last_disruption(genome) + options.liveness_slack) {
+  if (genome.horizon < last_disruption(genome) + kLivenessSlack) {
     return std::nullopt;
   }
   return Classification{FindingKind::kLiveness, satisfied};

@@ -38,13 +38,6 @@ struct OracleOptions {
   /// Report safety violations of the deliberately unsound kNaive mode.
   /// They are known witnesses (Theorem 7), still worth minimizing.
   bool include_naive = true;
-  /// Report kLiveness findings at all.
-  bool include_liveness = true;
-  /// Report kWitness findings at all.
-  bool include_witness = true;
-  /// Ticks of undisturbed post-GST/post-disruption time a run must have had
-  /// before NO-TERMINATION counts as a liveness finding.
-  SimTime liveness_slack = 150'000;
   /// On a safety break with wire genes active, replay the genome with the
   /// wire stripped (same seed). A clean baseline pins the blame on the
   /// hostile wire (kWireSafety); a dirty one falls through to the ordinary

@@ -6,10 +6,9 @@
 // discovery stabilizes — pay for the exponential search once. It stores a
 // pure function of its key (see README "Membership engine caching" for the
 // invariants), so results are identical with the memo on or off. The
-// signature memos (crypto::VerifyCache and crypto::SignCache) are the only
-// other cache tier.
+// signature memo (crypto::SignCache) is the only other cache tier.
 //
-// Scoped to one simulator and therefore one thread.
+// Owned by one RunContext and therefore one thread.
 #pragma once
 
 #include <cstring>

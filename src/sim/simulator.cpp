@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/logging.hpp"
-#include "crypto/keyring_cache.hpp"
 #include "msg/wire.hpp"
 #include "obs/span_tracer.hpp"
 
@@ -66,49 +65,36 @@ Simulator::Simulator(Options options)
     : options_(options),
       rng_(options.seed),
       registry_(options.seed ^ 0xb5f7c0deULL),
-      verify_cache_(options.verify_cache),
-      verifier_(&registry_, &verify_cache_) {
+      verifier_(&registry_) {
   configure(/*reuse=*/false);
 }
 
 void Simulator::reset(Options options) {
-  // Destroy the previous run's arena-backed state *before* rewinding: the
-  // processes (whose views hold arena-backed scratch), the queued events,
-  // and the trace. Retained-capacity containers (queue buckets, slot
-  // vector, memo buckets) never allocate from the arena, so they survive.
+  // Drop the previous run's state; the queue buckets and the slot vector
+  // keep their capacity.
   table_.clear();
   queue_.clear();
-  trace_.reset();
+  trace_ = Trace{};
   stop_ = nullptr;
   policy_.reset();
   timeline_ = FaultTimeline{};
   timeline_active_ = false;
-  // A detached arena (options.arena changed) is left untouched — its
-  // memory belongs to its owner, which may still be serving other users.
-  // Only the arena adopted for the next run is rewound, now that nothing
-  // of ours references it.
   options_ = options;
-  if (options_.arena != nullptr) options_.arena->rewind();
 
   rng_ = Rng(options_.seed);
+  // The signature memo persists: its key binds the registry seed, the
+  // signer, and the payload, so every retained entry is still the correct
+  // signature. configure() re-attaches it per the run's knob.
   registry_.reset(options_.seed ^ 0xb5f7c0deULL);
-  // The verification memo persists: its key binds the registry seed, the
-  // signer, the payload, and the signature, so every retained entry is
-  // still the correct answer. Only the enable knob is per-run.
-  verify_cache_.set_memo_enabled(options_.verify_cache);
   next_seq_ = 0;
   now_ = 0;
   started_ = false;
   configure(/*reuse=*/true);
 }
 
-/// Shared tail of construction and reset: applies hints, binds the
-/// keyring, installs the default delay policy, and (re)creates the trace
-/// against the current run resource.
+/// Shared tail of construction and reset: attaches the signature memo per
+/// the run's knob, installs the default delay policy, and applies hints.
 void Simulator::configure(bool reuse) {
-  registry_.attach_keyring(options_.keyring);
-  // The sign memo rides the same knob as the verification memo: both
-  // directions of the "signature memoization" layer, both value-neutral.
   registry_.attach_sign_cache(options_.verify_cache ? &sign_cache_ : nullptr);
   policy_ = std::make_unique<RandomDelayPolicy>();
   wire_.reset();
@@ -119,9 +105,8 @@ void Simulator::configure(bool reuse) {
   if (!reuse && options_.expected_events != 0) {
     queue_.reserve(options_.expected_events);  // capacity persists afterwards
   }
-  trace_.emplace(run_resource());
   if (options_.expected_processes != 0) {
-    trace_->reserve(options_.expected_processes);
+    trace_.reserve(options_.expected_processes);
   }
 }
 
@@ -149,10 +134,10 @@ void Simulator::set_fault_timeline(FaultTimeline timeline) {
 }
 
 void Simulator::do_send(ProcessId from, ProcessId to, msg::MessageRef message) {
-  trace_->record_send(message.encoded_size(), message->type);
+  trace_.record_send(message.encoded_size(), message->type);
   if (timeline_active_ && timeline_.is_link_down(from, to)) {
     // Lost on the wire: sent (and counted as such), never queued.
-    trace_->record_drop();
+    trace_.record_drop();
     return;
   }
   if (!table_.contains(to)) {
@@ -162,8 +147,8 @@ void Simulator::do_send(ProcessId from, ProcessId to, msg::MessageRef message) {
   }
   if (policy_->should_drop(from, to, now_, rng_, options_.net)) {
     // Lossy-network fault model: the message vanishes on the wire.
-    trace_->record_drop();
-    trace_->record_frame_lost();
+    trace_.record_drop();
+    trace_.record_frame_lost();
     return;
   }
   Event ev;
@@ -190,11 +175,11 @@ void Simulator::do_set_timer(ProcessId who, SimTime delay, int kind) {
 
 void Simulator::do_decide(ProcessId who, Value value) {
   LOG_DEBUG("sim") << who << " decides " << value << " at t=" << now_;
-  trace_->record_decision(who, value, now_);
+  trace_.record_decision(who, value, now_);
 }
 
 void Simulator::do_report_membership(ProcessId who, const IdSet& members) {
-  trace_->record_membership(who, members, now_);
+  trace_.record_membership(who, members, now_);
 }
 
 void Simulator::schedule_fault_actions() {
@@ -281,11 +266,11 @@ void Simulator::deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
                                  Context& ctx) {
   const Bytes frame = msg::encode_frame(*ev.message);
   WireMutator::Result result = wire_->process(frame);
-  if (result.kind) trace_->record_frame_mutated(*result.kind);
+  if (result.kind) trace_.record_frame_mutated(*result.kind);
   for (const Bytes& out : result.frames) {
     std::optional<msg::Message> decoded = msg::decode_frame(out);
     if (!decoded) {
-      trace_->record_frame_rejected();
+      trace_.record_frame_rejected();
       continue;
     }
     slot.process->on_message(ev.from, *decoded, ctx);
@@ -336,12 +321,12 @@ void Simulator::run() {
     ProcessTable::Slot& slot = table_.slot(index);
     if (!slot.up()) {
       // Crashed or not yet joined: deliveries are lost, timers lapse.
-      if (ev.kind == Event::Kind::kDelivery) trace_->record_drop();
+      if (ev.kind == Event::Kind::kDelivery) trace_.record_drop();
       continue;
     }
     Context ctx(this, ev.to);
     if (ev.kind == Event::Kind::kDelivery) {
-      trace_->record_delivery();
+      trace_.record_delivery();
       const obs::ScopedSpan span("sim.dispatch.delivery", ev.to.raw());
       if (wire_ && wire_->targets(ev.message->type)) {
         deliver_via_wire(slot, ev, ctx);
@@ -352,7 +337,7 @@ void Simulator::run() {
       const obs::ScopedSpan span("sim.dispatch.timer", ev.to.raw());
       slot.process->on_timer(ev.timer_kind, ctx);
     }
-    if (stop_ && stop_(*trace_)) break;
+    if (stop_ && stop_(trace_)) break;
   }
 }
 

@@ -13,32 +13,26 @@
 //
 // A Simulator is *recyclable*: reset() returns it to the
 // just-constructed state while keeping every capacity it grew (queue
-// buckets, process slots, verification memo buckets) and every cross-run
-// cache whose keys bind all of their inputs (the seed-bound verification
-// memo, the attached keyring). cup::RunContext drives this to run
-// batch sweeps with near-zero per-run setup cost; a reset simulator is
+// buckets, process slots) and the seed-bound signature memo, whose keys
+// bind all of their inputs. cup::RunContext drives this to run batch
+// sweeps with near-zero per-run setup cost; a reset simulator is
 // observationally identical to a fresh one (asserted by the recycling
 // property suite and BatchRunner's verify_determinism).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 
+#include "crypto/sign_cache.hpp"
 #include "msg/message_ref.hpp"
 #include "sim/bucket_queue.hpp"
 #include "sim/fault_timeline.hpp"
 #include "sim/network.hpp"
 #include "sim/process.hpp"
 #include "sim/process_table.hpp"
-#include "sim/run_arena.hpp"
 #include "sim/trace.hpp"
 #include "sim/wire_mutator.hpp"
-
-namespace bftcup::crypto {
-class KeyringCache;
-}
 
 namespace bftcup::sim {
 
@@ -48,9 +42,9 @@ class Simulator {
     std::uint64_t seed = 1;
     NetConfig net;
     SimTime horizon = 1'000'000;  ///< hard stop (simulated time)
-    /// Memoize signature-verification outcomes (see
-    /// crypto/verify_cache.hpp). Verification is a pure function of
-    /// (key seed, signer, payload, signature), so replay stays
+    /// Attach the signature memo (crypto/sign_cache.hpp) to the registry,
+    /// so signing and verification reuse memoized signatures. Signatures
+    /// are a pure function of (key seed, signer, payload), so replay stays
     /// bit-identical; off still counts verifications for the run report.
     bool verify_cache = true;
     /// Hostile-wire layer (sim/wire_mutator.hpp). When enabled, targeted
@@ -65,24 +59,13 @@ class Simulator {
     /// "no hint"; wrong hints cost only memory, never correctness.
     std::size_t expected_processes = 0;
     std::size_t expected_events = 0;
-    /// Per-run bump allocator backing the trace records and the per-node
-    /// scratch (see sim/run_arena.hpp). Owned by the caller, which must
-    /// not rewind it while this simulator still holds a run's state, and
-    /// must dedicate it to this one simulator: reset() rewinds the adopted
-    /// arena wholesale, which would invalidate any other user's storage.
-    RunArena* arena = nullptr;
-    /// Cross-run key-derivation cache (crypto/keyring_cache.hpp). Owned by
-    /// the caller; must outlive the simulator.
-    crypto::KeyringCache* keyring = nullptr;
   };
 
   explicit Simulator(Options options);
 
   /// Returns the simulator to the just-constructed state for `options`,
-  /// retaining grown capacity and the seed-bound verification memo. The
-  /// previous run's processes, queue, trace, and timeline are destroyed
-  /// first, then the arena (if any) is rewound — so by the time this
-  /// returns, nothing references pre-reset arena memory.
+  /// retaining grown capacity and the seed-bound signature memo. The
+  /// previous run's processes, queue, trace, and timeline are destroyed.
   void reset(Options options);
 
   /// Registers a process. Must be called before run().
@@ -102,28 +85,12 @@ class Simulator {
   /// Runs to quiescence, the horizon, or the stop condition.
   void run();
 
-  [[nodiscard]] const Trace& trace() const { return *trace_; }
+  [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] crypto::KeyRegistry& registry() { return registry_; }
 
-  /// Signature-verification counters (total lookups, memo hits). Counters
-  /// are cumulative across a recycled simulator's runs; per-run figures are
-  /// deltas against a snapshot the runner takes before run().
-  [[nodiscard]] const crypto::VerifyCache::Stats& verify_stats() const {
-    return verify_cache_.stats();
-  }
-
-  /// The signature memos themselves (cap management by the owning context).
-  [[nodiscard]] crypto::VerifyCache& verify_cache() { return verify_cache_; }
+  /// The signature memo itself (cap management by the owning context).
   [[nodiscard]] crypto::SignCache& sign_cache() { return sign_cache_; }
-
-  /// The memory resource for per-run scratch (the configured arena, or the
-  /// default heap resource when the run is arena-less).
-  [[nodiscard]] std::pmr::memory_resource* run_resource() const {
-    return options_.arena != nullptr
-               ? static_cast<std::pmr::memory_resource*>(options_.arena)
-               : std::pmr::get_default_resource();
-  }
 
   /// Capability factory for a process (used by node builders that need the
   /// signer before the simulation starts, e.g. to pre-sign their PD).
@@ -164,7 +131,6 @@ class Simulator {
   Options options_;
   Rng rng_;
   crypto::KeyRegistry registry_;
-  crypto::VerifyCache verify_cache_;
   crypto::SignCache sign_cache_;
   crypto::Verifier verifier_;
   std::unique_ptr<DelayPolicy> policy_;
@@ -177,9 +143,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   SimTime now_ = 0;
   bool started_ = false;
-  /// optional so reset() can re-bind the trace to a rewound arena (pmr
-  /// containers pin their resource at construction).
-  std::optional<Trace> trace_;
+  Trace trace_;
   std::function<bool(const Trace&)> stop_;
 };
 

@@ -1,14 +1,13 @@
 // Execution trace: everything the experiment harnesses measure.
 //
 // Record storage is FlatMap (sorted vectors) rather than std::map: a run
-// writes at most one record per process, the recycled-run engine wants
-// reserve() from scenario hints instead of per-run node allocation, and a
-// RunArena can back the vectors. Iteration order (sorted by id) matches the
-// std::map the digest serialization was pinned on.
+// writes at most one record per process, and the recycled-run engine wants
+// reserve() from scenario hints instead of per-run node allocation.
+// Iteration order (sorted by id) matches the std::map the digest
+// serialization was pinned on.
 #pragma once
 
 #include <array>
-#include <memory_resource>
 #include <optional>
 
 #include "common/flat_map.hpp"
@@ -30,12 +29,6 @@ class Trace {
   using DecisionMap = FlatMap<ProcessId, Decision>;
   using MembershipMap = FlatMap<ProcessId, IdSet>;
   using TimeMap = FlatMap<ProcessId, SimTime>;
-
-  Trace() = default;
-  /// Backs the record vectors with `mr` (a RunArena in pooled runs). The
-  /// trace must be destroyed before the arena rewinds.
-  explicit Trace(std::pmr::memory_resource* mr)
-      : decisions_(mr), memberships_(mr), membership_times_(mr) {}
 
   /// Pre-sizes the per-process record maps (scenario hint: process count).
   void reserve(std::size_t processes);

@@ -300,59 +300,54 @@ TEST(BatchRunnerTest, ParallelSweepMatchesSerialBitForBit) {
 
 TEST(BatchRunnerTest, MergedMetricsArePlacementIndependent) {
   // merge_run_metrics folds every run's MetricsSnapshot with counter/bucket
-  // addition and gauge max — commutative and associative — so a pooled
-  // batch and its serial replay agree on every total whose underlying
-  // quantity is placement-independent.
+  // addition and gauge max — commutative and associative — so a recycled
+  // batch and one-shot runs of its points agree on every total whose
+  // underlying quantity is placement-independent.
   Sweep sweep;
   sweep.add(ScenarioRegistry::paper(), "fig1b/silent")
       .add(ScenarioRegistry::paper(), "fig1b/wrong-value")
       .seeds(1, 10);
 
-  // With context pooling off every run starts cold, so each run's snapshot
-  // is fully deterministic and the merged totals must be byte-identical
-  // across thread counts — modulo proc.peak_rss_bytes, the one gauge that
-  // reads a process-wide high-water mark and only grows over the process's
-  // life.
-  const auto cold_totals = [&](std::size_t threads) {
-    std::vector<SweepPoint> points = sweep.expand();
-    for (SweepPoint& point : points) point.config.context_pooling = false;
-    BatchRunner::Options options;
-    options.threads = threads;
-    obs::MetricsSnapshot total =
-        merge_run_metrics(BatchRunner(options).run_reports(std::move(points)));
-    total.gauges.erase("proc.peak_rss_bytes");
-    return total;
-  };
-  const obs::MetricsSnapshot serial_total = cold_totals(1);
-  const obs::MetricsSnapshot pooled_total = cold_totals(4);
-  ASSERT_FALSE(serial_total.empty());
-  EXPECT_EQ(pooled_total, serial_total);
+  // Every run_scenario call starts cold, so the merged one-shot totals are
+  // the placement-free reference.
+  std::vector<RunReport> cold;
+  for (const SweepPoint& point : sweep.expand()) {
+    cold.push_back(run_scenario(point.config));
+  }
+  const obs::MetricsSnapshot cold_total = merge_run_metrics(cold);
+  ASSERT_FALSE(cold_total.empty());
 
   // Under recycled contexts the hit/miss splits and the search enumeration
   // volume move with each worker's warm caches, but the
   // behavior-fact totals — work *requested*, verification total, event
   // count — are functions of the runs alone and must survive any placement.
-  BatchRunner::Options recycled_options;
-  recycled_options.threads = 4;
-  const std::vector<RunReport> recycled =
-      BatchRunner(recycled_options).run_reports(sweep.expand());
-  const obs::MetricsSnapshot recycled_total = merge_run_metrics(recycled);
-  EXPECT_EQ(recycled_total.counter("eval.requested"),
-            serial_total.counter("eval.requested"));
-  EXPECT_EQ(recycled_total.counter("sig.verified") +
-                recycled_total.counter("sig.cached"),
-            serial_total.counter("sig.verified") +
-                serial_total.counter("sig.cached"));
-  EXPECT_EQ(recycled_total.counter("sim.events"),
-            serial_total.counter("sim.events"));
-  EXPECT_EQ(recycled_total.counter("engine.big_scc_fallbacks"),
-            serial_total.counter("engine.big_scc_fallbacks"));
+  for (const std::size_t threads : {1, 4}) {
+    BatchRunner::Options options;
+    options.threads = threads;
+    const std::vector<RunReport> recycled =
+        BatchRunner(options).run_reports(sweep.expand());
+    const obs::MetricsSnapshot recycled_total = merge_run_metrics(recycled);
+    EXPECT_EQ(recycled_total.counter("eval.requested"),
+              cold_total.counter("eval.requested"))
+        << threads;
+    EXPECT_EQ(recycled_total.counter("sig.verified") +
+                  recycled_total.counter("sig.cached"),
+              cold_total.counter("sig.verified") +
+                  cold_total.counter("sig.cached"))
+        << threads;
+    EXPECT_EQ(recycled_total.counter("sim.events"),
+              cold_total.counter("sim.events"))
+        << threads;
+    EXPECT_EQ(recycled_total.counter("engine.big_scc_fallbacks"),
+              cold_total.counter("engine.big_scc_fallbacks"))
+        << threads;
 
-  // Merge order must not matter: folding the reports in reverse yields the
-  // same totals (the associativity/commutativity everything above rests
-  // on).
-  std::vector<RunReport> reversed(recycled.rbegin(), recycled.rend());
-  EXPECT_EQ(merge_run_metrics(reversed), recycled_total);
+    // Merge order must not matter: folding the reports in reverse yields
+    // the same totals (the associativity/commutativity everything above
+    // rests on).
+    std::vector<RunReport> reversed(recycled.rbegin(), recycled.rend());
+    EXPECT_EQ(merge_run_metrics(reversed), recycled_total) << threads;
+  }
 }
 
 TEST(BatchRunnerTest, VerifyDeterminismOptionPasses) {

@@ -91,6 +91,25 @@ TEST(GenomeTest, ParseRejectsMalformedLines) {
   EXPECT_FALSE(Genome::parse_line("v=1.2|tl=warp:1@5").has_value());
 }
 
+TEST(GenomeTest, ParseRejectsThirtyTwoBitFieldOverflow) {
+  // wm= (rate, kinds, types) and loss='s permille are 32-bit fields. A value
+  // above UINT32_MAX must be refused rather than truncated: 2^32 + 1 would
+  // otherwise replay as 1 and print back as a different artifact line.
+  const std::string base = "v=1.2|e=1>2;2>1";
+  ASSERT_TRUE(Genome::parse_line(base).has_value());
+  const auto wm = Genome::parse_line(base + "|wm=4294967295:1:1");
+  ASSERT_TRUE(wm.has_value());
+  EXPECT_EQ(wm->wire_rate_pm, 4294967295u);
+  for (const char* field :
+       {"|wm=4294967297:1:1", "|wm=1:4294967297:1", "|wm=1:1:4294967297",
+        "|loss=4294967396:0"}) {
+    EXPECT_FALSE(Genome::parse_line(base + field).has_value()) << field;
+  }
+  const auto loss = Genome::parse_line(base + "|loss=100:0");
+  ASSERT_TRUE(loss.has_value());
+  EXPECT_EQ(loss->loss_pm, 100u);
+}
+
 TEST(GenomeTest, WithoutVertexStripsEveryReference) {
   Genome genome = bridge_hiding_genome();
   genome.timeline.push_back(

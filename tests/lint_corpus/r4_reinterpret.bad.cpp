@@ -1,5 +1,5 @@
 // cup_lint fixture: R4 must fire — reinterpret_cast outside the audited
-// codec/ + run_arena allowlist — and M1 for the empty justification.
+// codec/ allowlist — and M1 for the empty justification.
 // Not compiled.
 // cup-lint-expect: R4
 // cup-lint-expect: M1

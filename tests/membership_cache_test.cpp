@@ -1,17 +1,17 @@
 // The membership memos' contract: the shared evaluation memo and the
-// signature memos store pure functions of immutable inputs, so results are
+// signature memo store pure functions of immutable inputs, so results are
 // bit-identical with caching on or off.
 //
 // 1. The per-simulation shared evaluation memo returns the cold result and
 //    serves every repeated view from memory.
-// 2. The signature-verification memo serves accepts AND rejects without
-//    changing outcomes.
+// 2. The signature memo serves verification accepts AND rejects without
+//    changing outcomes, and its entries are bound to the key seed.
 // 3. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
 //    64-bit mask out of range (UB) — oversized caps are clamped and
 //    oversized SCCs take the big-SCC certification path promptly.
 #include <gtest/gtest.h>
 
-#include "crypto/verify_cache.hpp"
+#include "crypto/sign_cache.hpp"
 #include "cup/scenario_registry.hpp"
 #include "graph/generators.hpp"
 #include "protocol/core.hpp"
@@ -107,28 +107,63 @@ TEST(SharedEvalCacheTest, RepeatedViewHitsAfterAStreakOfMisses) {
             protocol::try_find_sink(views.front(), 0, search).has_value());
 }
 
-TEST(VerifyCacheTest, MemoizesAcceptsAndRejects) {
+TEST(SignMemoTest, VerifyServesAcceptsAndRejectsFromTheSignMemo) {
+  crypto::SignCache memo;
   crypto::KeyRegistry registry(42);
-  crypto::VerifyCache cache(true);
+  registry.attach_sign_cache(&memo);
+  crypto::KeyRegistry bare(42);  // no memo: every verify recomputes the MAC
   const Bytes payload = to_bytes("hello");
   const crypto::Signature good = registry.sign_as(p(1), payload);
-  crypto::Signature forged = good;
-  forged.bytes[0] ^= 0xff;
+  crypto::Signature flipped = good;
+  flipped.bytes[0] ^= 0x01;
 
   for (int round = 0; round < 3; ++round) {
-    EXPECT_TRUE(cache.verify(registry, p(1), payload, good));
-    EXPECT_FALSE(cache.verify(registry, p(1), payload, forged));
-    // Same signature under the wrong signer must also (cachedly) fail.
-    EXPECT_FALSE(cache.verify(registry, p(2), payload, good));
+    EXPECT_TRUE(registry.verify(p(1), payload, good));
+    EXPECT_FALSE(registry.verify(p(1), payload, flipped));
+    // The same signature under the wrong signer must fail too.
+    EXPECT_FALSE(registry.verify(p(2), payload, good));
+    EXPECT_TRUE(bare.verify(p(1), payload, good));
+    EXPECT_FALSE(bare.verify(p(1), payload, flipped));
+    EXPECT_FALSE(bare.verify(p(2), payload, good));
   }
-  EXPECT_EQ(cache.stats().lookups, 9U);
-  EXPECT_EQ(cache.stats().hits, 6U);  // everything after the first round
+  // Signing p(1) filled the memo, so only the first p(2) verify missed.
+  EXPECT_EQ(registry.verify_stats().lookups, 9U);
+  EXPECT_EQ(registry.verify_stats().hits, 8U);
+  EXPECT_EQ(memo.entry_count(), 2U);
+  EXPECT_EQ(bare.verify_stats().lookups, 9U);
+  EXPECT_EQ(bare.verify_stats().hits, 0U);
+}
 
-  crypto::VerifyCache disabled(false);
-  EXPECT_TRUE(disabled.verify(registry, p(1), payload, good));
-  EXPECT_TRUE(disabled.verify(registry, p(1), payload, good));
-  EXPECT_EQ(disabled.stats().lookups, 2U);
-  EXPECT_EQ(disabled.stats().hits, 0U);
+TEST(SignMemoTest, RetainedEntriesAreBoundToTheKeySeed) {
+  // A recycled simulator keeps its sign memo across reset(); what keeps a
+  // retained entry from vouching for a signature under the next run's keys
+  // is that the key seed is part of the memo key.
+  crypto::SignCache memo;
+  crypto::KeyRegistry registry(42);
+  registry.attach_sign_cache(&memo);
+  const Bytes payload = to_bytes("vote");
+  const crypto::Signature under42 = registry.sign_as(p(1), payload);
+  ASSERT_TRUE(registry.verify(p(1), payload, under42));
+  ASSERT_EQ(registry.verify_stats().hits, 1U);
+
+  registry.reset(43);
+  ASSERT_EQ(memo.entry_count(), 1U);  // retained, not cleared
+  EXPECT_FALSE(registry.verify(p(1), payload, under42));
+  EXPECT_EQ(registry.verify_stats().hits, 1U);  // a miss under seed 43
+  crypto::KeyRegistry fresh43(43);
+  EXPECT_FALSE(fresh43.verify(p(1), payload, under42));
+  const crypto::Signature under43 = registry.sign_as(p(1), payload);
+  EXPECT_EQ(under43, fresh43.sign_as(p(1), payload));
+  EXPECT_NE(under43, under42);
+  EXPECT_TRUE(registry.verify(p(1), payload, under43));
+
+  // Back under seed 42 the retained entry is again the right answer.
+  registry.reset(42);
+  EXPECT_TRUE(registry.verify(p(1), payload, under42));
+  EXPECT_FALSE(registry.verify(p(1), payload, under43));
+  EXPECT_EQ(memo.entry_count(), 2U);
+  EXPECT_EQ(registry.verify_stats().lookups, 5U);
+  EXPECT_EQ(registry.verify_stats().hits, 4U);
 }
 
 TEST(SearchOptionsTest, OversizedExhaustiveCapIsClampedNotUndefined) {

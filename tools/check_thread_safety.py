@@ -35,8 +35,7 @@ ANNOTATED_HEADERS = (
     "src/common/thread_annotations.hpp",
     "src/common/logging.hpp",
     "src/protocol/eval_cache.hpp",
-    "src/crypto/verify_cache.hpp",
-    "src/crypto/keyring_cache.hpp",
+    "src/crypto/sign_cache.hpp",
 )
 
 SKIP_EXIT_CODE = 77

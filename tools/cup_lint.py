@@ -33,9 +33,8 @@ Rules (each finding names its rule id):
      BatchReport::to_json() so reports keep round-tripping.
 
   R4 reinterpret-cast
-     No reinterpret_cast outside the audited allowlist (src/codec/ and
-     src/sim/run_arena.*), where byte-level framing and alignment
-     arithmetic legitimately need it. Elsewhere:
+     No reinterpret_cast outside the audited allowlist (src/codec/), where
+     byte-level framing legitimately needs it. Elsewhere:
      `// cup-lint: cast-ok(<why this cannot be UB>)`.
 
 Markers require a non-empty justification; an empty one is itself a
@@ -113,11 +112,8 @@ RNG_ALLOWED_FILES = (
     "src/common/random.cpp",
 )
 
-# R4 never fires here: byte-level codecs and arena alignment arithmetic.
-CAST_ALLOWED_PREFIXES = (
-    "src/codec/",
-    "src/sim/run_arena",
-)
+# R4 never fires here: byte-level codecs.
+CAST_ALLOWED_PREFIXES = ("src/codec/",)
 
 UNORDERED_TYPES = (
     "unordered_map",
@@ -127,16 +123,15 @@ UNORDERED_TYPES = (
 )
 
 # Container spellings inventoried by --report, with their ordering verdict.
+# A std:: spelling also matches its polymorphic-allocator twin in the nested
+# pmr namespace (see spelling_pattern).
 ORDERED_CONTAINERS = (
     "std::map",
     "std::multimap",
     "std::set",
     "std::multiset",
-    "std::pmr::map",
-    "std::pmr::set",
     "std::array",
     "std::vector",
-    "std::pmr::vector",
     "std::deque",
     "FlatMap",
     "FlatSet",
@@ -588,8 +583,8 @@ def check_r4(source: SourceFile, findings: list[Finding]) -> None:
                 "R4",
                 source.rel,
                 lineno,
-                "reinterpret_cast outside the audited codec/ + run_arena "
-                "allowlist (use memcpy/std::launder, or justify with "
+                "reinterpret_cast outside the audited codec/ allowlist "
+                "(use memcpy/std::launder, or justify with "
                 "// cup-lint: cast-ok(...))",
             )
         )
@@ -617,18 +612,25 @@ def lint(
 # ---------------------------------------------------------------- report ---
 
 
+def spelling_pattern(spelling: str) -> str:
+    """Regex for a container spelling; a std:: spelling also matches its
+    twin in the nested pmr namespace."""
+    if spelling.startswith("std::"):
+        return r"std::(?:pmr::)?" + re.escape(spelling[len("std::"):])
+    return re.escape(spelling)
+
+
 def container_inventory(files: list[SourceFile]) -> list[dict[str, Any]]:
     """Every container declaration in the digest-path modules."""
     spellings: list[tuple[str, bool]] = [(t, True) for t in ORDERED_CONTAINERS]
     spellings += [(f"std::{t}", False) for t in UNORDERED_TYPES]
-    spellings += [(f"std::pmr::{t}", False) for t in UNORDERED_TYPES]
     # `(` is accepted as an initializer so pre-sized slot vectors —
     # `std::vector<T> slots(n);`, the index-addressed form a parallel
     # reduction needs to stay deterministic — are inventoried too.
     decl_res = [
         (
             re.compile(
-                re.escape(spelling)
+                spelling_pattern(spelling)
                 + r"\s*<[^;]*?>\s*\n?\s*([A-Za-z_]\w*)\s*(?:;|=|\{|\()",
                 re.S,
             ),
