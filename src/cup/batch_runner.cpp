@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <stdexcept>
@@ -160,11 +159,6 @@ std::vector<const RunRecord*> BatchReport::runs_of(
 
 namespace {
 
-constexpr const char* kRunsCsvHeader =
-    "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
-    "delivered,bytes,value,digest";
-constexpr std::size_t kRunsCsvFields = 12;
-
 /// RFC-4180-style field quoting: fields containing the separator, a quote,
 /// or a line break are wrapped in double quotes with embedded quotes
 /// doubled. Everything else is emitted verbatim.
@@ -181,96 +175,12 @@ std::string csv_field(const std::string& value) {
   return out;
 }
 
-/// Splits the CSV text into logical records: newlines inside a quoted
-/// field belong to the field (csv_field quotes them), so a record may span
-/// physical lines. Unquoted input splits exactly like a plain getline
-/// loop. Trailing \r (CRLF input) is stripped outside quotes. Throws on an
-/// unterminated quote at end of input.
-std::vector<std::string> split_csv_records(const std::string& text) {
-  std::vector<std::string> records;
-  std::string record;
-  bool quoted = false;
-  for (char c : text) {
-    if (c == '"') quoted = !quoted;  // "" toggles twice; net effect is none
-    if (c == '\n' && !quoted) {
-      if (!record.empty() && record.back() == '\r') record.pop_back();
-      records.push_back(std::move(record));
-      record.clear();
-    } else {
-      record += c;
-    }
-  }
-  if (quoted) {
-    throw std::invalid_argument(
-        "BatchReport: unterminated CSV quote at end of input");
-  }
-  if (!record.empty()) records.push_back(std::move(record));
-  return records;
-}
-
-/// Splits one CSV record, honoring csv_field's quoting.
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  bool quoted = false;
-  for (std::string::size_type i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      out.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  if (quoted) {
-    throw std::invalid_argument("BatchReport: unterminated CSV quote: " +
-                                line);
-  }
-  out.push_back(std::move(field));
-  return out;
-}
-
-/// One numeric CSV field, strictly: std::from_chars must consume the whole
-/// field, so a sign on an unsigned column, trailing garbage, padding or an
-/// empty field is malformed rather than silently truncated or wrapped.
-template <typename T>
-T csv_number(const std::string& field, const std::string& line) {
-  T value{};
-  const char* end = field.data() + field.size();
-  const auto [next, ec] = std::from_chars(field.data(), end, value);
-  if (ec != std::errc{} || next != end) {
-    throw std::invalid_argument("BatchReport: malformed CSV number \"" +
-                                field + "\" in row: " + line);
-  }
-  return value;
-}
-
-/// One boolean CSV field: runs_csv writes exactly "1" or "0".
-bool csv_flag(const std::string& field, const std::string& line) {
-  if (field == "1") return true;
-  if (field == "0") return false;
-  throw std::invalid_argument("BatchReport: malformed CSV flag \"" + field +
-                              "\" in row: " + line);
-}
-
 }  // namespace
 
 std::string BatchReport::runs_csv() const {
-  std::string out = kRunsCsvHeader;
-  out += '\n';
+  std::string out =
+      "scenario,seed,verdict,agreement,validity,terminated,latency,messages,"
+      "delivered,bytes,value,digest\n";
   for (const RunRecord& r : runs_) {
     out += csv_field(r.scenario);
     out += ',' + std::to_string(r.seed);
@@ -287,321 +197,6 @@ std::string BatchReport::runs_csv() const {
     out += '\n';
   }
   return out;
-}
-
-BatchReport BatchReport::from_runs_csv(const std::string& csv) {
-  std::vector<RunRecord> runs;
-  bool header = true;
-  for (const std::string& line : split_csv_records(csv)) {
-    if (line.empty()) continue;
-    if (header) {
-      if (line != kRunsCsvHeader) {
-        throw std::invalid_argument("BatchReport: unexpected CSV header");
-      }
-      header = false;
-      continue;
-    }
-    const auto fields = split_csv(line);
-    if (fields.size() != kRunsCsvFields) {
-      throw std::invalid_argument("BatchReport: malformed CSV row: " + line);
-    }
-    RunRecord r;
-    r.scenario = fields[0];
-    r.seed = csv_number<std::uint64_t>(fields[1], line);
-    r.verdict = fields[2];
-    r.agreement = csv_flag(fields[3], line);
-    r.validity = csv_flag(fields[4], line);
-    r.terminated = csv_flag(fields[5], line);
-    r.latency = csv_number<std::int64_t>(fields[6], line);
-    r.messages = csv_number<std::uint64_t>(fields[7], line);
-    r.delivered = csv_number<std::uint64_t>(fields[8], line);
-    r.bytes = csv_number<std::uint64_t>(fields[9], line);
-    r.value = csv_number<std::uint64_t>(fields[10], line);
-    r.digest = fields[11];
-    runs.push_back(std::move(r));
-  }
-  return BatchReport(std::move(runs));
-}
-
-std::string BatchReport::summary_csv() const {
-  std::string out =
-      "scenario,runs,solved,pass_rate,agreement_violations,"
-      "validity_violations,non_terminations,latency_min,latency_p50,"
-      "latency_p99,latency_max,messages_total,bytes_total\n";
-  for (const ScenarioStats& s : scenarios()) {
-    char rate[32];
-    std::snprintf(rate, sizeof(rate), "%.4f", s.pass_rate());
-    out += csv_field(s.scenario);
-    out += ',' + std::to_string(s.runs);
-    out += ',' + std::to_string(s.solved);
-    out += ',';
-    out += rate;
-    out += ',' + std::to_string(s.agreement_violations);
-    out += ',' + std::to_string(s.validity_violations);
-    out += ',' + std::to_string(s.non_terminations);
-    out += ',' + std::to_string(s.latency_min);
-    out += ',' + std::to_string(s.latency_p50);
-    out += ',' + std::to_string(s.latency_p99);
-    out += ',' + std::to_string(s.latency_max);
-    out += ',' + std::to_string(s.messages_total);
-    out += ',' + std::to_string(s.bytes_total);
-    out += '\n';
-  }
-  return out;
-}
-
-namespace {
-
-/// JSON string escaping for the one field callers control (scenario names);
-/// verdicts and digests are library-generated and never need it, but they
-/// go through the same helper so the export cannot silently emit broken
-/// JSON for any record.
-std::string json_escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string BatchReport::to_json() const {
-  std::string out = "{\"runs\":[";
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    const RunRecord& r = runs_[i];
-    if (i != 0) out += ',';
-    out += "{\"scenario\":\"" + json_escape(r.scenario) + "\"";
-    out += ",\"seed\":" + std::to_string(r.seed);
-    out += ",\"verdict\":\"" + json_escape(r.verdict) + "\"";
-    out += r.agreement ? ",\"agreement\":true" : ",\"agreement\":false";
-    out += r.validity ? ",\"validity\":true" : ",\"validity\":false";
-    out += r.terminated ? ",\"terminated\":true" : ",\"terminated\":false";
-    out += ",\"latency\":" + std::to_string(r.latency);
-    out += ",\"messages\":" + std::to_string(r.messages);
-    out += ",\"delivered\":" + std::to_string(r.delivered);
-    out += ",\"bytes\":" + std::to_string(r.bytes);
-    out += ",\"value\":" + std::to_string(r.value);
-    out += ",\"digest\":\"" + json_escape(r.digest) + "\"}";
-  }
-  out += "]}";
-  return out;
-}
-
-namespace {
-
-/// Minimal parser for the flat JSON BatchReport::to_json emits, including
-/// the escape sequences json_escape produces.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      throw std::invalid_argument(std::string("BatchReport JSON: expected '") +
-                                  c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            // Strict: exactly 4 hex digits, and only the single-byte range
-            // this writer emits (json_escape uses \u for control chars);
-            // anything else is rejected rather than silently truncated.
-            if (pos_ + 4 > text_.size()) {
-              throw std::invalid_argument(
-                  "BatchReport JSON: truncated \\u escape");
-            }
-            unsigned value = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = text_[pos_ + static_cast<std::size_t>(k)];
-              value <<= 4;
-              if (h >= '0' && h <= '9') {
-                value |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                value |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                value |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                throw std::invalid_argument(
-                    "BatchReport JSON: malformed \\u escape");
-              }
-            }
-            if (value > 0xff) {
-              throw std::invalid_argument(
-                  "BatchReport JSON: \\u escape beyond the single-byte "
-                  "range this format emits");
-            }
-            c = static_cast<char>(value);
-            pos_ += 4;
-            break;
-          }
-          default:
-            throw std::invalid_argument(
-                std::string("BatchReport JSON: unsupported escape \\") + esc);
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      throw std::invalid_argument("BatchReport JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  std::int64_t integer() {
-    std::int64_t v = 0;
-    parse_number(v);
-    return v;
-  }
-
-  std::uint64_t unsigned_integer() {
-    std::uint64_t v = 0;
-    parse_number(v);
-    return v;
-  }
-
-  /// Only whitespace may follow the document.
-  void expect_end() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      throw std::invalid_argument("BatchReport JSON: trailing text");
-    }
-  }
-
-  bool boolean() {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::invalid_argument("BatchReport JSON: expected boolean");
-  }
-
- private:
-  template <typename T>
-  void parse_number(T& out) {
-    skip_ws();
-    const auto [next, ec] = std::from_chars(
-        text_.data() + pos_, text_.data() + text_.size(), out);
-    if (ec != std::errc{}) {
-      throw std::invalid_argument("BatchReport JSON: expected number");
-    }
-    pos_ = static_cast<std::size_t>(next - text_.data());
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-BatchReport BatchReport::from_json(const std::string& json) {
-  JsonCursor cursor(json);
-  cursor.expect('{');
-  if (cursor.string() != "runs") {
-    throw std::invalid_argument("BatchReport JSON: expected \"runs\"");
-  }
-  cursor.expect(':');
-  cursor.expect('[');
-  std::vector<RunRecord> runs;
-  if (!cursor.consume(']')) {
-    do {
-      cursor.expect('{');
-      RunRecord r;
-      do {
-        const std::string key = cursor.string();
-        cursor.expect(':');
-        if (key == "scenario") {
-          r.scenario = cursor.string();
-        } else if (key == "seed") {
-          r.seed = cursor.unsigned_integer();
-        } else if (key == "verdict") {
-          r.verdict = cursor.string();
-        } else if (key == "agreement") {
-          r.agreement = cursor.boolean();
-        } else if (key == "validity") {
-          r.validity = cursor.boolean();
-        } else if (key == "terminated") {
-          r.terminated = cursor.boolean();
-        } else if (key == "latency") {
-          r.latency = cursor.integer();
-        } else if (key == "messages") {
-          r.messages = cursor.unsigned_integer();
-        } else if (key == "delivered") {
-          r.delivered = cursor.unsigned_integer();
-        } else if (key == "bytes") {
-          r.bytes = cursor.unsigned_integer();
-        } else if (key == "value") {
-          r.value = cursor.unsigned_integer();
-        } else if (key == "digest") {
-          r.digest = cursor.string();
-        } else {
-          throw std::invalid_argument("BatchReport JSON: unknown key \"" +
-                                      key + "\"");
-        }
-      } while (cursor.consume(','));
-      cursor.expect('}');
-      runs.push_back(std::move(r));
-    } while (cursor.consume(','));
-    cursor.expect(']');
-  }
-  cursor.expect('}');
-  cursor.expect_end();
-  return BatchReport(std::move(runs));
 }
 
 void BatchReport::print_summary(std::FILE* out) const {

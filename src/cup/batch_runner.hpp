@@ -5,8 +5,8 @@
 // into independent (scenario, seed) runs, executes them across a
 // std::thread pool — each worker owns a recyclable RunContext, so the
 // sweep is embarrassingly parallel — and aggregates a `BatchReport` with
-// per-scenario pass rates, latency percentiles, traffic totals, and
-// CSV/JSON export.
+// per-scenario pass rates, latency percentiles, traffic totals, and a
+// per-run CSV export.
 //
 // Determinism: the simulator guarantees bit-identical replay for a
 // (scenario, seed) pair. `Options::verify_determinism` re-runs every point
@@ -77,8 +77,8 @@ class Sweep {
   std::size_t seed_count_ = 1;
 };
 
-/// Flattened outcome of one run: its behavior and digest, in plain scalars
-/// so reports round-trip through CSV/JSON. Engine counters stay in
+/// Flattened outcome of one run: its behavior and digest, in plain scalars,
+/// one CSV row each (BatchReport::runs_csv). Engine counters stay in
 /// RunReport::metrics (see merge_run_metrics).
 struct RunRecord {
   std::string scenario;
@@ -146,17 +146,11 @@ class BatchReport {
   [[nodiscard]] std::vector<const RunRecord*> runs_of(
       std::string_view scenario) const;
 
-  // --- export / import (round-trip: from_x(to_x(r)) == r) ---
+  /// One row per run under a 12-column header, RFC-4180 quoted.
   [[nodiscard]] std::string runs_csv() const;
-  [[nodiscard]] std::string summary_csv() const;
-  [[nodiscard]] std::string to_json() const;
-  static BatchReport from_runs_csv(const std::string& csv);
-  static BatchReport from_json(const std::string& json);
 
   /// Aggregate table, aligned for terminals.
   void print_summary(std::FILE* out = stdout) const;
-
-  friend bool operator==(const BatchReport&, const BatchReport&) = default;
 
  private:
   std::vector<RunRecord> runs_;

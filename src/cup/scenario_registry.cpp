@@ -683,8 +683,8 @@ void validate_scenario_name(const std::string& name) {
         static_cast<unsigned char>(c) < 0x20) {
       throw ScenarioError(
           "scenario name \"" + name +
-          "\" contains a character that breaks the CSV/JSON round-trip "
-          "(comma, quote, backslash, or control character)");
+          "\" is not portable: it contains a comma, quote, backslash, or "
+          "control character");
     }
   }
 }

@@ -23,12 +23,12 @@
 namespace bftcup::cup {
 
 namespace detail {
-/// Rejects empty names and CSV/JSON metacharacters. The report layer now
-/// quotes and escapes (see BatchReport::runs_csv/to_json), so exports
-/// survive any name — this gate keeps *registry* names portable to every
-/// downstream consumer (shell one-liners, spreadsheets, grep) rather than
-/// merely round-trippable. Shared by ScenarioRegistry::add and Sweep::add
-/// so both entry paths enforce the same contract.
+/// Rejects empty names and names holding a comma, quote, backslash or
+/// control character. BatchReport::runs_csv quotes any name, so this is not
+/// about the export: it keeps registry names portable to every downstream
+/// consumer (shell one-liners, spreadsheets, grep). Shared by
+/// ScenarioRegistry::add and Sweep::add so both entry paths enforce the
+/// same contract.
 void validate_scenario_name(const std::string& name);
 }  // namespace detail
 

@@ -88,7 +88,7 @@ std::vector<Genome> Explorer::default_seeds() {
 ExploreResult Explorer::explore(const std::vector<Genome>& seeds) const {
   ExploreResult result;
   CoverageMap coverage;
-  const Mutator mutator(options_.mutator);
+  const Mutator mutator;
 
   cup::BatchRunner::Options batch_options;
   batch_options.threads = options_.threads;

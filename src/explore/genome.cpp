@@ -71,6 +71,15 @@ std::optional<std::uint32_t> parse_u32(const std::string& s) {
   return static_cast<std::uint32_t>(*v);
 }
 
+/// parse_u64 for the SimTime fields (gst, delta, horizon, loss jitter,
+/// burst window, timeline times): a value above kSimTimeMax is rejected,
+/// never wrapped negative.
+std::optional<SimTime> parse_time(const std::string& s) {
+  const auto v = parse_u64(s);
+  if (!v || *v > static_cast<std::uint64_t>(kSimTimeMax)) return std::nullopt;
+  return static_cast<SimTime>(*v);
+}
+
 void append_ids(std::string& out, const IdSet& ids) {
   bool first = true;
   for (ProcessId id : ids) {
@@ -136,15 +145,15 @@ std::optional<TimelineGene> parse_gene(const std::string& s) {
   if (windowed) {
     const auto dash = when.find('-');
     if (dash == std::string::npos) return std::nullopt;
-    const auto at = parse_u64(when.substr(0, dash));
-    const auto until = parse_u64(when.substr(dash + 1));
+    const auto at = parse_time(when.substr(0, dash));
+    const auto until = parse_time(when.substr(dash + 1));
     if (!at || !until) return std::nullopt;
-    gene.at = static_cast<SimTime>(*at);
-    gene.until = static_cast<SimTime>(*until);
+    gene.at = *at;
+    gene.until = *until;
   } else {
-    const auto at = parse_u64(when);
+    const auto at = parse_time(when);
     if (!at) return std::nullopt;
-    gene.at = static_cast<SimTime>(*at);
+    gene.at = *at;
   }
 
   if (kind == "crash" || kind == "rec" || kind == "join") {
@@ -351,17 +360,17 @@ std::optional<Genome> Genome::parse_line(const std::string& line) {
         genome.timeline.push_back(*gene);
       }
     } else if (key == "gst") {
-      const auto v = parse_u64(value);
+      const auto v = parse_time(value);
       if (!v) return std::nullopt;
-      genome.gst = static_cast<SimTime>(*v);
+      genome.gst = *v;
     } else if (key == "delta") {
-      const auto v = parse_u64(value);
+      const auto v = parse_time(value);
       if (!v) return std::nullopt;
-      genome.delta = static_cast<SimTime>(*v);
+      genome.delta = *v;
     } else if (key == "hz") {
-      const auto v = parse_u64(value);
+      const auto v = parse_time(value);
       if (!v) return std::nullopt;
-      genome.horizon = static_cast<SimTime>(*v);
+      genome.horizon = *v;
     } else if (key == "seed") {
       const auto v = parse_u64(value);
       if (!v) return std::nullopt;
@@ -383,20 +392,20 @@ std::optional<Genome> Genome::parse_line(const std::string& line) {
       const auto parts = split(value, ':');
       if (parts.size() != 2) return std::nullopt;
       const auto pm = parse_u32(parts[0]);
-      const auto jitter = parse_u64(parts[1]);
+      const auto jitter = parse_time(parts[1]);
       if (!pm || !jitter) return std::nullopt;
       genome.loss_pm = *pm;
-      genome.loss_jitter = static_cast<SimTime>(*jitter);
+      genome.loss_jitter = *jitter;
     } else if (key == "burst") {
       const auto parts = split(value, ':');
       if (parts.size() != 3) return std::nullopt;
-      const auto start = parse_u64(parts[0]);
-      const auto len = parse_u64(parts[1]);
-      const auto period = parse_u64(parts[2]);
+      const auto start = parse_time(parts[0]);
+      const auto len = parse_time(parts[1]);
+      const auto period = parse_time(parts[2]);
       if (!start || !len || !period) return std::nullopt;
-      genome.burst_start = static_cast<SimTime>(*start);
-      genome.burst_len = static_cast<SimTime>(*len);
-      genome.burst_period = static_cast<SimTime>(*period);
+      genome.burst_start = *start;
+      genome.burst_len = *len;
+      genome.burst_period = *period;
     } else {
       return std::nullopt;
     }

@@ -28,7 +28,8 @@ enum class Op : std::uint8_t {
 };
 
 /// Draw table: each operator appears `weight` times. Biased toward the
-/// adversary-controlled dimensions (see file comment).
+/// adversary-controlled dimensions (see file comment). The order is part of
+/// the determinism contract: an rng draw picks an operator by index.
 constexpr Op kOpTable[] = {
     Op::kAddEdge,        Op::kAddEdge,        Op::kRemoveEdge,
     Op::kRemoveEdge,     Op::kAddVertex,      Op::kRemoveVertex,
@@ -38,15 +39,9 @@ constexpr Op kOpTable[] = {
     Op::kFakePd,         Op::kTimelineAdd,    Op::kTimelineAdd,
     Op::kTimelineAdd,    Op::kTimelineRemove, Op::kTimelineRemove,
     Op::kGst,            Op::kDelta,          Op::kHorizon,
-    Op::kSeed,           Op::kSeed,
-};
-
-/// Appended to the draw table when MutatorOptions::wire_ops is on. Kept in
-/// a separate table so disabling the knob reproduces the pre-wire operator
-/// distribution exactly.
-constexpr Op kWireOpTable[] = {
-    Op::kWireRate, Op::kWireRate, Op::kWireMasks,
-    Op::kLoss,     Op::kLoss,     Op::kLossBurst,
+    Op::kSeed,           Op::kSeed,           Op::kWireRate,
+    Op::kWireRate,       Op::kWireMasks,      Op::kLoss,
+    Op::kLoss,           Op::kLossBurst,
 };
 
 /// Frame-mutation rates (permille) the kWireRate operator draws from; 0
@@ -160,14 +155,7 @@ Genome Mutator::mutate_once(const Genome& parent, Rng& rng) const {
   const std::size_t n = vertices.size();
   if (n == 0) return genome;
 
-  const std::size_t table_size =
-      std::size(kOpTable) +
-      (options_.wire_ops ? std::size(kWireOpTable) : 0);
-  const std::size_t draw = rng.next_below(table_size);
-  const Op op = draw < std::size(kOpTable)
-                    ? kOpTable[draw]
-                    : kWireOpTable[draw - std::size(kOpTable)];
-  switch (op) {
+  switch (kOpTable[rng.next_below(std::size(kOpTable))]) {
     case Op::kAddEdge: {
       const ProcessId from = pick(vertices, rng);
       const ProcessId to = pick(vertices, rng);
@@ -182,7 +170,7 @@ Genome Mutator::mutate_once(const Genome& parent, Rng& rng) const {
       break;
     }
     case Op::kAddVertex: {
-      if (n >= options_.max_vertices) break;
+      if (n >= kMaxVertices) break;
       const ProcessId fresh(max_raw_id(genome.graph) + 1);
       const ProcessId anchor = pick(vertices, rng);
       genome.graph.add_edge(fresh, anchor);
@@ -234,7 +222,7 @@ Genome Mutator::mutate_once(const Genome& parent, Rng& rng) const {
       mutate_fake_pd(genome, rng);
       break;
     case Op::kTimelineAdd:
-      if (genome.timeline.size() >= options_.max_timeline) break;
+      if (genome.timeline.size() >= kMaxTimeline) break;
       add_timeline_gene(genome, rng, genome.horizon / 8);
       break;
     case Op::kTimelineRemove: {
@@ -246,16 +234,15 @@ Genome Mutator::mutate_once(const Genome& parent, Rng& rng) const {
     }
     case Op::kGst:
       genome.gst = static_cast<SimTime>(
-          rng.next_below(static_cast<std::uint64_t>(options_.max_gst) + 1));
+          rng.next_below(static_cast<std::uint64_t>(kMaxGst) + 1));
       break;
     case Op::kDelta:
       genome.delta = 1 + static_cast<SimTime>(rng.next_below(
-                             static_cast<std::uint64_t>(options_.max_delta)));
+                             static_cast<std::uint64_t>(kMaxDelta)));
       break;
     case Op::kHorizon:
       genome.horizon = rng.chance(0.5) ? genome.horizon * 2 : genome.horizon / 2;
-      genome.horizon =
-          std::clamp(genome.horizon, options_.min_horizon, options_.max_horizon);
+      genome.horizon = std::clamp(genome.horizon, kMinHorizon, kMaxHorizon);
       break;
     case Op::kSeed:
       genome.seed = 1 + rng.next_below(1'000'000);
@@ -307,12 +294,11 @@ Genome Mutator::mutate_once(const Genome& parent, Rng& rng) const {
 
 std::optional<Genome> Mutator::mutate(const Genome& parent, Rng& rng) const {
   const std::string parent_line = parent.to_line();
-  for (std::size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     Genome candidate = mutate_once(parent, rng);
-    if (candidate.graph.vertex_count() > options_.max_vertices) continue;
-    if (candidate.timeline.size() > options_.max_timeline) continue;
-    if (candidate.horizon < options_.min_horizon ||
-        candidate.horizon > options_.max_horizon) {
+    if (candidate.graph.vertex_count() > kMaxVertices) continue;
+    if (candidate.timeline.size() > kMaxTimeline) continue;
+    if (candidate.horizon < kMinHorizon || candidate.horizon > kMaxHorizon) {
       continue;
     }
     if (candidate.to_line() == parent_line) continue;

@@ -7,7 +7,7 @@
 // fault timeline, synchrony knobs, seed) and rejection-samples: a candidate
 // that fails validation, exceeds the structural bounds, or equals its
 // parent is discarded and another operator is drawn, up to
-// `max_attempts` times. The operator mix is deliberately biased toward the
+// `kMaxAttempts` times. The operator mix is deliberately biased toward the
 // adversary-controlled dimensions (fake PDs, timeline) — that is where the
 // paper's interesting counterexamples live.
 #pragma once
@@ -17,23 +17,12 @@
 
 namespace bftcup::explore {
 
-struct MutatorOptions {
-  std::size_t max_vertices = 12;   ///< keeps omniscient checkers affordable
-  std::size_t max_timeline = 8;
-  std::size_t max_attempts = 32;   ///< rejection-sampling budget per mutate()
-  SimTime min_horizon = 50'000;
-  SimTime max_horizon = 2'000'000;
-  SimTime max_gst = 100'000;
-  SimTime max_delta = 100;
-  /// Let the mutator touch the hostile-wire genes (frame mutation rate and
-  /// masks, loss rate/jitter, burst windows). Off restricts the search to
-  /// the reliable-channel space — the pre-wire operator mix, byte-for-byte.
-  bool wire_ops = true;
-};
-
 class Mutator {
  public:
-  explicit Mutator(MutatorOptions options = {}) : options_(options) {}
+  /// Structural bounds every mutant stays within; the vertex cap keeps the
+  /// omniscient checkers affordable.
+  static constexpr std::size_t kMaxVertices = 12;
+  static constexpr std::size_t kMaxTimeline = 8;
 
   /// One valid mutant of `parent`, or nullopt if the attempt budget ran out
   /// (e.g. the parent sits in a corner of the space every operator leaves).
@@ -41,13 +30,15 @@ class Mutator {
   [[nodiscard]] std::optional<Genome> mutate(const Genome& parent,
                                              Rng& rng) const;
 
-  [[nodiscard]] const MutatorOptions& options() const { return options_; }
-
  private:
+  static constexpr std::size_t kMaxAttempts = 32;  ///< per mutate() call
+  static constexpr SimTime kMinHorizon = 50'000;
+  static constexpr SimTime kMaxHorizon = 2'000'000;
+  static constexpr SimTime kMaxGst = 100'000;
+  static constexpr SimTime kMaxDelta = 100;
+
   /// One unvalidated candidate (may equal the parent; may be invalid).
   [[nodiscard]] Genome mutate_once(const Genome& parent, Rng& rng) const;
-
-  MutatorOptions options_;
 };
 
 }  // namespace bftcup::explore

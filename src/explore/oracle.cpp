@@ -97,9 +97,6 @@ bool requirements_satisfied(const Genome& genome) {
 std::optional<Classification> classify(const Genome& genome,
                                        const cup::RunReport& report,
                                        const OracleOptions& options) {
-  if (!options.include_naive && genome.mode == cup::Mode::kNaive) {
-    return std::nullopt;
-  }
   const bool satisfied = requirements_satisfied(genome);
   const bool wire = genome.wire_active();
   if (!report.agreement || !report.validity) {

@@ -8,8 +8,10 @@
 // verdict is necessarily heuristic (a horizon is not forever), so it only
 // fires when the scenario gave the protocol a fair chance: requirements
 // satisfied, every crash recovered, all disruption windows and GST well
-// clear of the horizon. Every finding is a deterministic (genome, seed)
-// artifact, so a human can replay and audit the classification.
+// clear of the horizon. Safety breaks of the deliberately unsound kNaive
+// mode count too: they are known witnesses (Theorem 7), still worth
+// minimizing. Every finding is a deterministic (genome, seed) artifact, so
+// a human can replay and audit the classification.
 #pragma once
 
 #include <optional>
@@ -35,9 +37,6 @@ enum class FindingKind : std::uint8_t {
 [[nodiscard]] const char* to_string(FindingKind kind);
 
 struct OracleOptions {
-  /// Report safety violations of the deliberately unsound kNaive mode.
-  /// They are known witnesses (Theorem 7), still worth minimizing.
-  bool include_naive = true;
   /// On a safety break with wire genes active, replay the genome with the
   /// wire stripped (same seed). A clean baseline pins the blame on the
   /// hostile wire (kWireSafety); a dirty one falls through to the ordinary

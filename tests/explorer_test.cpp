@@ -110,6 +110,33 @@ TEST(GenomeTest, ParseRejectsThirtyTwoBitFieldOverflow) {
   EXPECT_EQ(loss->loss_pm, 100u);
 }
 
+TEST(GenomeTest, ParseRejectsTimeFieldOverflow) {
+  // Every SimTime field (signed 64-bit) takes kSimTimeMax and refuses one
+  // more rather than wrapping it negative: 2^63 would otherwise replay as
+  // -2^63 (or switch the loss model off) and print back as another line.
+  const std::string base = "v=1.2|e=1>2;2>1";
+  const auto with = [](std::string field, const std::string& time) {
+    for (auto at = field.find('T'); at != std::string::npos;
+         at = field.find('T')) {
+      field.replace(at, 1, time);
+    }
+    return field;
+  };
+  for (const char* field :
+       {"|gst=T", "|delta=T", "|hz=T", "|loss=0:T", "|burst=T:10:0",
+        "|burst=0:T:0", "|burst=0:10:T", "|tl=crash:1@T", "|tl=drop:1>2@T-T",
+        "|tl=part:1/2@0-T"}) {
+    const std::string max = with(field, "9223372036854775807");
+    const auto parsed = Genome::parse_line(base + max);
+    ASSERT_TRUE(parsed.has_value()) << field;
+    EXPECT_NE(parsed->to_line().find(max), std::string::npos) << field;
+    for (const char* over : {"9223372036854775808", "18446744073709551615"}) {
+      EXPECT_FALSE(Genome::parse_line(base + with(field, over)).has_value())
+          << field << " " << over;
+    }
+  }
+}
+
 TEST(GenomeTest, WithoutVertexStripsEveryReference) {
   Genome genome = bridge_hiding_genome();
   genome.timeline.push_back(
@@ -144,8 +171,8 @@ TEST(MutatorTest, EveryMutantPassesBuildValidation) {
       if (!mutant.has_value()) continue;  // attempt budget ran out; rare
       EXPECT_TRUE(mutant->valid()) << mutant->to_line();
       EXPECT_NO_THROW((void)mutant->to_builder().build());
-      EXPECT_LE(mutant->graph.vertex_count(), mutator.options().max_vertices);
-      EXPECT_LE(mutant->timeline.size(), mutator.options().max_timeline);
+      EXPECT_LE(mutant->graph.vertex_count(), Mutator::kMaxVertices);
+      EXPECT_LE(mutant->timeline.size(), Mutator::kMaxTimeline);
       EXPECT_NE(mutant->to_line(), current.to_line());
       current = *mutant;
     }

@@ -1,6 +1,6 @@
 // cup_lint fixture: R3 must fire — an unclassified RunReport field, a
-// hashed-but-marked contradiction, and a RunRecord field that does not
-// round-trip through the CSV/JSON emitters. Not compiled.
+// hashed-but-marked contradiction, and a RunRecord field missing from the
+// runs_csv() export. Not compiled.
 // cup-lint-expect: R3
 #include <cstdint>
 #include <string>
@@ -23,20 +23,14 @@ std::string RunReport::digest() const {
 struct RunRecord {
   std::string scenario;
   std::uint64_t seed = 0;
-  std::uint64_t arena_peak = 0;  ///< missing from both emitters below
+  std::uint64_t arena_peak = 0;  ///< missing from runs_csv() below
 };
 
 struct BatchReport {
   RunRecord run;
   std::string runs_csv() const;
-  std::string to_json() const;
 };
 
 std::string BatchReport::runs_csv() const {
   return run.scenario + "," + std::to_string(run.seed);
-}
-
-std::string BatchReport::to_json() const {
-  return "{\"scenario\":\"" + run.scenario +
-         "\",\"seed\":" + std::to_string(run.seed) + "}";
 }

@@ -1,6 +1,6 @@
 // cup_lint fixture: the classified twin of r3_digest_fields.bad.cpp.
 // Every RunReport field is hashed or justified; every RunRecord field
-// appears in both emitters.
+// appears in runs_csv().
 #include <cstdint>
 #include <string>
 
@@ -26,16 +26,9 @@ struct RunRecord {
 struct BatchReport {
   RunRecord run;
   std::string runs_csv() const;
-  std::string to_json() const;
 };
 
 std::string BatchReport::runs_csv() const {
   return run.scenario + "," + std::to_string(run.seed) + "," +
          std::to_string(run.arena_peak);
-}
-
-std::string BatchReport::to_json() const {
-  return "{\"scenario\":\"" + run.scenario +
-         "\",\"seed\":" + std::to_string(run.seed) +
-         ",\"arena_peak\":" + std::to_string(run.arena_peak) + "}";
 }

@@ -420,7 +420,7 @@ TEST(WireOracleTest, PlantClassifiesAsWireSafetyAndBaselineIsClean) {
   EXPECT_TRUE(baseline.validity);
 
   // With attribution disabled the same run classifies as a plain agreement
-  // finding (naive mode, include_naive default).
+  // finding (naive mode).
   explore::OracleOptions no_attr;
   no_attr.attribute_wire = false;
   const auto plain = explore::classify(*plant, report, no_attr);

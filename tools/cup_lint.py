@@ -29,8 +29,8 @@ Rules (each finding names its rule id):
      serialized by RunReport::digest(), or its declaration carries
      `// cup-lint: digest-excluded(<why>)`. A field that is both hashed and
      marked excluded is a contradiction and also fails. Every field of
-     RunRecord must appear in both BatchReport::runs_csv() and
-     BatchReport::to_json() so reports keep round-tripping.
+     RunRecord must appear in BatchReport::runs_csv(), the one batch
+     export, so no run outcome is silently dropped from it.
 
   R4 reinterpret-cast
      No reinterpret_cast outside the audited allowlist (src/codec/), where
@@ -540,34 +540,30 @@ def check_r3(files: list[SourceFile], findings: list[Finding]) -> None:
     record = find_struct(files, "RunRecord")
     if record is not None:
         source, fields = record
-        for fn, label in (
-            (r"\bruns_csv\s*\(\s*\)\s*const", "runs_csv()"),
-            (r"\bto_json\s*\(\s*\)\s*const", "to_json()"),
-        ):
-            body = function_body(files, fn)
-            if body is None:
+        body = function_body(files, r"\bruns_csv\s*\(\s*\)\s*const")
+        if body is None:
+            findings.append(
+                Finding(
+                    "R3",
+                    source.rel,
+                    1,
+                    "struct RunRecord is declared but runs_csv() was not "
+                    "found in the scanned set",
+                )
+            )
+            return
+        emitted = set(re.findall(r"[A-Za-z_]\w*", body[1]))
+        for name, lineno in fields:
+            if name not in emitted:
                 findings.append(
                     Finding(
                         "R3",
                         source.rel,
-                        1,
-                        f"struct RunRecord is declared but {label} was not "
-                        "found in the scanned set",
+                        lineno,
+                        f"RunRecord::{name} is missing from "
+                        "BatchReport::runs_csv()",
                     )
                 )
-                continue
-            emitted = set(re.findall(r"[A-Za-z_]\w*", body[1]))
-            for name, lineno in fields:
-                if name not in emitted:
-                    findings.append(
-                        Finding(
-                            "R3",
-                            source.rel,
-                            lineno,
-                            f"RunRecord::{name} does not round-trip: it is "
-                            f"missing from BatchReport::{label}",
-                        )
-                    )
 
 
 def check_r4(source: SourceFile, findings: list[Finding]) -> None:
