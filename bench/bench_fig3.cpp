@@ -30,7 +30,8 @@ void print_experiment() {
                                                                   : "false");
   std::printf(
       "isSink(1, {1,2,3,4,6}, ...) on fig3a  : %s "
-      "(FINDING: passes even at the true f — see DESIGN.md 4.6)\n",
+      "(FINDING: passes even at the true f — see "
+      "tests/consensus_integration_test.cpp)\n",
       protocol::is_sink(view_a, 1, s1).has_value() ? "true" : "false");
   std::printf("isSink(1, {5,7,8}, {}) on fig3a       : %s (the real sink)\n",
               protocol::is_sink(view_a, 1, IdSet{p(5), p(7), p(8)}, IdSet{})

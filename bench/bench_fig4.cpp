@@ -46,8 +46,9 @@ void print_experiment() {
                      registry().run(std::string(name) + "/cupft-fake-pd", 1));
   }
 
-  // Ablation: the bridge-hiding attack on fig4a (DESIGN.md §4.6 finding 3)
-  // without and with the knowledge-closure guard.
+  // Ablation: the bridge-hiding attack on fig4a (tests/cupft_integration_test
+  // Fig4aBridgeHidingFakePdAttackSplits) without and with the
+  // knowledge-closure guard.
   std::printf("--- bridge-hiding fake-PD attack ablation (fig4a) ---\n");
   bench::print_row("attack, no guard",
                    registry().run("fig4a/bridge-hiding-attack", 1));

@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "graph/generators.hpp"
 #include "protocol/core.hpp"

@@ -10,8 +10,6 @@
 // unforgeability the protocol relies on — a Byzantine process cannot
 // fabricate a correct process's signed PD — is enforced structurally
 // because no code path hands one process another's secret.
-//
-// DESIGN.md §4.4 records this substitution.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,7 @@
 // `min_core_k` guards against the degenerate g = 0 reading of Algorithm 4
 // (with g = 0 any two mutually-received processes pass the predicate by
 // absorbing everything known into S2). Any Byzantine-tolerant deployment
-// has f >= 1, hence k(core) = f+1 >= 2; see DESIGN.md §4.2.
+// has f >= 1, hence k(core) = f+1 >= 2.
 #pragma once
 
 #include "cup/node_base.hpp"
@@ -23,7 +23,7 @@ class CupftNode final : public CupNodeBase {
     /// the strict maximum before the hidden side is learned), but costs
     /// liveness whenever a Byzantine process *outside* the core stays
     /// silent forever — evidence that Algorithm 4 cannot be patched by a
-    /// purely local rule; see DESIGN.md §4.6 and the ablation tests.
+    /// purely local rule; tests/closure_guard_test.cpp pins both sides.
     bool require_known_closure = false;
   };
 
@@ -31,11 +31,6 @@ class CupftNode final : public CupNodeBase {
       : CupNodeBase(id, std::move(params)), options_(options) {}
   // Out-of-line: Options' defaults cannot be instantiated inside the class.
   CupftNode(ProcessId id, Params params);
-
-  /// The threshold this node discovered (meaningful after membership).
-  [[nodiscard]] std::optional<std::size_t> discovered_f() const {
-    return discovered_f_;
-  }
 
  protected:
   [[nodiscard]] std::optional<Membership> evaluate(
@@ -50,13 +45,11 @@ class CupftNode final : public CupNodeBase {
         }
       }
     }
-    discovered_f_ = core->g;
     return Membership{core->members, core->g};
   }
 
  private:
   Options options_;
-  std::optional<std::size_t> discovered_f_;
 };
 
 }  // namespace bftcup::cup

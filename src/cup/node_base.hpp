@@ -54,7 +54,6 @@ class CupNodeBase : public sim::Process {
   void on_timer(int kind, sim::Context& ctx) override;
   void on_recover(sim::Context& ctx) override;
 
-  [[nodiscard]] bool has_decided() const { return decided_.has_value(); }
   [[nodiscard]] Value decision() const { return *decided_; }
   [[nodiscard]] const std::optional<Membership>& membership() const {
     return membership_;

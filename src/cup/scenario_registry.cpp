@@ -247,8 +247,9 @@ void register_fig4(ScenarioRegistry& registry) {
                   }});
   }
   registry.add({"fig4a/bridge-hiding-attack",
-                "Bridge-hiding fake-PD attack on Fig. 4a (DESIGN.md 4.6 "
-                "finding 3): 5 advertises {6,7,8} to hide the bridge",
+                "Bridge-hiding fake-PD attack on Fig. 4a: 5 advertises "
+                "{6,7,8} to hide the 5->4 bridge, so the B side can adopt "
+                "the phantom core {5,6,7,8}",
                 {"fig4", "cupft", "byz", "attack"},
                 [](std::uint64_t seed) {
                   return ScenarioBuilder(graph::figures::fig4a())

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <limits>
+#include <set>
 #include <utility>
 
 namespace bftcup::explore {
@@ -305,11 +306,15 @@ std::string Genome::to_line() const {
 std::optional<Genome> Genome::parse_line(const std::string& line) {
   Genome genome;
   bool saw_vertices = false;
+  // A repeated key would silently override the value before it, so the
+  // line would replay a different system than it states.
+  std::set<std::string> seen_keys;
   for (const std::string& field : split(line, '|')) {
     const auto eq = field.find('=');
     if (eq == std::string::npos) return std::nullopt;
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
+    if (!seen_keys.insert(key).second) return std::nullopt;
     if (key == "v") {
       const auto ids = parse_ids(value);
       if (!ids) return std::nullopt;
@@ -324,6 +329,11 @@ std::optional<Genome> Genome::parse_line(const std::string& line) {
         const auto from = parse_u64(edge.substr(0, arrow));
         const auto to = parse_u64(edge.substr(arrow + 1));
         if (!from || !to) return std::nullopt;
+        // add_edge would insert an undeclared endpoint as a new process.
+        if (!genome.graph.has_vertex(ProcessId(*from)) ||
+            !genome.graph.has_vertex(ProcessId(*to))) {
+          return std::nullopt;
+        }
         genome.graph.add_edge(ProcessId(*from), ProcessId(*to));
       }
     } else if (key == "f") {
@@ -350,7 +360,10 @@ std::optional<Genome> Genome::parse_line(const std::string& line) {
         const auto owner = parse_u64(entry.substr(0, colon));
         const auto members = parse_ids(entry.substr(colon + 1));
         if (!owner || !members) return std::nullopt;
-        genome.fake_pds[ProcessId(*owner)] = *members;
+        // One PD per owner: a repeat would silently drop one of the two.
+        if (!genome.fake_pds.emplace(ProcessId(*owner), *members).second) {
+          return std::nullopt;
+        }
       }
     } else if (key == "tl") {
       if (value.empty()) continue;

@@ -19,13 +19,12 @@ void MaxFlow::reset_flow() {
   for (Edge& e : edges_) e.capacity = e.original;
 }
 
-std::size_t MaxFlow::add_edge(std::size_t from, std::size_t to, int capacity) {
+void MaxFlow::add_edge(std::size_t from, std::size_t to, int capacity) {
   const std::size_t idx = edges_.size();
   edges_.push_back({to, capacity, capacity});
   edges_.push_back({from, 0, 0});
   adj_[from].push_back(idx);
   adj_[to].push_back(idx + 1);
-  return idx;
 }
 
 bool MaxFlow::bfs(std::size_t s, std::size_t t) {
@@ -74,10 +73,6 @@ int MaxFlow::run(std::size_t s, std::size_t t, int limit) {
     }
   }
   return flow;
-}
-
-int MaxFlow::flow_on(std::size_t e) const {
-  return edges_[e].original - edges_[e].capacity;
 }
 
 }  // namespace bftcup::graph

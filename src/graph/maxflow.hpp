@@ -5,8 +5,9 @@
 // int is ample and overflow-free.
 //
 // An instance doubles as a reusable arena: reset(n) clears the network but
-// keeps every buffer's capacity, so the κ checks that run one flow per
-// vertex pair stop paying an allocation storm per pair.
+// keeps every buffer's capacity, and reset_flow() restores the capacities
+// of the network it holds, so the κ checks that run one flow per vertex
+// pair build one network per graph and pay no allocation per pair.
 #pragma once
 
 #include <cstddef>
@@ -25,13 +26,12 @@ class MaxFlow {
   /// capacity (edge pool, adjacency rows, BFS scratch) for reuse.
   void reset(std::size_t node_count);
 
-  /// Adds a directed edge with the given capacity; returns the edge index
-  /// (the reverse edge is index+1).
-  std::size_t add_edge(std::size_t from, std::size_t to, int capacity);
+  /// Adds a directed edge with the given capacity (and its residual twin).
+  void add_edge(std::size_t from, std::size_t to, int capacity);
 
   /// Restores every edge to its original capacity, keeping the network
-  /// topology. Cheaper than rebuilding: the batched connectivity checks run
-  /// one flow per (source, target) pair over one shared network, paying a
+  /// topology. Cheaper than rebuilding: the connectivity checks run one
+  /// flow per (source, target) pair over one shared network, paying a
   /// linear sweep instead of an adjacency rebuild per pair.
   void reset_flow();
 
@@ -40,9 +40,6 @@ class MaxFlow {
   /// May be called once per reset(); call reset_flow() between runs to
   /// reuse the same network for another (s, t) pair.
   int run(std::size_t s, std::size_t t, int limit = 1 << 30);
-
-  /// Flow pushed on edge `e` (as returned by add_edge), valid after run().
-  [[nodiscard]] int flow_on(std::size_t e) const;
 
  private:
   struct Edge {

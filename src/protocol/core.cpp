@@ -6,7 +6,7 @@
 
 namespace bftcup::protocol {
 
-std::optional<CoreResult> try_find_core(const KnowledgeView& view,
+std::optional<SinkResult> try_find_core(const KnowledgeView& view,
                                         const SinkSearch& search) {
   const std::vector<SinkCandidate> candidates = search.candidates(view);
   if (candidates.empty()) return std::nullopt;
@@ -49,7 +49,7 @@ std::optional<CoreResult> try_find_core(const KnowledgeView& view,
     }
   }
 
-  CoreResult result;
+  SinkResult result;
   result.members = best->first;
   result.g = best_g;
   result.s1 = best->second.witness->s1;
@@ -57,23 +57,11 @@ std::optional<CoreResult> try_find_core(const KnowledgeView& view,
   return result;
 }
 
-std::optional<CoreResult> try_find_core(const KnowledgeView& view,
+std::optional<SinkResult> try_find_core(const KnowledgeView& view,
                                         const SinkSearch& search,
                                         SharedEvalCache* cache) {
-  if (cache == nullptr) return try_find_core(view, search);
-  ++cache->stats().evaluations;
-  if (!cache->memo_enabled()) return try_find_core(view, search);
-
-  Bytes canon;
-  view_canonical(view, canon);
-  const EvalKeyView key{search.cache_key(), 0, canon};
-  if (const auto* hit = cache->find_core(key)) {
-    ++cache->stats().hits;
-    return *hit;
-  }
-  std::optional<CoreResult> result = try_find_core(view, search);
-  cache->store_core(key, result);
-  return result;
+  return memoized(cache, view, search, kCoreParam,
+                  [&] { return try_find_core(view, search); });
 }
 
 }  // namespace bftcup::protocol

@@ -7,32 +7,24 @@
 // maximum among every sink-candidate derivable from current knowledge:
 // settling early on a lower-connectivity sink the process happened to
 // discover first is exactly the mistake the extended model exists to
-// prevent. See DESIGN.md §4.2.
+// prevent. CoreAlgorithmTest's tie cases (Fig2cTieNeverResolves,
+// Fig3aSafeViewTiesAndNeverResolves) pin this rule.
 #pragma once
 
 #include <optional>
 
-#include "protocol/sink_search.hpp"
+#include "protocol/sink.hpp"
 
 namespace bftcup::protocol {
 
-struct CoreResult {
-  IdSet members;    ///< V_core = S1 ∪ S2
-  std::size_t g;    ///< f_Gdi(V_core): max witness threshold
-  IdSet s1;
-  IdSet s2;
-
-  [[nodiscard]] std::size_t k() const { return g + 1; }
-};
-
-class SharedEvalCache;  // protocol/eval_cache.hpp
-
-[[nodiscard]] std::optional<CoreResult> try_find_core(const KnowledgeView& view,
+/// The core as a SinkResult: members = V_core, g = f_Gdi(V_core) (the
+/// maximal witness threshold), s1/s2 a witnessing split.
+[[nodiscard]] std::optional<SinkResult> try_find_core(const KnowledgeView& view,
                                                       const SinkSearch& search);
 
-/// Memoized variant keyed by (strategy, canonical view bytes) in the
-/// per-simulation evaluation cache; see try_find_sink's cached overload.
-[[nodiscard]] std::optional<CoreResult> try_find_core(const KnowledgeView& view,
+/// Memoized variant keyed by (strategy, kCoreParam, canonical view bytes) in
+/// the per-simulation evaluation cache; see try_find_sink's cached overload.
+[[nodiscard]] std::optional<SinkResult> try_find_core(const KnowledgeView& view,
                                                       const SinkSearch& search,
                                                       SharedEvalCache* cache);
 

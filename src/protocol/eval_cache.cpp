@@ -42,30 +42,18 @@ void view_canonical(const KnowledgeView& view, Bytes& out) {
   }
 }
 
-const std::optional<SinkResult>* SharedEvalCache::find_sink(
+const std::optional<SinkResult>* SharedEvalCache::find(
     const EvalKeyView& key) const {
   // The cache is thread-confined, so the probe runs on the run thread and
   // the span stream is replay-stable at a fixed knob setting.
   const obs::ScopedSpan span("eval.cache_probe");
-  const auto it = sink_.find(key);
-  return it == sink_.end() ? nullptr : &it->second;
+  const auto it = memo_.find(key);
+  return it == memo_.end() ? nullptr : &it->second;
 }
 
-void SharedEvalCache::store_sink(const EvalKeyView& key,
-                                 std::optional<SinkResult> result) {
-  sink_.emplace(own_key(key), std::move(result));
-}
-
-const std::optional<CoreResult>* SharedEvalCache::find_core(
-    const EvalKeyView& key) const {
-  const obs::ScopedSpan span("eval.cache_probe");
-  const auto it = core_.find(key);
-  return it == core_.end() ? nullptr : &it->second;
-}
-
-void SharedEvalCache::store_core(const EvalKeyView& key,
-                                 std::optional<CoreResult> result) {
-  core_.emplace(own_key(key), std::move(result));
+void SharedEvalCache::store(const EvalKeyView& key,
+                            std::optional<SinkResult> result) {
+  memo_.emplace(own_key(key), std::move(result));
 }
 
 }  // namespace bftcup::protocol

@@ -20,7 +20,6 @@
 #include "common/bytes.hpp"
 #include "common/fnv.hpp"
 #include "common/thread_annotations.hpp"
-#include "protocol/core.hpp"
 #include "protocol/sink.hpp"
 
 namespace bftcup::protocol {
@@ -33,10 +32,14 @@ namespace bftcup::protocol {
 /// (and no cryptographic hashing is needed on this hot path at all).
 void view_canonical(const KnowledgeView& view, Bytes& out);
 
+/// The param of every Core key. f = 0 is a legal Sink key, so Core entries
+/// take a value no f reaches, and both algorithms share one map.
+inline constexpr std::uint64_t kCoreParam = ~std::uint64_t{0};
+
 /// One entry key of the shared evaluation cache (owning form).
 struct EvalKey {
   std::string strategy;     ///< SinkSearch::cache_key()
-  std::uint64_t param = 0;  ///< f for the Sink algorithm; unused for Core
+  std::uint64_t param = 0;  ///< f for the Sink algorithm; kCoreParam for Core
   Bytes view;               ///< view_canonical bytes
 
   friend bool operator==(const EvalKey&, const EvalKey&) = default;
@@ -108,25 +111,17 @@ class BFTCUP_THREAD_CONFINED SharedEvalCache {
   /// Retained entries are simply not consulted while disabled.
   void set_memo_enabled(bool enabled) { memo_enabled_ = enabled; }
 
-  [[nodiscard]] const std::optional<SinkResult>* find_sink(
+  /// The memoized outcome for `key`, or nullptr if none is stored.
+  [[nodiscard]] const std::optional<SinkResult>* find(
       const EvalKeyView& key) const;
-  void store_sink(const EvalKeyView& key, std::optional<SinkResult> result);
-
-  [[nodiscard]] const std::optional<CoreResult>* find_core(
-      const EvalKeyView& key) const;
-  void store_core(const EvalKeyView& key, std::optional<CoreResult> result);
+  void store(const EvalKeyView& key, std::optional<SinkResult> result);
 
   /// Entries currently memoized (sink + core results).
-  [[nodiscard]] std::size_t entry_count() const {
-    return sink_.size() + core_.size();
-  }
+  [[nodiscard]] std::size_t entry_count() const { return memo_.size(); }
 
   /// Drops every memoized result (the recycled engine's cap valve; never
   /// needed for soundness). Counters are kept.
-  void clear_entries() {
-    sink_.clear();
-    core_.clear();
-  }
+  void clear_entries() { memo_.clear(); }
 
   [[nodiscard]] Stats& stats() { return stats_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -135,11 +130,33 @@ class BFTCUP_THREAD_CONFINED SharedEvalCache {
   bool memo_enabled_;
   std::unordered_map<EvalKey, std::optional<SinkResult>, EvalKeyHash,
                      EvalKeyEq>
-      sink_;
-  std::unordered_map<EvalKey, std::optional<CoreResult>, EvalKeyHash,
-                     EvalKeyEq>
-      core_;
+      memo_;
   Stats stats_;
 };
+
+/// The memo wrapper of both cached try_find_* overloads: counts the
+/// evaluation, then, with the memo on, answers from the entry for
+/// (search.cache_key(), param, view) or runs `cold` and stores its result.
+/// `cache == nullptr` runs `cold` alone.
+template <typename Cold>
+std::optional<SinkResult> memoized(SharedEvalCache* cache,
+                                   const KnowledgeView& view,
+                                   const SinkSearch& search,
+                                   std::uint64_t param, const Cold& cold) {
+  if (cache == nullptr) return cold();
+  ++cache->stats().evaluations;
+  if (!cache->memo_enabled()) return cold();
+
+  Bytes canon;
+  view_canonical(view, canon);
+  const EvalKeyView key{search.cache_key(), param, canon};
+  if (const auto* hit = cache->find(key)) {
+    ++cache->stats().hits;
+    return *hit;
+  }
+  std::optional<SinkResult> result = cold();
+  cache->store(key, result);
+  return result;
+}
 
 }  // namespace bftcup::protocol

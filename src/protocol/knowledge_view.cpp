@@ -21,49 +21,25 @@ bool KnowledgeView::add_pd(ProcessId owner, const IdSet& pd) {
   return changed;
 }
 
-bool KnowledgeView::add_known(ProcessId id) { return known_.insert(id); }
-
 const IdSet* KnowledgeView::pd_of(ProcessId owner) const {
   auto it = pds_.find(owner);
   return it == pds_.end() ? nullptr : &it->second;
 }
 
-graph::Digraph KnowledgeView::knowledge_graph() const {
-  graph::Digraph g;
-  for (ProcessId id : known_) g.add_vertex(id);
-  for (const auto& [owner, pd] : pds_) {
-    for (ProcessId target : pd) g.add_edge(owner, target);
-  }
-  return g;
-}
-
-std::size_t KnowledgeView::out_reach_count(const IdSet& s1,
-                                           const IdSet& targets) const {
-  // |S1| · |PD| membership tests against `targets`; adaptive probe keeps
-  // the quorum check linear-ish for large target sets.
-  const AdaptiveIdProbe probe(targets);
-  std::size_t count = 0;
-  for (ProcessId i : s1) {
-    const IdSet* pd = pd_of(i);
+graph::Digraph KnowledgeView::knowledge_graph(const IdSet& keep) const {
+  const AdaptiveIdProbe probe(keep);
+  graph::Digraph g(keep);
+  for (ProcessId id : keep) {
+    const IdSet* pd = pd_of(id);
     if (pd == nullptr) continue;
+    // A PD is a set, so each (id, t) pair occurs once — the unchecked
+    // insert keeps a dense `keep` (the big-SCC certification path evaluates
+    // near-complete components) quadratic instead of cubic.
     for (ProcessId t : *pd) {
-      if (probe.contains(t)) {
-        ++count;
-        break;
-      }
+      if (probe.contains(t)) g.add_edge_unchecked(id, t);
     }
   }
-  return count;
-}
-
-std::size_t KnowledgeView::in_degree_from(const IdSet& s1,
-                                          ProcessId target) const {
-  std::size_t count = 0;
-  for (ProcessId i : s1) {
-    const IdSet* pd = pd_of(i);
-    if (pd != nullptr && pd->contains(target)) ++count;
-  }
-  return count;
+  return g;
 }
 
 KnowledgeView KnowledgeView::omniscient(const graph::Digraph& g) {

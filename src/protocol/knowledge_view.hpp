@@ -35,27 +35,20 @@ class KnowledgeView {
   /// the same set"). New ids in `pd` are added to known().
   bool add_pd(ProcessId owner, const IdSet& pd);
 
-  /// Adds a process to S_known without a PD (e.g. learned as a PD member).
-  bool add_known(ProcessId id);
-
   [[nodiscard]] const IdSet& known() const { return known_; }
   [[nodiscard]] const IdSet& received() const { return received_; }
   [[nodiscard]] const std::map<ProcessId, IdSet>& pds() const { return pds_; }
   [[nodiscard]] const IdSet* pd_of(ProcessId owner) const;
 
-  /// The knowledge graph K: vertices = S_known, edges j -> k for every
-  /// received PD_j containing k. Only received PDs contribute edges — a
-  /// process cannot use out-edges it has not seen evidence for.
-  [[nodiscard]] graph::Digraph knowledge_graph() const;
-
-  /// Number of processes in S1 with an out-edge (per received PDs) into
-  /// `targets` — the paper's  S1 --k--> targets  count.
-  [[nodiscard]] std::size_t out_reach_count(const IdSet& s1,
-                                            const IdSet& targets) const;
-
-  /// Number of processes in S1 whose received PD contains `target`.
-  [[nodiscard]] std::size_t in_degree_from(const IdSet& s1,
-                                           ProcessId target) const;
+  /// The knowledge graph K restricted to `keep` (K[keep]): the vertices
+  /// are `keep`, with an edge j -> k for every j in `keep` whose received
+  /// PD contains k in `keep`. Only received PDs contribute edges — a
+  /// process cannot use out-edges it has not seen evidence for. The one
+  /// place a view becomes a graph: the search takes K[S_received] for its
+  /// SCCs, the predicate K[S1] for κ. Vertices are indexed in ascending id
+  /// order and every out-list ascends, so Tarjan's order over the result —
+  /// and with it candidate order — is a function of the view alone.
+  [[nodiscard]] graph::Digraph knowledge_graph(const IdSet& keep) const;
 
   /// Omniscient view of a full knowledge connectivity graph: every vertex's
   /// out-neighborhood is its PD. Used by graph-level checkers and tests.

@@ -11,12 +11,11 @@
 // f the (known or discovered) fault threshold. Any two quorums intersect in
 // a correct process, and with |S| >= 2f+1 correct members quorums are live.
 //
-// View-change simplification (documented in DESIGN.md §4.4): NEW-VIEW
-// carries the highest PREPARE certificate the new leader collected; a
-// replica that prepared (v, x) refuses a conflicting value justified by a
-// certificate older than v. This preserves the commit-intersection safety
-// argument for the single-shot case without shipping full view-change
-// proofs.
+// View-change simplification: NEW-VIEW carries the highest PREPARE
+// certificate the new leader collected; a replica that prepared (v, x)
+// refuses a conflicting value justified by a certificate older than v. This
+// preserves the commit-intersection safety argument for the single-shot
+// case without shipping full view-change proofs.
 #pragma once
 
 #include <map>

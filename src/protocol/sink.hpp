@@ -12,10 +12,14 @@
 
 namespace bftcup::protocol {
 
+/// The membership a Sink (Alg. 2) or Core (Alg. 4) evaluation settles on.
 struct SinkResult {
-  IdSet members;  ///< S1 ∪ S2
+  IdSet members;      ///< S1 ∪ S2
+  std::size_t g = 0;  ///< witness threshold: f for Sink, f_Gdi for Core
   IdSet s1;
   IdSet s2;
+
+  [[nodiscard]] std::size_t k() const { return g + 1; }
 };
 
 class SharedEvalCache;  // protocol/eval_cache.hpp

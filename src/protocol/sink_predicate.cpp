@@ -6,7 +6,6 @@
 
 #include "common/bitset64.hpp"
 #include "graph/connectivity.hpp"
-#include "graph/scc.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -87,41 +86,16 @@ std::size_t escapes_at(const OutsideCounts& counts, std::size_t g) {
       counts.escape_min.begin());
 }
 
-graph::Digraph induced_knowledge(const KnowledgeView& view, const IdSet& s1,
-                                 const AdaptiveIdProbe& s1_probe) {
-  graph::Digraph g;
-  for (ProcessId id : s1) g.add_vertex(id);
-  for (ProcessId id : s1) {
-    const IdSet* pd = view.pd_of(id);
-    if (pd == nullptr) continue;
-    // A PD is a set, so each (id, t) pair occurs once — the unchecked
-    // insert keeps a dense S1 (the big-SCC certification path evaluates
-    // near-complete components) quadratic instead of cubic.
-    for (ProcessId t : *pd) {
-      if (s1_probe.contains(t)) g.add_edge_unchecked(id, t);
-    }
-  }
-  return g;
-}
-
 }  // namespace
 
 std::optional<IdSet> is_sink(const KnowledgeView& view, std::size_t f,
                              const IdSet& s1) {
-  // P1: size and "connectivity of S1 is computable" (S1 ⊆ S_received).
-  if (s1.size() < 2 * f + 1) return std::nullopt;
-  if (!s1.is_subset_of(view.received())) return std::nullopt;
-
-  const AdaptiveIdProbe s1_probe(s1);
-
-  // P2: κ(K[S1]) >= f+1.
-  const graph::Digraph sub = induced_knowledge(view, s1, s1_probe);
-  if (!graph::is_k_strongly_connected(sub, f + 1)) return std::nullopt;
-
-  // P4 then P3 (erratum order; see header).
-  const OutsideCounts counts = outside_counts(view, s1, s1_probe);
-  if (escapes_at(counts, f) > f) return std::nullopt;
-  return s2_at(counts, f);
+  // P1's size bound is f <= (|S1|-1)/2 and P2's κ >= f+1 is f <= κ-1, so
+  // the split at g = f, if admissible, is exactly isSink(f, S1, S2).
+  for (AdmissibleSplit& split : admissible_thresholds(view, s1)) {
+    if (split.g == f) return std::move(split.s2);
+  }
+  return std::nullopt;
 }
 
 bool is_sink(const KnowledgeView& view, std::size_t f, const IdSet& s1,
@@ -132,15 +106,17 @@ bool is_sink(const KnowledgeView& view, std::size_t f, const IdSet& s1,
 
 std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
                                                    const IdSet& s1) {
+  // P1: "connectivity of S1 is computable" (S1 ⊆ S_received).
   if (s1.empty() || !s1.is_subset_of(view.received())) return {};
-  const AdaptiveIdProbe s1_probe(s1);
+  // P2: κ(K[S1]) >= g+1 for some g >= 0.
   const std::size_t kappa =
-      graph::strong_connectivity(induced_knowledge(view, s1, s1_probe));
+      graph::strong_connectivity(view.knowledge_graph(s1));
   if (kappa == 0) return {};
 
   // g is bounded by P2 (g <= κ-1) and P1 (2g+1 <= |S1|). One counting pass
-  // serves every threshold.
-  const OutsideCounts counts = outside_counts(view, s1, s1_probe);
+  // serves every threshold, P4 then P3 (erratum order; see header).
+  const OutsideCounts counts =
+      outside_counts(view, s1, AdaptiveIdProbe(s1));
   const std::size_t g_max = std::min(kappa - 1, (s1.size() - 1) / 2);
   std::vector<AdmissibleSplit> splits;
   for (std::size_t g = 0; g <= g_max; ++g) {

@@ -1,12 +1,12 @@
 // The isSink predicate (Theorem 3 / Algorithm 2 line 1) and its unknown-f
 // closure isSink* (Section V).
 //
-// Erratum handling (see DESIGN.md §4.1): Algorithm 2 as printed checks
-// `S1 ≤f→ S_known \ S1`, which is contradicted by the paper's own worked
-// example (Fig. 1b, S1={1,3,4}, S2={2}, f=1: two members of S1 point to 2).
-// We implement the reading consistent with Theorem 3's proof and the
-// example: S2 is computed first (P4), then at most f members of S1 may have
-// out-edges escaping S1 ∪ S2 (P3).
+// Erratum handling: Algorithm 2 as printed checks `S1 ≤f→ S_known \ S1`,
+// which is contradicted by the paper's own worked example (Fig. 1b,
+// S1={1,3,4}, S2={2}, f=1: two members of S1 point to 2). We implement the
+// reading consistent with Theorem 3's proof and the example: S2 is computed
+// first (P4), then at most f members of S1 may have out-edges escaping
+// S1 ∪ S2 (P3). IsSinkTest.Fig1bScenarioFromSectionIII pins the example.
 #pragma once
 
 #include <optional>
@@ -21,7 +21,8 @@ namespace bftcup::protocol {
 ///   P2: κ(K[S1]) >= f+1,
 ///   P4: S2 = { j ∈ S_known \ S1 : |{i ∈ S1 : j ∈ PD_i}| > f },
 ///   P3: |{i ∈ S1 : PD_i escapes S1 ∪ S2}| <= f.
-/// Returns nullopt otherwise.
+/// Returns nullopt otherwise. Evaluated as the g = f split of
+/// admissible_thresholds — the code path the search runs.
 [[nodiscard]] std::optional<IdSet> is_sink(const KnowledgeView& view,
                                            std::size_t f, const IdSet& s1);
 

@@ -100,8 +100,9 @@ void enumerate_structured(const KnowledgeView& view, const IdSet& scc,
 /// any strongly connected S1 (P2 needs κ >= 1) is a subset of one of these.
 /// Both strategies walk them in this order, which fixes candidate order.
 std::vector<IdSet> received_sccs(const KnowledgeView& view) {
-  const graph::Digraph k = view.knowledge_graph().induced(view.received());
-  return graph::strongly_connected_components(k).members;
+  return graph::strongly_connected_components(
+             view.knowledge_graph(view.received()))
+      .members;
 }
 
 /// Big-SCC certification: components too large to enumerate are *certified
@@ -222,10 +223,6 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
       [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
         enumerate_structured(view, scc, options_.removal_cap, out);
       });
-}
-
-std::unique_ptr<SinkSearch> make_default_search() {
-  return std::make_unique<ExhaustiveSinkSearch>();
 }
 
 std::uint64_t big_scc_fallbacks() { return t_big_scc_fallbacks; }

@@ -2,7 +2,7 @@
 //
 // The algorithms as specified quantify existentially over subsets of
 // S_received — an exponential search. Two strategies are provided behind one
-// interface (DESIGN.md §4.3):
+// interface:
 //
 //  * ExhaustiveSinkSearch — bitmask enumeration of subsets inside each SCC
 //    of the received-knowledge graph (any strongly connected S1 lies inside
@@ -24,7 +24,6 @@
 // Property tests cross-validate the two strategies on random graphs.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -117,10 +116,6 @@ class StructuredSinkSearch final : public SinkSearch {
   SearchOptions options_;
   std::string cache_key_;
 };
-
-/// Convenience: the default strategy used by nodes (exhaustive — every graph
-/// in the paper and in the test corpus has small components).
-[[nodiscard]] std::unique_ptr<SinkSearch> make_default_search();
 
 /// Components routed through the big-SCC certification path on this thread
 /// since the last reset (a simulator runs entirely on one thread;

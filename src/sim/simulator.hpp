@@ -92,12 +92,6 @@ class Simulator {
   /// The signature memo itself (cap management by the owning context).
   [[nodiscard]] crypto::SignCache& sign_cache() { return sign_cache_; }
 
-  /// Capability factory for a process (used by node builders that need the
-  /// signer before the simulation starts, e.g. to pre-sign their PD).
-  [[nodiscard]] crypto::Signer signer_for(ProcessId id) {
-    return crypto::Signer(id, &registry_);
-  }
-
  private:
   friend class Context;
 

@@ -1,5 +1,6 @@
 // Ablation of CupftNode's knowledge-closure guard against the
-// bridge-hiding fake-PD attack (DESIGN.md §4.6).
+// bridge-hiding fake-PD attack (described in cupft_integration_test's
+// Fig4aBridgeHidingFakePdAttackSplits).
 #include <gtest/gtest.h>
 
 #include "cup/scenario_builder.hpp"

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+#include <vector>
+
+#include "common/random.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/maxflow.hpp"
 
@@ -212,6 +218,83 @@ TEST(AllPairsTest, SkipsSelfPairs) {
   const Digraph g = complete(3);
   EXPECT_TRUE(all_pairs_k_connected(g, {p(1), p(2)}, {p(1), p(2)}, 2));
 }
+
+/// True iff b is reachable from a without entering `removed` and without
+/// the direct a -> b edge.
+bool reaches_around(const Digraph& g, ProcessId a, ProcessId b,
+                    const IdSet& removed) {
+  std::vector<ProcessId> stack = {a};
+  IdSet seen = {a};
+  while (!stack.empty()) {
+    const ProcessId u = stack.back();
+    stack.pop_back();
+    for (ProcessId w : g.out_neighbors(u)) {
+      if (u == a && w == b) continue;
+      if (w == b) return true;
+      if (removed.contains(w) || !seen.insert(w)) continue;
+      stack.push_back(w);
+    }
+  }
+  return false;
+}
+
+/// Menger by brute force, independent of the flow code: [a -> b edge] plus
+/// the smallest |C|, C ⊆ V \ {a, b}, that cuts every other a -> b path.
+std::size_t menger_count(const Digraph& g, ProcessId a, ProcessId b) {
+  std::vector<ProcessId> others;
+  for (ProcessId v : g.vertices()) {
+    if (v != a && v != b) others.push_back(v);
+  }
+  std::size_t cut = others.size();  // removing every other vertex cuts
+  for (std::uint32_t mask = 0; mask < (1U << others.size()); ++mask) {
+    const auto size = static_cast<std::size_t>(std::popcount(mask));
+    if (size >= cut) continue;
+    IdSet removed;
+    for (std::size_t i = 0; i < others.size(); ++i) {
+      if (mask & (1U << i)) removed.insert(others[i]);
+    }
+    if (!reaches_around(g, a, b, removed)) cut = size;
+  }
+  return (g.has_edge(a, b) ? 1 : 0) + cut;
+}
+
+class MengerSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MengerSweep, SplitNetworkMatchesBruteForceCuts) {
+  // A ring (so the graph is strongly connected) plus 12 random chords.
+  Rng rng(GetParam());
+  Digraph g;
+  const std::size_t n = 8;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    g.add_edge(p(i + 1), p((i + 1) % n + 1));
+  }
+  for (int e = 0; e < 12; ++e) {
+    g.add_edge(p(rng.next_below(n) + 1), p(rng.next_below(n) + 1));
+  }
+  const IdSet all = g.vertices();
+  std::size_t kappa = n;
+  for (ProcessId a : all) {
+    std::size_t from_a = n;
+    for (ProcessId b : all) {
+      if (a == b) continue;
+      const std::size_t expected = menger_count(g, a, b);
+      const std::string pair = to_string(a) + "->" + to_string(b);
+      EXPECT_EQ(disjoint_path_count(g, a, b), expected) << pair;
+      EXPECT_TRUE(has_k_disjoint_paths(g, a, b, expected)) << pair;
+      EXPECT_FALSE(has_k_disjoint_paths(g, a, b, expected + 1)) << pair;
+      from_a = std::min(from_a, expected);
+    }
+    EXPECT_TRUE(all_pairs_k_connected(g, {a}, all, from_a)) << to_string(a);
+    EXPECT_FALSE(all_pairs_k_connected(g, {a}, all, from_a + 1))
+        << to_string(a);
+    kappa = std::min(kappa, from_a);
+  }
+  EXPECT_TRUE(all_pairs_k_connected(g, all, all, kappa));
+  EXPECT_FALSE(all_pairs_k_connected(g, all, all, kappa + 1));
+  EXPECT_EQ(strong_connectivity(g), kappa);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MengerSweep, ::testing::Values(1, 2, 3, 4, 5));
 
 }  // namespace
 }  // namespace bftcup::graph

@@ -81,12 +81,12 @@ TEST(AuthCupIntegrationTest, Fig1aSplitsExactlyAsThePaperArgues) {
 }
 
 TEST(AuthCupIntegrationTest, Fig3aTrueSinkDecidesAndNobodyContradictsIt) {
-  // FINDING (DESIGN.md §4.6): on fig3a even the *known-f* predicate admits
-  // a second satisfying family at g = 1 — {2,3,4,6} absorbing {1,5,7} — a
-  // gap between Theorem 4's statement and the predicate as exemplified
-  // (the paper's own Fig. 1b walkthrough forces the S2-absorbing reading of
-  // P3, under which the non-sink exclusion argument no longer goes
-  // through). Executable consequences, which we pin down:
+  // FINDING: on fig3a even the *known-f* predicate admits a second
+  // satisfying family at g = 1 — {2,3,4,6} absorbing {1,5,7} — a gap
+  // between Theorem 4's statement and the predicate as exemplified (the
+  // paper's own Fig. 1b walkthrough forces the S2-absorbing reading of P3,
+  // under which the non-sink exclusion argument no longer goes through).
+  // Executable consequences, which we pin down:
   //   * the true sink {5,7,8} always finds itself and decides;
   //   * processes adopting the false family can stall (their quorum of 5
   //     exceeds its 4 live participants) but can never decide a

@@ -90,7 +90,7 @@ TEST(CoreAlgorithmTest, PartialCoreKnowledgeStillResolvesToFullCore) {
 
 TEST(CoreAlgorithmTest, PeripheryOnlyKnowledgeFindsNothingStrong) {
   // A fig4b ring member that has only ring PDs: every candidate has k = 1,
-  // which CupftNode's min_core_k = 2 guard rejects (DESIGN.md §4.2).
+  // which CupftNode's min_core_k = 2 guard rejects (see cup/cupft_node.hpp).
   const auto inst = graph::figures::fig4b();
   KnowledgeView view(p(1), inst.graph.out_neighbors(p(1)));
   view.add_pd(p(2), inst.graph.out_neighbors(p(2)));

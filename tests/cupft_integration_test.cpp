@@ -50,8 +50,8 @@ TEST(CupftIntegrationTest, Fig4aBenignFakePdStillSolves) {
 }
 
 TEST(CupftIntegrationTest, Fig4aBridgeHidingFakePdAttackSplits) {
-  // FINDING (documented in DESIGN.md §4.6): fig4a's graph engineering
-  // counts 5 -> 4 as an escape that stops {5,6,7,8} from self-declaring.
+  // FINDING: fig4a's graph engineering counts 5 -> 4 as an escape that
+  // stops {5,6,7,8} from self-declaring.
   // A Byzantine 5 that *hides* that edge (fake PD {6,7,8}) completes a
   // phantom K4 on the B side: {5,6,7,8} transiently passes the predicate
   // with k = 2 before the A-side knowledge arrives, and the B side decides

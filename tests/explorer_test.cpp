@@ -89,6 +89,22 @@ TEST(GenomeTest, ParseRejectsMalformedLines) {
   EXPECT_FALSE(Genome::parse_line("e=1>2|v=1.2").has_value());  // e before v
   EXPECT_FALSE(Genome::parse_line("v=1.2|bogus=3").has_value());
   EXPECT_FALSE(Genome::parse_line("v=1.2|tl=warp:1@5").has_value());
+
+  // A line may only replay the system it states: every edge endpoint is a
+  // declared vertex, no key repeats, and no fake-PD owner repeats.
+  const std::string base =
+      "v=1.2.3.4|e=1>2;2>1;1>3;3>1;2>3;3>2;4>1;4>2|f=1|mode=auth|byz=silent|"
+      "faulty=4|fpd=|tl=|gst=0|delta=10|hz=300000|seed=1|cg=0";
+  ASSERT_TRUE(Genome::parse_line(base).has_value());
+  std::string undeclared = base;
+  undeclared.replace(undeclared.find("4>2"), 3, "4>9");
+  EXPECT_FALSE(Genome::parse_line(undeclared).has_value());
+  EXPECT_FALSE(Genome::parse_line(base + "|f=2").has_value());
+  std::string fake_pd = base;
+  fake_pd.replace(fake_pd.find("byz=silent"), 10, "byz=fakepd");
+  ASSERT_TRUE(Genome::parse_line(fake_pd).has_value());
+  fake_pd.replace(fake_pd.find("fpd="), 4, "fpd=4:1.2.3;4:9");
+  EXPECT_FALSE(Genome::parse_line(fake_pd).has_value());
 }
 
 TEST(GenomeTest, ParseRejectsThirtyTwoBitFieldOverflow) {

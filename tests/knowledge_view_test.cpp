@@ -42,24 +42,27 @@ TEST(KnowledgeViewTest, AddPdIdempotent) {
 }
 
 TEST(KnowledgeViewTest, KnowledgeGraphOnlyUsesReceivedPds) {
+  // 2 is known through PD_1 but its own PD was never received.
   KnowledgeView view(p(1), IdSet{p(2)});
-  view.add_known(p(5));
-  const graph::Digraph k = view.knowledge_graph();
+  const graph::Digraph k = view.knowledge_graph(view.known());
   EXPECT_TRUE(k.has_edge(p(1), p(2)));
-  EXPECT_TRUE(k.has_vertex(p(5)));
+  EXPECT_TRUE(k.has_vertex(p(2)));
   EXPECT_TRUE(k.out_neighbors(p(2)).empty());  // PD_2 not received
 }
 
-TEST(KnowledgeViewTest, OutReachAndInDegreeCounts) {
+TEST(KnowledgeViewTest, KnowledgeGraphKeepsOnlyTheGivenVertices) {
   KnowledgeView view(p(1), IdSet{p(2), p(3)});
-  view.add_pd(p(2), IdSet{p(3)});
+  view.add_pd(p(2), IdSet{p(1), p(3)});
   view.add_pd(p(3), IdSet{p(4)});
-  // Processes of {1,2,3} with an out-edge into {p4}: only 3.
-  EXPECT_EQ(view.out_reach_count(IdSet{p(1), p(2), p(3)}, IdSet{p(4)}), 1U);
-  // In-degree of 3 from {1,2}: both point to it.
-  EXPECT_EQ(view.in_degree_from(IdSet{p(1), p(2)}, p(3)), 2U);
-  // Unreceived members contribute nothing.
-  EXPECT_EQ(view.in_degree_from(IdSet{p(4)}, p(1)), 0U);
+  // K[{1,2}]: the edges into 3 and 4 leave the kept set and are dropped.
+  const graph::Digraph k = view.knowledge_graph(IdSet{p(1), p(2)});
+  EXPECT_EQ(k.vertices(), (IdSet{p(1), p(2)}));
+  EXPECT_EQ(k.edge_count(), 2U);
+  EXPECT_TRUE(k.has_edge(p(1), p(2)));
+  EXPECT_TRUE(k.has_edge(p(2), p(1)));
+  // K[S_received] is K with the unreceived vertices removed.
+  EXPECT_EQ(view.knowledge_graph(view.received()),
+            view.knowledge_graph(view.known()).induced(view.received()));
 }
 
 TEST(KnowledgeViewTest, OmniscientMatchesGraph) {
@@ -72,7 +75,7 @@ TEST(KnowledgeViewTest, OmniscientMatchesGraph) {
     EXPECT_EQ(*view.pd_of(id), inst.graph.out_neighbors(id));
   }
   // Knowledge graph reconstructs the original.
-  EXPECT_EQ(view.knowledge_graph(), inst.graph);
+  EXPECT_EQ(view.knowledge_graph(view.known()), inst.graph);
 }
 
 }  // namespace

@@ -71,11 +71,15 @@ TEST(SharedEvalCacheTest, CoreResultKeyedByViewDigest) {
   const ExhaustiveSinkSearch search;
   SharedEvalCache cache(true);
 
+  // Sink and Core results share one map, and f = 0 is a legal Sink key:
+  // view_a's Sink entry at f = 0 must not answer view_a's Core query.
+  (void)protocol::try_find_sink(view_a, 0, search, &cache);
   const auto a1 = protocol::try_find_core(view_a, search, &cache);
   const auto b1 = protocol::try_find_core(view_b, search, &cache);
   const auto a2 = protocol::try_find_core(view_a, search, &cache);
-  EXPECT_EQ(cache.stats().evaluations, 3U);
+  EXPECT_EQ(cache.stats().evaluations, 4U);
   EXPECT_EQ(cache.stats().hits, 1U);  // only the repeated view hits
+  EXPECT_EQ(cache.entry_count(), 3U);
   ASSERT_TRUE(a1.has_value());
   ASSERT_TRUE(a2.has_value());
   EXPECT_EQ(a1->members, a2->members);

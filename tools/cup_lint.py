@@ -89,6 +89,18 @@ DIGEST_PATH_MODULES = (
     "src/protocol/core.cpp",
     "src/protocol/eval_cache.hpp",
     "src/protocol/eval_cache.cpp",
+    # The graph layer under the membership check: Tarjan's order over
+    # Digraph's dense indices orders the received SCCs and with them the
+    # candidates, and κ comes out of the split network's max flow. The
+    # id -> index hash map is probed, never walked.
+    "src/graph/digraph.hpp",
+    "src/graph/digraph.cpp",
+    "src/graph/scc.hpp",
+    "src/graph/scc.cpp",
+    "src/graph/connectivity.hpp",
+    "src/graph/connectivity.cpp",
+    "src/graph/maxflow.hpp",
+    "src/graph/maxflow.cpp",
     # The observability layer rides on digest-path runs: registries iterate
     # for snapshots and the tracer/export order must be replayable, so its
     # containers stay in the inventory and under R1.
