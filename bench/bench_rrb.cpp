@@ -10,7 +10,6 @@
 
 #include "graph/figures.hpp"
 #include "graph/generators.hpp"
-#include "pd/participant_detector.hpp"
 #include "protocol/discovery.hpp"
 #include "protocol/rrb.hpp"
 #include "sim/simulator.hpp"
@@ -81,15 +80,14 @@ Result run(const graph::Digraph& g, const IdSet& silent, std::size_t f,
   options.net.delta = 10;
   sim::Simulator simulator(options);
   Counters counters;
-  const auto pds = pd::ParticipantDetector::from_graph(g);
   for (ProcessId id : g.vertices()) {
     if (silent.contains(id)) continue;  // silent Byzantine: absent
     if (signed_variant) {
       simulator.add_process(std::make_unique<SignedDiscoveryProcess>(
-          id, pds.pd_of(id), &counters));
+          id, g.out_neighbors(id), &counters));
     } else {
       simulator.add_process(
-          std::make_unique<RrbProcess>(id, pds.pd_of(id), f, &counters));
+          std::make_unique<RrbProcess>(id, g.out_neighbors(id), f, &counters));
     }
   }
   simulator.run();

@@ -1,13 +1,8 @@
 // Large-n frontier: does the stack hold up when the system outgrows the
 // figures-scale corpus by three orders of magnitude?
 //
-// Three workload families, one JSON (BENCH_scale.json):
+// Two workload families, one JSON (BENCH_scale.json):
 //
-//  - setkernel/<op>: the blocked-bitset kernels (common/bitset64.hpp)
-//    against the scalar FlatSet reference at |set| ∈ {1024, 4096, 65536}.
-//    Records speedup_vs_scalar — the adaptive-representation switch in the
-//    membership hot paths is only worth its complexity if this ratio stays
-//    well above 1 for the sizes where the dense probe engages.
 //  - bigscc/<certify|refute>: the big-SCC certification path of
 //    sink_search at component sizes {64, 128, 256} — beyond every
 //    enumeration cap, so each evaluation exercises the κ early-exit
@@ -24,14 +19,13 @@
 // are recorded ungated (too slow for per-PR CI, tracked for the trajectory).
 // Every row records host_cpus, the recording machine's core count. The
 // checked-in baseline is the per-row median of three full runs on a 4-core
-// host: single runs of the setkernel ratios swing by up to ±40% there.
+// host.
 //
 // Usage: bench_scale [output.json] [--quick] [--huge]
 //   --quick  CI mode: scale legs at 1k and 10k only.
 //   --huge   additionally run the n = 1M scale legs (minutes; not part of
 //            the checked-in baseline).
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/bitset64.hpp"
 #include "cup/scenario_builder.hpp"
 #include "graph/generators.hpp"
 #include "protocol/sink_search.hpp"
@@ -55,10 +48,9 @@ struct Result {
   std::string strategy;
   std::string mode;
   std::size_t n = 0;
-  std::uint64_t events = 0;  ///< ops, evaluations, or delivered messages
+  std::uint64_t events = 0;  ///< evaluations or delivered messages
   double seconds = 0.0;
-  double speedup_vs_scalar = 0.0;  ///< setkernel only
-  std::uint64_t peak_rss = 0;      ///< scale runs only
+  std::uint64_t peak_rss = 0;  ///< scale runs only
   std::uint64_t big_scc_fallbacks = 0;
   bool gate = true;
 
@@ -66,108 +58,6 @@ struct Result {
     return seconds > 0 ? static_cast<double>(events) / seconds : 0.0;
   }
 };
-
-// --- setkernel -------------------------------------------------------------
-
-/// Two deterministic id sets of `size` drawn from a universe 4x as large
-/// (25% density — above the adaptive probe's switch point, the regime the
-/// kernels own).
-std::pair<IdSet, IdSet> make_operand_sets(std::size_t size) {
-  Rng rng(0x5ca1eULL + size);
-  const std::uint64_t universe = 4 * size;
-  IdSet a, b;
-  while (a.size() < size) a.insert(ProcessId(rng.next_below(universe)));
-  while (b.size() < size) b.insert(ProcessId(rng.next_below(universe)));
-  return {std::move(a), std::move(b)};
-}
-
-BitSet to_bitset(const IdSet& set, std::uint64_t universe) {
-  BitSet bits;
-  bits.reset_bits(universe);
-  for (ProcessId id : set) bits.set(id.raw());
-  return bits;
-}
-
-/// Times `reps` runs of `op` (which must return something accumulable so
-/// the calls cannot be elided) and returns seconds.
-template <typename Op>
-double time_op(std::size_t reps, Op&& op) {
-  volatile std::uint64_t observed = 0;
-  const double t0 = now_seconds();
-  std::uint64_t acc = 0;
-  for (std::size_t r = 0; r < reps; ++r) acc += op();
-  const double elapsed = now_seconds() - t0;
-  observed = acc;
-  (void)observed;
-  return elapsed;
-}
-
-Result run_setkernel(const char* op_name, std::size_t size) {
-  const auto [a, b] = make_operand_sets(size);
-  const std::uint64_t universe = 4 * size;
-  const BitSet bits_a = to_bitset(a, universe);
-  const BitSet bits_b = to_bitset(b, universe);
-  BitSet out;
-  out.reset_bits(universe);
-
-  // Rep counts sized so both sides run long enough (tens of ms) that the
-  // ratio is scheduler-robust; the bitset side does `kWordRatio`x more reps
-  // because its per-op cost is a fraction of the scalar side's.
-  const std::size_t scalar_reps =
-      std::max<std::size_t>(3, (std::size_t{1} << 22) >> std::bit_width(size));
-  const std::size_t bitset_reps = scalar_reps * 16;
-
-  double scalar_s = 0.0;
-  double bitset_s = 0.0;
-  if (std::strcmp(op_name, "intersect") == 0) {
-    scalar_s = time_op(scalar_reps,
-                       [&] { return a.set_intersection(b).size(); });
-    bitset_s = time_op(bitset_reps, [&] { return bits_a.intersect_count(bits_b); });
-  } else if (std::strcmp(op_name, "union") == 0) {
-    scalar_s = time_op(scalar_reps, [&] { return a.set_union(b).size(); });
-    bitset_s = time_op(bitset_reps, [&] {
-      out = bits_a;
-      out.union_with(bits_b);
-      return out.count();
-    });
-  } else {  // subset
-    // Probe against a superset so the answer is `true` and both sides must
-    // scan everything — random operands early-exit on the first mismatch,
-    // which times the branch predictor, not the kernel. The true path is
-    // also the hot one (P1's S1 ⊆ S_received holds for every real
-    // candidate).
-    const IdSet super = a.set_union(b);
-    const BitSet bits_super = to_bitset(super, universe);
-    scalar_s = time_op(scalar_reps,
-                       [&] { return a.is_subset_of(super) ? 1U : 0U; });
-    bitset_s = time_op(bitset_reps, [&] {
-      return bits_a.is_subset_of(bits_super) ? 1U : 0U;
-    });
-  }
-
-  Result r;
-  r.workload = "setkernel";
-  r.strategy = op_name;
-  r.mode = "bitset";
-  r.n = size;
-  r.events = bitset_reps;
-  r.seconds = bitset_s;
-  const double scalar_per_op = scalar_s / static_cast<double>(scalar_reps);
-  const double bitset_per_op = bitset_s / static_cast<double>(bitset_reps);
-  r.speedup_vs_scalar =
-      bitset_per_op > 0 ? scalar_per_op / bitset_per_op : 0.0;
-  return r;
-}
-
-/// Best-of-3 on the ratio: the gated number must not move on a hiccup.
-Result best_setkernel(const char* op_name, std::size_t size) {
-  Result best = run_setkernel(op_name, size);
-  for (int rep = 1; rep < 3; ++rep) {
-    Result r = run_setkernel(op_name, size);
-    if (r.speedup_vs_scalar > best.speedup_vs_scalar) best = r;
-  }
-  return best;
-}
 
 // --- bigscc ----------------------------------------------------------------
 
@@ -297,9 +187,6 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
                  r.mode.c_str(), r.n,
                  static_cast<unsigned long long>(r.events), r.seconds,
                  r.events_per_sec());
-    if (r.workload == "setkernel") {
-      std::fprintf(f, ", \"speedup_vs_scalar\": %.3f", r.speedup_vs_scalar);
-    }
     if (r.peak_rss > 0) {
       std::fprintf(f, ", \"peak_rss_mb\": %.1f, \"big_scc_fallbacks\": %llu",
                    static_cast<double>(r.peak_rss) / (1024.0 * 1024.0),
@@ -315,10 +202,10 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
 
 void print_row(const Result& r) {
   std::printf(
-      "%-18s %-10s %-10s %8zu %12llu %10.3f %14.0f %8.2fx %8.1f\n",
+      "%-18s %-10s %-10s %8zu %12llu %10.3f %14.0f %8.1f\n",
       r.workload.c_str(), r.strategy.c_str(), r.mode.c_str(), r.n,
       static_cast<unsigned long long>(r.events), r.seconds, r.events_per_sec(),
-      r.speedup_vs_scalar, static_cast<double>(r.peak_rss) / (1024.0 * 1024.0));
+      static_cast<double>(r.peak_rss) / (1024.0 * 1024.0));
 }
 
 }  // namespace
@@ -340,17 +227,9 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Result> results;
-  std::printf("%-18s %-10s %-10s %8s %12s %10s %14s %9s %8s\n", "workload",
+  std::printf("%-18s %-10s %-10s %8s %12s %10s %14s %8s\n", "workload",
               "strategy", "mode", "n", "events", "seconds", "events/sec",
-              "speedup", "rss_mb");
-
-  for (const std::size_t size : {std::size_t{1024}, std::size_t{4096},
-                                 std::size_t{65536}}) {
-    for (const char* op : {"intersect", "union", "subset"}) {
-      results.push_back(best_setkernel(op, size));
-      print_row(results.back());
-    }
-  }
+              "rss_mb");
 
   for (const std::size_t n :
        {std::size_t{64}, std::size_t{128}, std::size_t{256}}) {

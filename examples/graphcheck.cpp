@@ -13,7 +13,9 @@
 // Prints: basic stats, max k for which the graph is k-OSR, the Theorem-1
 // (BFT-CUP) and Definition-2 (BFT-CUPFT) verdicts for the given fault
 // configuration, every self-declarable sink with its connectivity, and the
-// DOT rendering for visualization.
+// DOT rendering for visualization. A component beyond the search's
+// enumeration cap is certified from seeded samples; a note then says the
+// isSink* results above it are sampled, not exhaustive.
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -26,6 +28,8 @@
 #include "graph/figures.hpp"
 #include "graph/graphio.hpp"
 #include "graph/osr.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span_tracer.hpp"
 
 namespace {
 
@@ -33,6 +37,8 @@ using namespace bftcup;
 
 void report(const std::string& name, const graph::Digraph& g,
             const IdSet& faulty, std::size_t f) {
+  obs::MetricsRegistry metrics;
+  const obs::ObsScope scope(&metrics, nullptr);
   std::printf("== %s: %zu processes, %zu knowledge edges, f=%zu, faulty={",
               name.c_str(), g.vertex_count(), g.edge_count(), f);
   for (ProcessId id : faulty) std::printf(" %s", to_string(id).c_str());
@@ -65,6 +71,14 @@ void report(const std::string& name, const graph::Digraph& g,
     std::printf("     k=%zu  {", sink.k());
     for (ProcessId id : sink.members) std::printf(" %s", to_string(id).c_str());
     std::printf(" }\n");
+  }
+  const std::uint64_t sampled =
+      metrics.counter("engine.big_scc_fallbacks").value();
+  if (sampled != 0) {
+    std::printf(
+        "   note: %llu component evaluation(s) exceeded the enumeration cap;"
+        " isSink* results are sampled, not exhaustive\n",
+        static_cast<unsigned long long>(sampled));
   }
   std::printf("\n");
 }

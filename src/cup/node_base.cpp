@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "common/logging.hpp"
-
 namespace bftcup::cup {
 
 CupNodeBase::CupNodeBase(ProcessId id, Params params)
@@ -25,11 +23,6 @@ void CupNodeBase::maybe_find_membership(sim::Context& ctx) {
   if (!found) return;
   membership_ = std::move(found);
   ctx.report_membership(membership_->members);
-  LOG_DEBUG("cup") << id() << " membership "
-                   << (membership_->members.contains(id()) ? "member"
-                                                           : "non-member")
-                   << " |S|=" << membership_->members.size()
-                   << " f=" << membership_->assumed_f;
 
   if (membership_->members.contains(id())) {
     // Alg. 3 line 4: members run consensus among themselves.

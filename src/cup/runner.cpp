@@ -76,9 +76,6 @@ RunReport execute_scenario(
   const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache->stats();
   const crypto::KeyRegistry::VerifyStats verify_stats0 =
       simulator.registry().verify_stats();
-  // Bracket the run so the per-thread fallback counter and its once-per-run
-  // warning rate limit are scoped to this scenario.
-  protocol::reset_big_scc_fallbacks();
 
   // Observability scope (README "Observability"), installed thread-locally
   // for the whole run. Both observers are per-run: the registry's snapshot
@@ -240,8 +237,9 @@ RunReport execute_scenario(
       .add(eval_cache->stats().hits - eval_stats0.hits);
   registry.counter("sig.verified").add(lookups - sig_hits);
   registry.counter("sig.cached").add(sig_hits);
-  registry.counter("engine.big_scc_fallbacks")
-      .add(protocol::big_scc_fallbacks());
+  // The big-SCC path counts into this during the run; interned here even
+  // when it never fired, so every snapshot carries the name.
+  registry.counter("engine.big_scc_fallbacks");
   // wire.* rows appear only on runs where the hostile wire actually acted:
   // a zero add would still intern the counter and grow every clean run's
   // snapshot.

@@ -224,11 +224,6 @@ ScenarioBuilder& ScenarioBuilder::trace_capacity(std::size_t records) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::allow_premise_violation(bool allowed) {
-  allow_premise_violation_ = allowed;
-  return *this;
-}
-
 Scenario ScenarioBuilder::build() const {
   const Scenario& s = scenario_;
   if (s.graph.vertex_count() == 0) {
@@ -246,12 +241,9 @@ Scenario ScenarioBuilder::build() const {
     fail("f = " + std::to_string(s.f) + " is not consistent with a " +
          std::to_string(s.graph.vertex_count()) + "-process graph");
   }
-  if (s.mode == Mode::kAuth && s.faulty.size() > s.f &&
-      !allow_premise_violation_) {
+  if (s.mode == Mode::kAuth && s.faulty.size() > s.f) {
     fail("|faulty| = " + std::to_string(s.faulty.size()) +
-         " exceeds f = " + std::to_string(s.f) +
-         " in known-f mode; call allow_premise_violation() if this witness "
-         "scenario is intentional");
+         " exceeds f = " + std::to_string(s.f) + " in known-f mode");
   }
   for (const auto& [id, value] : s.proposals) {
     (void)value;

@@ -146,10 +146,6 @@ class ScenarioBuilder {
   /// most-recent window (plus a drop count) for larger runs.
   static constexpr std::size_t kDefaultTraceCapacity = 1u << 15;
 
-  /// Witness scenarios (fig. 1a, Theorem 7) intentionally violate the
-  /// protocol premise |faulty| <= f; they must say so explicitly.
-  ScenarioBuilder& allow_premise_violation(bool allowed = true);
-
   /// Validates and returns the assembled scenario. Throws ScenarioError.
   [[nodiscard]] Scenario build() const;
 
@@ -158,7 +154,6 @@ class ScenarioBuilder {
 
  private:
   Scenario scenario_;
-  bool allow_premise_violation_ = false;
 };
 
 }  // namespace bftcup::cup

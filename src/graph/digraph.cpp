@@ -139,18 +139,17 @@ bool Digraph::weakly_connected() const {
 IdSet Digraph::reachable_from(ProcessId from) const {
   const auto start = index_of(from);
   if (!start) return {};
-  BitSet seen;
-  seen.reset_bits(ids_.size());
+  std::vector<bool> seen(ids_.size(), false);
   std::vector<ProcessId> collected;
   std::vector<std::size_t> stack = {*start};
-  seen.set(*start);
+  seen[*start] = true;
   while (!stack.empty()) {
     const std::size_t u = stack.back();
     stack.pop_back();
     collected.push_back(ids_[u]);
     for (std::size_t v : out_[u]) {
-      if (!seen.test(v)) {
-        seen.set(v);
+      if (!seen[v]) {
+        seen[v] = true;
         stack.push_back(v);
       }
     }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "obs/span_tracer.hpp"
 #include "protocol/timer_epoch.hpp"
 
@@ -135,7 +134,6 @@ void PbftInstance::decide_with_cert(Value value, msg::QuorumCert cert,
   if (decided_) return;
   decided_ = value;
   decide_cert_ = std::move(cert);
-  LOG_DEBUG("pbft") << self_ << " decided " << value;
   // Single-shot decision forwarding: replicas that missed the commit quorum
   // (partitioned by an equivocating leader, late joiners) adopt the decision
   // from the certificate instead of waiting for a view change that can never

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/fnv.hpp"
-#include "common/logging.hpp"
 #include "common/random.hpp"
 #include "graph/scc.hpp"
 #include "obs/span_tracer.hpp"
@@ -16,22 +15,6 @@ namespace {
 /// exhaustive strategy stops at its (clamped <= 63) subset-mask cap. Both
 /// hand larger components to enumerate_big_scc.
 constexpr std::size_t kStructuredEnumerationCap = 63;
-
-thread_local std::uint64_t t_big_scc_fallbacks = 0;
-thread_local bool t_big_scc_warned = false;
-
-/// Counts an oversized component and logs the fallback warning once per
-/// run (reset_big_scc_fallbacks re-arms it) — a large-n run hits this once
-/// per evaluation per big component, which used to flood the log.
-void note_big_scc_fallback(std::size_t scc_size, std::size_t cap) {
-  ++t_big_scc_fallbacks;
-  if (t_big_scc_warned) return;
-  t_big_scc_warned = true;
-  LOG_WARN("sink_search") << "SCC of size " << scc_size
-                          << " exceeds enumeration cap " << cap
-                          << "; certifying via the sampled structured path"
-                          << " (logged once per run)";
-}
 
 /// Appends every admissible split of `s1` as a candidate.
 void collect_candidates_for(const KnowledgeView& view, const IdSet& s1,
@@ -155,7 +138,8 @@ void enumerate_big_scc(const KnowledgeView& view, const IdSet& scc,
 }
 
 /// The loop both strategies share: every received SCC in order, routed to
-/// the big-SCC certification path above `enumeration_cap` members and to the
+/// the big-SCC certification path above `enumeration_cap` members (counted
+/// as `engine.big_scc_fallbacks` in the installed registry) and to the
 /// strategy's own `enumerate` otherwise.
 template <typename Enumerate>
 std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
@@ -165,11 +149,14 @@ std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
   std::vector<SinkCandidate> out;
   for (const IdSet& scc : received_sccs(view)) {
     const obs::ScopedSpan span("membership.scc_eval", scc.size());
-    if (obs::MetricsRegistry* m = obs::current_metrics()) {
-      m->histogram("eval.scc_size").record(scc.size());
+    obs::MetricsRegistry* const metrics = obs::current_metrics();
+    if (metrics != nullptr) {
+      metrics->histogram("eval.scc_size").record(scc.size());
     }
     if (scc.size() > enumeration_cap) {
-      note_big_scc_fallback(scc.size(), enumeration_cap);
+      if (metrics != nullptr) {
+        metrics->counter("engine.big_scc_fallbacks").add();
+      }
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
       enumerate_big_scc(view, scc, options.removal_cap,
                         options.big_scc_samples, out);
@@ -223,13 +210,6 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
       [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
         enumerate_structured(view, scc, options_.removal_cap, out);
       });
-}
-
-std::uint64_t big_scc_fallbacks() { return t_big_scc_fallbacks; }
-
-void reset_big_scc_fallbacks() {
-  t_big_scc_fallbacks = 0;
-  t_big_scc_warned = false;
 }
 
 }  // namespace bftcup::protocol

@@ -117,12 +117,4 @@ class StructuredSinkSearch final : public SinkSearch {
   std::string cache_key_;
 };
 
-/// Components routed through the big-SCC certification path on this thread
-/// since the last reset (a simulator runs entirely on one thread;
-/// execute_scenario brackets each run with reset + read so RunReport can
-/// record the per-run figure). Resetting also re-arms the once-per-run
-/// rate limit of the fallback warning.
-[[nodiscard]] std::uint64_t big_scc_fallbacks();
-void reset_big_scc_fallbacks();
-
 }  // namespace bftcup::protocol

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/logging.hpp"
 #include "msg/wire.hpp"
 #include "obs/span_tracer.hpp"
 
@@ -174,7 +173,6 @@ void Simulator::do_set_timer(ProcessId who, SimTime delay, int kind) {
 }
 
 void Simulator::do_decide(ProcessId who, Value value) {
-  LOG_DEBUG("sim") << who << " decides " << value << " at t=" << now_;
   trace_.record_decision(who, value, now_);
 }
 
@@ -228,7 +226,6 @@ void Simulator::start_or_resume(ProcessTable::Slot& slot) {
 }
 
 void Simulator::apply_fault(const FaultAction& action) {
-  LOG_DEBUG("sim") << "fault " << to_string(action.kind) << " at t=" << now_;
   timeline_.apply(action);
   ProcessTable::Slot* slot = table_.find(action.subject);
   switch (action.kind) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/figures.hpp"
-#include "pd/participant_detector.hpp"
 #include "protocol/discovery.hpp"
 #include "test_util.hpp"
 
@@ -47,14 +46,14 @@ struct Fixture {
           options.net.delta = 5;
           return options;
         }()) {
-    const auto pds = pd::ParticipantDetector::from_graph(g);
     for (ProcessId id : g.vertices()) {
       if (silent.contains(id)) {
         simulator.add_process(
             std::make_unique<test::ScriptedProcess>(id));  // never answers
         continue;
       }
-      auto node = std::make_unique<DiscoveryOnlyProcess>(id, pds.pd_of(id));
+      auto node =
+          std::make_unique<DiscoveryOnlyProcess>(id, g.out_neighbors(id));
       nodes.emplace(id, node.get());
       simulator.add_process(std::move(node));
     }

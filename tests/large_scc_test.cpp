@@ -8,10 +8,13 @@
 #include <memory>
 
 #include "common/random.hpp"
+#include "cup/run_context.hpp"
 #include "cup/scenario_builder.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span_tracer.hpp"
 #include "protocol/sink_search.hpp"
 
 namespace bftcup {
@@ -142,17 +145,22 @@ TEST(BigSccSearchTest, SampledPathIsDeterministic) {
   EXPECT_EQ(first, second);
 }
 
-TEST(BigSccSearchTest, FallbackCounterCountsAndResets) {
-  protocol::reset_big_scc_fallbacks();
-  EXPECT_EQ(protocol::big_scc_fallbacks(), 0U);
+TEST(BigSccSearchTest, FallbackCountsIntoTheInstalledRegistry) {
   const auto view = protocol::KnowledgeView::omniscient(ring_graph(70));
   const protocol::StructuredSinkSearch search;
+  // No registry installed: the fallback has nowhere to count, and nothing
+  // carries over into the registry installed next.
   (void)search.candidates(view);
-  EXPECT_EQ(protocol::big_scc_fallbacks(), 1U);
+  obs::MetricsRegistry metrics;
+  {
+    const obs::ObsScope scope(&metrics, nullptr);
+    (void)search.candidates(view);
+    EXPECT_EQ(metrics.snapshot().counter("engine.big_scc_fallbacks"), 1U);
+    (void)search.candidates(view);
+    EXPECT_EQ(metrics.snapshot().counter("engine.big_scc_fallbacks"), 2U);
+  }
   (void)search.candidates(view);
-  EXPECT_EQ(protocol::big_scc_fallbacks(), 2U);
-  protocol::reset_big_scc_fallbacks();
-  EXPECT_EQ(protocol::big_scc_fallbacks(), 0U);
+  EXPECT_EQ(metrics.snapshot().counter("engine.big_scc_fallbacks"), 2U);
 }
 
 TEST(BigSccSearchTest, SamplesRecoverPlantedSubcomponent) {
@@ -182,11 +190,11 @@ TEST(BigSccSearchTest, SamplesRecoverPlantedSubcomponent) {
   EXPECT_TRUE(found);
 }
 
-// End-to-end: the fallback counter must survive the whole run pipeline
-// (execute_scenario resets it, the search increments it, RunReport carries
-// it out). A ring is the topology where the path genuinely fires during
-// discovery: received knowledge stays path fragments until the last PD
-// closes the cycle, so the SCC jumps from < 64 straight to n.
+// End-to-end: the fallback count must survive the whole run pipeline (the
+// search counts into the run's registry, RunReport carries it out). A ring
+// is the topology where the path genuinely fires during discovery: received
+// knowledge stays path fragments until the last PD closes the cycle, so the
+// SCC jumps from < 64 straight to n.
 TEST(BigSccSearchTest, RunReportCountsFallbackWhenSccJumpsPastCap) {
   graph::generators::GeneratedSystem ring;
   for (std::uint64_t i = 0; i < 70; ++i) ring.graph.add_vertex(p(i + 1));
@@ -195,15 +203,23 @@ TEST(BigSccSearchTest, RunReportCountsFallbackWhenSccJumpsPastCap) {
   }
   ring.f = 0;
   for (std::uint64_t i = 0; i < 70; ++i) ring.sink.insert(p(i + 1));
-  const auto report =
+  // The eval memo off: with it on, the recycled run's evaluations are
+  // answered from the first run's entries and never reach the search.
+  const cup::Scenario scenario =
       cup::ScenarioBuilder(ring)
           .mode(cup::Mode::kAuth)
           .seed(17)
           .search(std::make_shared<protocol::StructuredSinkSearch>())
-          .run();
+          .eval_cache(false)
+          .build();
+  cup::RunContext context;
+  const auto report = context.run(scenario);
   EXPECT_TRUE(report.all_correct_decided);
   EXPECT_TRUE(report.agreement);
   EXPECT_GT(report.big_scc_fallbacks, 0U);
+  // A recycled run counts its own fallbacks, none of the previous run's.
+  const auto again = context.run(scenario);
+  EXPECT_EQ(again.big_scc_fallbacks, report.big_scc_fallbacks);
 }
 
 // Counter-case: a complete K70 run decides WITHOUT the fallback path. A

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "graph/figures.hpp"
-#include "pd/participant_detector.hpp"
 #include "protocol/rrb.hpp"
 #include "test_util.hpp"
 
@@ -47,13 +46,12 @@ struct Fixture {
           options.net.delta = 5;
           return options;
         }()) {
-    const auto pds = pd::ParticipantDetector::from_graph(g);
     for (ProcessId id : g.vertices()) {
       if (silent.contains(id)) {
         simulator.add_process(std::make_unique<test::ScriptedProcess>(id));
         continue;
       }
-      auto node = std::make_unique<RrbOnlyProcess>(id, pds.pd_of(id), f);
+      auto node = std::make_unique<RrbOnlyProcess>(id, g.out_neighbors(id), f);
       nodes.emplace(id, node.get());
       simulator.add_process(std::move(node));
     }

@@ -85,13 +85,12 @@ TEST(ScenarioBuilderTest, InconsistentFRejected) {
   EXPECT_THROW(ScenarioBuilder(triangle()).f(3).build(), ScenarioError);
 }
 
-TEST(ScenarioBuilderTest, KnownFPremiseViolationNeedsOptIn) {
-  // 2 faulty > f = 1 in known-f mode: a witness setup, not a typo — unless
-  // the caller says so.
+TEST(ScenarioBuilderTest, KnownFPremiseViolationRejected) {
+  // 2 faulty > f = 1 in known-f mode breaks the protocol's premise
+  // |faulty| <= f; no option lets such a scenario build.
   auto builder = ScenarioBuilder(triangle()).mode(Mode::kAuth).f(1);
   builder.faulty({1, 2});
   EXPECT_THROW(builder.build(), ScenarioError);
-  EXPECT_NO_THROW(builder.allow_premise_violation().build());
 }
 
 TEST(ScenarioBuilderTest, ProposalForUnknownVertexRejected) {

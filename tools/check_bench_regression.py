@@ -35,7 +35,7 @@ Row = dict[str, Any]
 RowKey = tuple[tuple[str, Any], ...]
 
 IDENTITY_KEYS = ("workload", "strategy", "n", "mode")
-RATIO_METRICS = ("speedup_vs_cold", "speedup_vs_fresh", "speedup_vs_scalar")
+RATIO_METRICS = ("speedup_vs_cold", "speedup_vs_fresh")
 ABSOLUTE_METRICS = ("events_per_sec", "evals_per_sec")
 
 

@@ -33,7 +33,6 @@ from pathlib import Path
 # see long before the full CI build).
 ANNOTATED_HEADERS = (
     "src/common/thread_annotations.hpp",
-    "src/common/logging.hpp",
     "src/protocol/eval_cache.hpp",
     "src/crypto/sign_cache.hpp",
 )

@@ -66,8 +66,8 @@ from typing import Any
 # Modules whose code feeds RunReport::digest(), trace records, or coverage
 # signatures. R1 fires only here; --report inventories containers here.
 DIGEST_PATH_MODULES = (
-    # The blocked-bitset kernels back membership probes inside candidate
-    # enumeration — their containers feed digest-visible iteration order.
+    # The adaptive id probe answers the membership tests of candidate
+    # enumeration, whose order is digest-visible.
     "src/common/bitset64.hpp",
     "src/cup/runner.hpp",
     "src/cup/runner.cpp",
@@ -148,9 +148,6 @@ ORDERED_CONTAINERS = (
     "FlatMap",
     "FlatSet",
     "IdSet",
-    # Blocked bitsets iterate ascending (for_each_set) — ordered containers
-    # in the replay-determinism sense, like the FlatSet they can stand in for.
-    "BitSet",
 )
 
 MARKER_RE = re.compile(
