@@ -41,4 +41,23 @@ void Encoder::put_id_set(const IdSet& ids) {
   for (ProcessId id : ids) put_id(id);
 }
 
+void SizeCounter::put_varint(std::uint64_t v) {
+  // The byte count Encoder::put_varint emits.
+  while (v >= 0x80) {
+    ++size_;
+    v >>= 7;
+  }
+  ++size_;
+}
+
+void SizeCounter::put_bytes(BytesView data) {
+  put_varint(data.size());
+  size_ += data.size();
+}
+
+void SizeCounter::put_id_set(const IdSet& ids) {
+  put_varint(ids.size());
+  for (ProcessId id : ids) put_id(id);
+}
+
 }  // namespace bftcup::codec

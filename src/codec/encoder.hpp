@@ -39,4 +39,23 @@ class Encoder {
   Bytes out_;
 };
 
+/// Encoder's counting twin: the same put_* calls add up the bytes Encoder
+/// would append, without writing or allocating. Lets one layout routine,
+/// templated over the two, both size and encode a payload.
+class SizeCounter {
+ public:
+  void put_u8(std::uint8_t /*v*/) { size_ += 1; }
+  void put_u32(std::uint32_t /*v*/) { size_ += 4; }
+  void put_u64(std::uint64_t /*v*/) { size_ += 8; }
+  void put_varint(std::uint64_t v);
+  void put_bytes(BytesView data);
+  void put_id(ProcessId id) { put_varint(id.raw()); }
+  void put_id_set(const IdSet& ids);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
 }  // namespace bftcup::codec

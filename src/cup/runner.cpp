@@ -221,13 +221,9 @@ RunReport execute_scenario(
   report.frames_mutated = trace.frames_mutated();
   report.frames_rejected = trace.frames_rejected();
   report.frames_lost = trace.frames_lost();
-  // The trace's flat maps are sorted by id, so these rebuilds preserve the
-  // iteration (and digest serialization) order std::map gave.
-  report.decisions.insert(trace.decisions().begin(), trace.decisions().end());
-  report.memberships.insert(trace.memberships().begin(),
-                            trace.memberships().end());
-  report.membership_times.insert(trace.membership_times().begin(),
-                                 trace.membership_times().end());
+  report.decisions = trace.decisions();
+  report.memberships = trace.memberships();
+  report.membership_times = trace.membership_times();
   const auto& verify_stats = simulator.registry().verify_stats();
   const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
   const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;

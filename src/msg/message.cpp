@@ -66,7 +66,7 @@ Bytes decided_val_payload(Value value) {
 std::size_t Message::encoded_size() const {
   // bytes_sent predates encode_frame's cert-presence byte and the golden
   // digests hash it, so the metric is the frame minus that one byte.
-  return encode_frame(*this).size() - 1;
+  return frame_size(*this) - 1;
 }
 
 }  // namespace bftcup::msg

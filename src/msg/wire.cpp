@@ -17,14 +17,15 @@ bool get_signature(codec::Decoder& dec, crypto::Signature& out) {
   return true;
 }
 
-void put_signature(codec::Encoder& enc, const crypto::Signature& sig) {
+template <typename Sink>
+void put_signature(Sink& enc, const crypto::Signature& sig) {
   enc.put_bytes(BytesView(sig.bytes.data(), sig.bytes.size()));
 }
 
-}  // namespace
-
-Bytes encode_frame(const Message& m) {
-  codec::Encoder enc;
+/// The frame layout, written once: `Sink` is codec::Encoder to encode and
+/// codec::SizeCounter to measure.
+template <typename Sink>
+void put_frame(Sink& enc, const Message& m) {
   enc.put_u8(static_cast<std::uint8_t>(m.type));
   enc.put_varint(m.pds.size());
   for (const SignedPd& spd : m.pds) {
@@ -49,7 +50,20 @@ Bytes encode_frame(const Message& m) {
   enc.put_id_set(m.origin_pd);
   enc.put_varint(m.path.size());
   for (ProcessId id : m.path) enc.put_id(id);
+}
+
+}  // namespace
+
+Bytes encode_frame(const Message& m) {
+  codec::Encoder enc;
+  put_frame(enc, m);
   return enc.take();
+}
+
+std::size_t frame_size(const Message& m) {
+  codec::SizeCounter counter;
+  put_frame(counter, m);
+  return counter.size();
 }
 
 std::optional<Message> decode_frame(BytesView frame) {

@@ -16,7 +16,8 @@
 // then origin, origin_pd and path. Message::encoded_size() — the
 // bytes_sent metric — is this frame's size minus the cert-presence byte:
 // the metric predates the flag, and the golden digests (RunReport::digest()
-// hashes bytes_sent) pin it.
+// hashes bytes_sent) pin it. frame_size() walks the same layout through a
+// byte counter, so measuring a frame allocates nothing.
 #pragma once
 
 #include <optional>
@@ -28,6 +29,9 @@ namespace bftcup::msg {
 
 /// Encodes `m` as a self-describing frame (see file comment for the layout).
 [[nodiscard]] Bytes encode_frame(const Message& m);
+
+/// encode_frame(m).size(), counted without encoding.
+[[nodiscard]] std::size_t frame_size(const Message& m);
 
 /// Strict inverse of encode_frame. Returns nullopt when the frame is
 /// malformed in any way: unknown MsgType, failed or non-canonical primitive

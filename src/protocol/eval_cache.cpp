@@ -1,19 +1,28 @@
 #include "protocol/eval_cache.hpp"
 
+#include <bit>
+#include <cassert>
+#include <cstring>
+
 #include "obs/span_tracer.hpp"
 
 namespace bftcup::protocol {
 namespace {
 
-void append_u64(Bytes& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
+/// Writes `v` big-endian at `at` in one 8-byte store; returns the next
+/// write position.
+std::uint8_t* put_u64(std::uint8_t* at, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
   }
+  std::memcpy(at, &v, sizeof v);
+  return at + sizeof v;
 }
 
-void append_id_set(Bytes& out, const IdSet& ids) {
-  append_u64(out, ids.size());
-  for (ProcessId id : ids) append_u64(out, id.raw());
+std::uint8_t* put_id_set(std::uint8_t* at, const IdSet& ids) {
+  at = put_u64(at, ids.size());
+  for (ProcessId id : ids) at = put_u64(at, id.raw());
+  return at;
 }
 
 EvalKey own_key(const EvalKeyView& view) {
@@ -29,17 +38,17 @@ EvalKey own_key(const EvalKeyView& view) {
 void view_canonical(const KnowledgeView& view, Bytes& out) {
   // Length-framed, sorted-order serialization: injective on view contents,
   // so byte equality is view equality. Sized up front (one u64 per count,
-  // id and owner), so the buffer grows once per call.
+  // id and owner), then written a word at a time.
   std::size_t words = 2 + view.known().size();
   for (const auto& [owner, pd] : view.pds()) words += 2 + pd.size();
-  out.clear();
-  out.reserve(words * 8);
-  append_id_set(out, view.known());
-  append_u64(out, view.pds().size());
+  out.resize(words * 8);
+  std::uint8_t* at = put_id_set(out.data(), view.known());
+  at = put_u64(at, view.pds().size());
   for (const auto& [owner, pd] : view.pds()) {
-    append_u64(out, owner.raw());
-    append_id_set(out, pd);
+    at = put_u64(at, owner.raw());
+    at = put_id_set(at, pd);
   }
+  assert(at == out.data() + out.size());
 }
 
 const std::optional<SinkResult>* SharedEvalCache::find(

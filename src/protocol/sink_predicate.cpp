@@ -1,6 +1,7 @@
 #include "protocol/sink_predicate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 
@@ -121,6 +122,136 @@ std::vector<AdmissibleSplit> admissible_thresholds(const KnowledgeView& view,
   std::vector<AdmissibleSplit> splits;
   for (std::size_t g = 0; g <= g_max; ++g) {
     if (escapes_at(counts, g) <= g) splits.push_back({g, s2_at(counts, g)});
+  }
+  return splits;
+}
+
+ComponentMasks::ComponentMasks(const KnowledgeView& view,
+                               const IdSet& component)
+    : view_(&view),
+      ids_(component.values()),
+      out_(ids_.size(), 0),
+      in_(ids_.size(), 0) {
+  assert(ids_.size() >= 2 && ids_.size() <= kMaxMembers);
+  // Every (target, naming member) pair, grouped by target. A member whose
+  // PD was never received names nothing, so its out-row stays empty and
+  // every S1 holding it fails the degree exit — as P1 fails in the
+  // reference.
+  std::vector<std::pair<ProcessId, std::uint64_t>> named;
+  for (std::size_t b = 0; b < ids_.size(); ++b) {
+    const IdSet* pd = view.pd_of(ids_[b]);
+    if (pd == nullptr) continue;
+    for (ProcessId t : *pd) {
+      if (t != ids_[b]) named.emplace_back(t, std::uint64_t{1} << b);
+    }
+  }
+  std::sort(named.begin(), named.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [id, bit] : named) {
+    if (targets_.empty() || targets_.back().id != id) targets_.push_back({id});
+    targets_.back().from |= bit;
+  }
+  for (Target& t : targets_) {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), t.id);
+    if (it == ids_.end() || *it != t.id) continue;
+    const auto c = static_cast<std::size_t>(it - ids_.begin());
+    t.self = std::uint64_t{1} << c;
+    in_[c] = t.from;
+    for (std::uint64_t rest = t.from; rest != 0; rest &= rest - 1) {
+      out_[static_cast<std::size_t>(std::countr_zero(rest))] |= t.self;
+    }
+  }
+}
+
+IdSet ComponentMasks::members(std::uint64_t mask) const {
+  IdSet s;
+  s.reserve(static_cast<std::size_t>(std::popcount(mask)));
+  for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    // Bits ascend with ids, so these inserts are ordered appends.
+    s.insert(ids_[static_cast<std::size_t>(std::countr_zero(rest))]);
+  }
+  return s;
+}
+
+bool ComponentMasks::strongly_connected(std::uint64_t s1) const {
+  // Everything in S1 reaches and is reached by its lowest member.
+  const auto reach = [&](const std::vector<std::uint64_t>& rows) {
+    std::uint64_t seen = std::uint64_t{1} << std::countr_zero(s1);
+    std::uint64_t frontier = seen;
+    while (frontier != 0) {
+      std::uint64_t next = 0;
+      for (std::uint64_t rest = frontier; rest != 0; rest &= rest - 1) {
+        next |= rows[static_cast<std::size_t>(std::countr_zero(rest))];
+      }
+      frontier = next & s1 & ~seen;
+      seen |= frontier;
+    }
+    return seen;
+  };
+  return reach(out_) == s1 && reach(in_) == s1;
+}
+
+std::vector<AdmissibleSplit> ComponentMasks::admissible_thresholds(
+    std::uint64_t s1) const {
+  // P2 needs κ(K[S1]) >= 1: two or more members, each with an in- and an
+  // out-edge inside S1, all mutually reachable. κ is at most the smallest
+  // such degree, and exactly |S1|-1 on a complete K[S1].
+  const auto k = static_cast<std::size_t>(std::popcount(s1));
+  if (k < 2) return {};
+  std::size_t bound = k;
+  std::size_t edges = 0;
+  for (std::uint64_t rest = s1; rest != 0; rest &= rest - 1) {
+    const auto b = static_cast<std::size_t>(std::countr_zero(rest));
+    const auto out = static_cast<std::size_t>(std::popcount(out_[b] & s1));
+    const auto in = static_cast<std::size_t>(std::popcount(in_[b] & s1));
+    bound = std::min({bound, out, in});
+    if (bound == 0) return {};
+    edges += out;
+  }
+  if (!strongly_connected(s1)) return {};
+
+  // P1 and the degree bound cap g; a g above κ-1 is dropped below.
+  const std::size_t g_max = std::min(bound - 1, (k - 1) / 2);
+  // P4/P3 in one pass: a target outside S1 that c members of S1 name joins
+  // S2(g) iff c > g, so a member escapes S1 ∪ S2(g) iff it names a target
+  // of count <= g. escapes_by[c] holds the members naming a count-c target
+  // (c >= 1: its namers are counted).
+  std::array<std::uint64_t, kMaxMembers / 2 + 1> escapes_by{};
+  for (const Target& t : targets_) {
+    const std::uint64_t from = t.from & s1;
+    if ((t.self & s1) != 0 || from == 0) continue;
+    const auto c = static_cast<std::size_t>(std::popcount(from));
+    if (c <= g_max) escapes_by[c] |= from;
+  }
+  // Bit g of `passing` marks a g <= g_max satisfying P3. g = 0 always
+  // passes (escapes_by[0] is empty), and κ >= 1 admits it.
+  std::uint64_t passing = 0;
+  std::uint64_t escaping = 0;
+  for (std::size_t g = 0; g <= g_max; ++g) {
+    escaping |= escapes_by[g];
+    if (static_cast<std::size_t>(std::popcount(escaping)) <= g) {
+      passing |= std::uint64_t{1} << g;
+    }
+  }
+  // A higher g needs κ itself, unless K[S1] is complete (κ = |S1|-1).
+  if (passing > 1 && edges != k * (k - 1)) {
+    const std::size_t kappa =
+        graph::strong_connectivity(view_->knowledge_graph(members(s1)));
+    passing &= (std::uint64_t{1} << kappa) - 1;  // κ <= bound <= 62
+  }
+
+  std::vector<AdmissibleSplit> splits;
+  splits.reserve(static_cast<std::size_t>(std::popcount(passing)));
+  for (std::uint64_t rest = passing; rest != 0; rest &= rest - 1) {
+    const auto g = static_cast<std::size_t>(std::countr_zero(rest));
+    IdSet s2;
+    for (const Target& t : targets_) {
+      if ((t.self & s1) == 0 &&
+          static_cast<std::size_t>(std::popcount(t.from & s1)) > g) {
+        s2.insert(t.id);
+      }
+    }
+    splits.push_back({g, std::move(s2)});
   }
   return splits;
 }

@@ -14,9 +14,10 @@ namespace {
 /// The structured strategy's full C \ D combination sweep stops here; the
 /// exhaustive strategy stops at its (clamped <= 63) subset-mask cap. Both
 /// hand larger components to enumerate_big_scc.
-constexpr std::size_t kStructuredEnumerationCap = 63;
+constexpr std::size_t kStructuredEnumerationCap = ComponentMasks::kMaxMembers;
 
-/// Appends every admissible split of `s1` as a candidate.
+/// Appends every admissible split of `s1` as a candidate (the reference
+/// evaluator; the big-SCC path).
 void collect_candidates_for(const KnowledgeView& view, const IdSet& s1,
                             std::vector<SinkCandidate>& out) {
   for (AdmissibleSplit& split : admissible_thresholds(view, s1)) {
@@ -24,46 +25,45 @@ void collect_candidates_for(const KnowledgeView& view, const IdSet& s1,
   }
 }
 
+/// Appends every admissible split of the S1 that `mask` names. S1's IdSet
+/// is built only when there is a split to emit.
+void collect_candidates_for(const ComponentMasks& component,
+                            std::uint64_t mask,
+                            std::vector<SinkCandidate>& out) {
+  std::vector<AdmissibleSplit> splits = component.admissible_thresholds(mask);
+  if (splits.empty()) return;
+  const IdSet s1 = component.members(mask);
+  for (AdmissibleSplit& split : splits) {
+    out.push_back({s1, std::move(split.s2), split.g});
+  }
+}
+
 /// Candidates the exhaustive strategy derives from one SCC: every non-empty
-/// subset, masks ascending. One scratch S1 is reused across all 2^n - 1
-/// masks (cleared, refilled in ascending id order) so the inner loop's only
-/// allocation is its first capacity growth — the FlatSet-scratch half of
-/// the run engine's near-zero-heap steady state. collect_candidates_for
-/// copies S1 into whatever it emits, so reuse cannot leak.
-void enumerate_exhaustive(const KnowledgeView& view, const IdSet& scc,
+/// subset, masks ascending.
+void enumerate_exhaustive(const ComponentMasks& component,
                           std::vector<SinkCandidate>& out) {
-  const auto& ids = scc.values();
-  const std::size_t n = ids.size();
-  IdSet s1;
-  s1.reserve(n);
-  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
-    s1.clear();
-    for (std::size_t b = 0; b < n; ++b) {
-      // ids is sorted, so these inserts are ordered appends.
-      if (mask & (std::uint64_t{1} << b)) s1.insert(ids[b]);
-    }
-    collect_candidates_for(view, s1, out);
+  for (std::uint64_t mask = 1; mask <= component.all(); ++mask) {
+    collect_candidates_for(component, mask, out);
   }
 }
 
 /// Candidates the structured strategy derives from one SCC: C itself, then
 /// C \ D for every removal set D with |D| <= removal_cap.
-void enumerate_structured(const KnowledgeView& view, const IdSet& scc,
+void enumerate_structured(const ComponentMasks& component,
                           std::size_t removal_cap,
                           std::vector<SinkCandidate>& out) {
-  const auto& ids = scc.values();
-  const std::size_t n = ids.size();
+  const std::size_t n = component.size();
   const std::size_t cap = std::min(removal_cap, n - 1);
 
-  collect_candidates_for(view, scc, out);
+  collect_candidates_for(component, component.all(), out);
   for (std::size_t d = 1; d <= cap; ++d) {
     std::vector<std::size_t> combo(d);
     for (std::size_t i = 0; i < d; ++i) combo[i] = i;
     bool more = true;
     while (more) {
-      IdSet s1 = scc;
-      for (std::size_t idx : combo) s1.erase(ids[idx]);
-      collect_candidates_for(view, s1, out);
+      std::uint64_t mask = component.all();
+      for (std::size_t idx : combo) mask &= ~(std::uint64_t{1} << idx);
+      collect_candidates_for(component, mask, out);
 
       // Advance to the next d-combination of {0..n-1}.
       more = false;
@@ -139,8 +139,8 @@ void enumerate_big_scc(const KnowledgeView& view, const IdSet& scc,
 
 /// The loop both strategies share: every received SCC in order, routed to
 /// the big-SCC certification path above `enumeration_cap` members (counted
-/// as `engine.big_scc_fallbacks` in the installed registry) and to the
-/// strategy's own `enumerate` otherwise.
+/// as `engine.big_scc_fallbacks` in the installed registry) and otherwise,
+/// as one ComponentMasks, to the strategy's own `enumerate`.
 template <typename Enumerate>
 std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
                                           std::size_t enumeration_cap,
@@ -162,7 +162,9 @@ std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
                         options.big_scc_samples, out);
       continue;
     }
-    enumerate(scc, out);
+    // κ = 0 below two vertices: a one-member component yields nothing.
+    if (scc.size() < 2) continue;
+    enumerate(ComponentMasks(view, scc), out);
   }
   return out;
 }
@@ -182,7 +184,8 @@ SearchOptions SearchOptions::validated() const {
   // A 64-bit mask enumerates at most 2^63 subsets; larger caps would shift
   // by >= 64 bits (UB). Clamping is safe: SCCs beyond 63 members could never
   // finish enumerating anyway.
-  out.exhaustive_cap = std::min<std::size_t>(out.exhaustive_cap, 63);
+  out.exhaustive_cap =
+      std::min(out.exhaustive_cap, ComponentMasks::kMaxMembers);
   return out;
 }
 
@@ -198,8 +201,8 @@ std::vector<SinkCandidate> ExhaustiveSinkSearch::candidates(
     const KnowledgeView& view) const {
   return enumerate_sccs(
       view, options_.exhaustive_cap, options_,
-      [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
-        enumerate_exhaustive(view, scc, out);
+      [](const ComponentMasks& component, std::vector<SinkCandidate>& out) {
+        enumerate_exhaustive(component, out);
       });
 }
 
@@ -207,8 +210,8 @@ std::vector<SinkCandidate> StructuredSinkSearch::candidates(
     const KnowledgeView& view) const {
   return enumerate_sccs(
       view, kStructuredEnumerationCap, options_,
-      [&](const IdSet& scc, std::vector<SinkCandidate>& out) {
-        enumerate_structured(view, scc, options_.removal_cap, out);
+      [&](const ComponentMasks& component, std::vector<SinkCandidate>& out) {
+        enumerate_structured(component, options_.removal_cap, out);
       });
 }
 

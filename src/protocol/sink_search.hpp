@@ -18,8 +18,12 @@
 // Both strategies walk the SCCs of the received-knowledge graph in order and
 // enumerate each one from scratch on every evaluation, so candidate order —
 // and therefore every downstream decision — is a pure function of the view.
-// The only membership memo sits above them: the shared evaluation cache
-// (protocol/eval_cache.hpp) answers repeated views whole.
+// An SCC they enumerate is built once as a ComponentMasks
+// (protocol/sink_predicate.hpp), which evaluates each S1 as a 64-bit mask;
+// the big-SCC path evaluates its S1s with the reference
+// admissible_thresholds. The only membership memo sits above them: the
+// shared evaluation cache (protocol/eval_cache.hpp) answers repeated views
+// whole.
 //
 // Property tests cross-validate the two strategies on random graphs.
 #pragma once

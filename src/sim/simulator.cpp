@@ -104,9 +104,6 @@ void Simulator::configure(bool reuse) {
   if (!reuse && options_.expected_events != 0) {
     queue_.reserve(options_.expected_events);  // capacity persists afterwards
   }
-  if (options_.expected_processes != 0) {
-    trace_.reserve(options_.expected_processes);
-  }
 }
 
 void Simulator::add_process(std::unique_ptr<Process> process) {

@@ -2,12 +2,6 @@
 
 namespace bftcup::sim {
 
-void Trace::reserve(std::size_t processes) {
-  decisions_.reserve(processes);
-  memberships_.reserve(processes);
-  membership_times_.reserve(processes);
-}
-
 void Trace::record_decision(ProcessId who, Value value, SimTime time) {
   // Integrity: only the first decision counts (Consensus decides at most
   // once; a second record would indicate a protocol bug and is kept out of

@@ -1,16 +1,16 @@
 // Execution trace: everything the experiment harnesses measure.
 //
-// Record storage is FlatMap (sorted vectors) rather than std::map: a run
-// writes at most one record per process, and the recycled-run engine wants
-// reserve() from scenario hints instead of per-run node allocation.
-// Iteration order (sorted by id) matches the std::map the digest
-// serialization was pinned on.
+// A run writes at most one decision and one membership record per process,
+// in decision order rather than id order, so the records live in std::maps:
+// each insert is O(log n), where a sorted vector shifts half its entries.
+// Iteration is sorted by id, the order RunReport's copies and the digest
+// serialization use.
 #pragma once
 
 #include <array>
+#include <map>
 #include <optional>
 
-#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "msg/message.hpp"
 #include "sim/wire_mutator.hpp"
@@ -26,12 +26,9 @@ class Trace {
  public:
   /// Per-message-type sent counts (the coverage signature's traffic shape).
   using MsgHistogram = std::array<std::uint64_t, msg::kMsgTypeCount>;
-  using DecisionMap = FlatMap<ProcessId, Decision>;
-  using MembershipMap = FlatMap<ProcessId, IdSet>;
-  using TimeMap = FlatMap<ProcessId, SimTime>;
-
-  /// Pre-sizes the per-process record maps (scenario hint: process count).
-  void reserve(std::size_t processes);
+  using DecisionMap = std::map<ProcessId, Decision>;
+  using MembershipMap = std::map<ProcessId, IdSet>;
+  using TimeMap = std::map<ProcessId, SimTime>;
 
   void record_decision(ProcessId who, Value value, SimTime time);
   void record_send(std::size_t bytes, msg::MsgType type);

@@ -31,6 +31,29 @@ ProcessId p(std::uint64_t raw) {
   return ProcessId(raw);
 }
 
+TEST(SharedEvalCacheTest, CanonicalViewBytesAreBigEndianWords) {
+  // The memo key layout: known (count, ids), then the PD count and each
+  // (owner, count, ids), every field one big-endian u64.
+  const std::uint64_t wide = 0x0102030405060708;
+  KnowledgeView view(p(1), IdSet{p(2)});
+  view.add_pd(p(2), IdSet{p(1), p(wide)});
+  const std::uint64_t words[] = {
+      3, 1, 2, wide,  // known
+      2,              // PD count
+      1, 1, 2,        // owner 1, PD {2}
+      2, 2, 1, wide,  // owner 2, PD {1, wide}
+  };
+  Bytes expected;
+  for (std::uint64_t word : words) {
+    for (int shift = 56; shift >= 0; shift -= 8) {
+      expected.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  Bytes out = {0xFF};  // replaced, not appended to
+  protocol::view_canonical(view, out);
+  EXPECT_EQ(out, expected);
+}
+
 TEST(SharedEvalCacheTest, SinkResultMatchesColdAndReportsHits) {
   const auto sys = [] {
     Rng rng(3);

@@ -127,7 +127,8 @@ TEST(MessageTest, EncodedSizeIsTheFrameMinusTheCertFlag) {
           m.value = 300 + t;
           m.view = static_cast<std::uint32_t>(t);
           m.origin = p(7);
-          m.origin_pd = IdSet{p(8), p(9)};
+          // The widest id takes a 10-byte varint.
+          m.origin_pd = IdSet{p(8), p(9), p(~std::uint64_t{0})};
           if (with_pds) {
             for (std::uint64_t i = 1; i <= 3; ++i) {
               SignedPd spd;
@@ -151,6 +152,7 @@ TEST(MessageTest, EncodedSizeIsTheFrameMinusTheCertFlag) {
               std::string(to_string(m.type)) + " pds=" +
               std::to_string(with_pds) + " cert=" +
               std::to_string(with_cert) + " path=" + std::to_string(with_path);
+          EXPECT_EQ(frame_size(m), encode_frame(m).size()) << label;
           EXPECT_EQ(m.encoded_size(), encode_frame(m).size() - 1) << label;
           EXPECT_EQ(m.encoded_size(), metric_layout_size(m)) << label;
         }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 
+#include "common/random.hpp"
 #include "graph/figures.hpp"
 #include "graph/generators.hpp"
+#include "graph/scc.hpp"
 #include "protocol/sink.hpp"
 #include "protocol/sink_search.hpp"
 
@@ -133,6 +136,221 @@ TEST_P(StrategyAgreementTest, StructuredFindsWhatExhaustiveFinds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyAgreementTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// --- The mask kernel against the reference predicate -----------------------
+//
+// Both strategies evaluate each S1 inside a received SCC on ComponentMasks.
+// These cases rebuild the same S1 family here, in the same order, and run
+// every S1 through the reference admissible_thresholds(view, S1).
+
+/// A random view with every shape the kernel must reproduce: `n`
+/// processes with sparse ids (one at the top of the id space), PDs of
+/// about `degree` members that may name their owner or an id no process
+/// has, and processes whose PD the owner never received.
+KnowledgeView random_view(Rng& rng, std::size_t n, double degree) {
+  std::vector<ProcessId> ids;
+  IdSet used;
+  while (ids.size() < n) {
+    const std::uint64_t raw =
+        ids.empty() ? ~std::uint64_t{0} : 1 + rng.next_below(10 * n);
+    if (used.insert(p(raw))) ids.push_back(p(raw));
+  }
+  const double density = degree / static_cast<double>(n - 1);
+  const auto draw_pd = [&](std::size_t i) {
+    IdSet pd;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i && rng.chance(density)) pd.insert(ids[j]);
+    }
+    if (rng.chance(0.3)) pd.insert(ids[i]);
+    if (rng.chance(0.3)) pd.insert(p(20 * n + rng.next_below(4)));
+    return pd;
+  };
+  KnowledgeView view(ids[0], draw_pd(0));
+  for (std::size_t i = 1; i < n; ++i) {
+    const IdSet pd = draw_pd(i);
+    if (rng.chance(0.85)) view.add_pd(ids[i], pd);
+  }
+  return view;
+}
+
+std::vector<IdSet> received_components(const KnowledgeView& view) {
+  return graph::strongly_connected_components(
+             view.knowledge_graph(view.received()))
+      .members;
+}
+
+void reference_collect(const KnowledgeView& view, const IdSet& s1,
+                       std::vector<SinkCandidate>& out) {
+  for (AdmissibleSplit& split : admissible_thresholds(view, s1)) {
+    out.push_back({s1, std::move(split.s2), split.g});
+  }
+}
+
+/// The subset of `scc` that `mask` names (bit b = the b-th smallest id).
+IdSet subset(const IdSet& scc, std::uint64_t mask) {
+  IdSet s1;
+  for (std::size_t b = 0; b < scc.size(); ++b) {
+    if ((mask >> b) & 1U) s1.insert(scc.values()[b]);
+  }
+  return s1;
+}
+
+/// Every non-empty subset of every received SCC, masks ascending.
+std::vector<SinkCandidate> reference_exhaustive(const KnowledgeView& view) {
+  std::vector<SinkCandidate> out;
+  for (const IdSet& scc : received_components(view)) {
+    for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << scc.size());
+         ++mask) {
+      reference_collect(view, subset(scc, mask), out);
+    }
+  }
+  return out;
+}
+
+/// `s1` minus every d-combination of scc's members from index `first` on,
+/// in lexicographic order of the removed indices.
+void remove_combinations(const KnowledgeView& view, const IdSet& scc,
+                         const IdSet& s1, std::size_t d, std::size_t first,
+                         std::vector<SinkCandidate>& out) {
+  if (d == 0) {
+    reference_collect(view, s1, out);
+    return;
+  }
+  for (std::size_t i = first; i + d <= scc.size(); ++i) {
+    IdSet rest = s1;
+    rest.erase(scc.values()[i]);
+    remove_combinations(view, scc, rest, d - 1, i + 1, out);
+  }
+}
+
+/// Every received SCC C, then C \ D for |D| = 1 .. removal_cap.
+std::vector<SinkCandidate> reference_structured(const KnowledgeView& view,
+                                                std::size_t removal_cap) {
+  std::vector<SinkCandidate> out;
+  for (const IdSet& scc : received_components(view)) {
+    reference_collect(view, scc, out);
+    for (std::size_t d = 1; d <= std::min(removal_cap, scc.size() - 1); ++d) {
+      remove_combinations(view, scc, scc, d, 0, out);
+    }
+  }
+  return out;
+}
+
+/// Split-by-split: the kernel of every multi-member received SCC against
+/// the reference, on every mask (SCCs up to 12 members) or on C and every
+/// C \ {v} (larger SCCs).
+void expect_kernel_matches_reference(const KnowledgeView& view) {
+  for (const IdSet& scc : received_components(view)) {
+    if (scc.size() < 2) continue;
+    const ComponentMasks kernel(view, scc);
+    ASSERT_EQ(kernel.size(), scc.size());
+    const auto check = [&](std::uint64_t mask) {
+      const IdSet s1 = subset(scc, mask);
+      ASSERT_EQ(kernel.members(mask), s1);
+      EXPECT_EQ(kernel.admissible_thresholds(mask),
+                admissible_thresholds(view, s1))
+          << "|C| = " << scc.size() << ", mask = " << mask;
+    };
+    if (scc.size() <= 12) {
+      for (std::uint64_t mask = 1; mask <= kernel.all(); ++mask) check(mask);
+      continue;
+    }
+    check(kernel.all());
+    for (std::size_t i = 0; i < scc.size(); ++i) {
+      check(kernel.all() & ~(std::uint64_t{1} << i));
+    }
+  }
+}
+
+class KernelPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(KernelPropertyTest, ExhaustiveMatchesEveryMaskThroughTheReference) {
+  Rng rng(GetParam());
+  const std::size_t n = 6 + GetParam() % 7;
+  const KnowledgeView view =
+      random_view(rng, n, 1.5 + static_cast<double>(rng.next_below(n)) / 2);
+  SearchOptions options;
+  options.exhaustive_cap = 12;
+  EXPECT_EQ(ExhaustiveSinkSearch(options).candidates(view),
+            reference_exhaustive(view));
+  expect_kernel_matches_reference(view);
+}
+
+TEST_P(KernelPropertyTest, StructuredMatchesRemovalsThroughTheReference) {
+  Rng rng(GetParam() + 1000);
+  const KnowledgeView view = random_view(
+      rng, 13 + GetParam() % 28, 2 + static_cast<double>(rng.next_below(4)));
+  SearchOptions options;
+  options.removal_cap = 2;
+  EXPECT_EQ(StructuredSinkSearch(options).candidates(view),
+            reference_structured(view, options.removal_cap));
+  expect_kernel_matches_reference(view);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelPropertyTest,
+                         ::testing::Range<std::uint64_t>(1, 25));
+
+/// Omniscient view of a circulant digraph on `n` vertices with an edge
+/// i -> i+s (mod n) for every step s, ids spaced out by 1000.
+KnowledgeView circulant(std::size_t n,
+                        std::initializer_list<std::size_t> steps) {
+  graph::Digraph g;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s : steps) {
+      g.add_edge(p(1000 * i + 7), p(1000 * ((i + s) % n) + 7));
+    }
+  }
+  return KnowledgeView::omniscient(g);
+}
+
+TEST(KernelFallbackTest, CirculantNeedsTheFlowRoutine) {
+  // C8(1,2) is not complete and every degree is 2, so the mask exits leave
+  // κ in [1, 2]; g = 1 passes P3, so κ itself (2) comes from the flows.
+  const KnowledgeView view = circulant(8, {1, 2});
+  const ComponentMasks kernel(view, view.received());
+  const auto splits = kernel.admissible_thresholds(kernel.all());
+  ASSERT_EQ(splits.size(), 2U);
+  EXPECT_EQ(splits[1].g, 1U);
+  EXPECT_EQ(splits, admissible_thresholds(view, view.received()));
+  EXPECT_EQ(ExhaustiveSinkSearch().candidates(view),
+            reference_exhaustive(view));
+  expect_kernel_matches_reference(view);
+}
+
+TEST(KernelFallbackTest, CutVertexDropsSplitsTheDegreeBoundAllows) {
+  // Two K4s sharing vertex 4: every degree is at least 3, but 4 is a cut
+  // vertex, so κ = 1 and only g = 0 survives the flow routine.
+  graph::Digraph g;
+  for (const auto& clique : {std::vector<std::uint64_t>{1, 2, 3, 4},
+                             std::vector<std::uint64_t>{4, 5, 6, 7}}) {
+    for (std::uint64_t a : clique) {
+      for (std::uint64_t b : clique) {
+        if (a != b) g.add_edge(p(a), p(b));
+      }
+    }
+  }
+  const KnowledgeView view = KnowledgeView::omniscient(g);
+  const ComponentMasks kernel(view, view.received());
+  const auto splits = kernel.admissible_thresholds(kernel.all());
+  ASSERT_EQ(splits.size(), 1U);
+  EXPECT_EQ(splits[0].g, 0U);
+  EXPECT_EQ(splits, admissible_thresholds(view, view.received()));
+  EXPECT_EQ(ExhaustiveSinkSearch().candidates(view),
+            reference_exhaustive(view));
+}
+
+TEST(KernelFallbackTest, SixtyThreeMemberRingThroughStructuredRemovals) {
+  // The largest component the kernel takes: the whole ring (κ = 2 from the
+  // flows) and every C \ {v}, a two-way path with κ = 1.
+  const KnowledgeView view = circulant(63, {1, 62});
+  ASSERT_EQ(view.received().size(), ComponentMasks::kMaxMembers);
+  SearchOptions options;
+  options.removal_cap = 1;
+  const auto candidates = StructuredSinkSearch(options).candidates(view);
+  EXPECT_EQ(candidates, reference_structured(view, 1));
+  EXPECT_TRUE(has_candidate(candidates, view.received(), 1));
+  EXPECT_EQ(candidates.size(), 2U + 63U);
+}
 
 TEST(TryFindSinkTest, RequiresExactG) {
   const auto view =

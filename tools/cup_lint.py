@@ -145,7 +145,6 @@ ORDERED_CONTAINERS = (
     "std::array",
     "std::vector",
     "std::deque",
-    "FlatMap",
     "FlatSet",
     "IdSet",
 )
