@@ -1,70 +1,22 @@
 #include "graph/scc.hpp"
 
-#include <algorithm>
-
 namespace bftcup::graph {
 
 SccResult strongly_connected_components(const Digraph& g) {
-  const std::size_t n = g.vertex_count();
   SccResult result;
-  result.component.assign(n, 0);
-  if (n == 0) return result;
-
-  constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> index(n, kUnset);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::size_t next_index = 0;
-
-  // Explicit DFS stack: (vertex, next-child position).
-  struct Frame {
-    std::size_t v;
-    std::size_t child;
-  };
-  std::vector<Frame> frames;
-
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kUnset) continue;
-    frames.push_back({root, 0});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const std::size_t v = f.v;
-      if (f.child == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = true;
-      }
-      const auto& children = g.out(v);
-      if (f.child < children.size()) {
-        const std::size_t w = children[f.child++];
-        if (index[w] == kUnset) {
-          frames.push_back({w, 0});
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
+  result.component.assign(g.vertex_count(), 0);
+  tarjan_scc(
+      g.vertex_count(), [&](std::size_t v) -> const auto& { return g.out(v); },
+      [&](std::span<const std::size_t> members) {
+        std::vector<ProcessId> ids;
+        ids.reserve(members.size());
+        for (std::size_t w : members) {
+          result.component[w] = result.count;
+          ids.push_back(g.id_of(w));
         }
-      } else {
-        if (lowlink[v] == index[v]) {
-          IdSet comp;
-          for (;;) {
-            const std::size_t w = stack.back();
-            stack.pop_back();
-            on_stack[w] = false;
-            result.component[w] = result.count;
-            comp.insert(g.id_of(w));
-            if (w == v) break;
-          }
-          result.members.push_back(std::move(comp));
-          ++result.count;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().v] =
-              std::min(lowlink[frames.back().v], lowlink[v]);
-        }
-      }
-    }
-  }
+        result.members.emplace_back(std::move(ids));
+        ++result.count;
+      });
   return result;
 }
 

@@ -44,10 +44,13 @@ class KnowledgeView {
   /// are `keep`, with an edge j -> k for every j in `keep` whose received
   /// PD contains k in `keep`. Only received PDs contribute edges — a
   /// process cannot use out-edges it has not seen evidence for. The one
-  /// place a view becomes a graph: the search takes K[S_received] for its
-  /// SCCs, the predicate K[S1] for κ. Vertices are indexed in ascending id
-  /// order and every out-list ascends, so Tarjan's order over the result —
-  /// and with it candidate order — is a function of the view alone.
+  /// place a view becomes a Digraph: the predicate takes K[S1] for κ, in
+  /// the mask kernel's flow fallback and in the reference
+  /// admissible_thresholds. The search finds the SCCs of K[S_received]
+  /// without it, on a flat adjacency with the same vertex and edge order
+  /// (protocol/sink_search.cpp). Vertices are indexed in ascending id
+  /// order and every out-list ascends, so any traversal of the result is
+  /// a function of the view alone.
   [[nodiscard]] graph::Digraph knowledge_graph(const IdSet& keep) const;
 
   /// Omniscient view of a full knowledge connectivity graph: every vertex's

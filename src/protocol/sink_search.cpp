@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/fnv.hpp"
 #include "common/random.hpp"
@@ -79,13 +80,62 @@ void enumerate_structured(const ComponentMasks& component,
   }
 }
 
-/// SCCs of the knowledge graph restricted to processes with received PDs —
-/// any strongly connected S1 (P2 needs κ >= 1) is a subset of one of these.
-/// Both strategies walk them in this order, which fixes candidate order.
-std::vector<IdSet> received_sccs(const KnowledgeView& view) {
-  return graph::strongly_connected_components(
-             view.knowledge_graph(view.received()))
-      .members;
+/// Calls `visit(scc)` for every SCC of K[S_received], `scc` being the
+/// component's ids ascending; any strongly connected S1 (P2 needs κ >= 1)
+/// is a subset of one of these. One walk of view.pds(), whose keys are
+/// S_received ascending, ranks the owners and merges each sorted PD
+/// against them into one flat adjacency (self-loops dropped); Tarjan runs
+/// on that. Vertices and out-lists ascend exactly as
+/// knowledge_graph(received()) orders them, so the components come in the
+/// same order, which fixes candidate order for both strategies.
+template <typename Visit>
+void for_each_received_scc(const KnowledgeView& view, const Visit& visit) {
+  const auto& pds = view.pds();
+  std::vector<ProcessId> ids;  // rank -> id
+  ids.reserve(pds.size());
+  std::size_t named = 0;
+  for (const auto& entry : pds) {
+    ids.push_back(entry.first);
+    named += entry.second.size();
+  }
+
+  // Owner r's targets are targets[offsets[r] .. offsets[r + 1]), as ranks.
+  std::vector<std::size_t> offsets;
+  offsets.reserve(ids.size() + 1);
+  offsets.push_back(0);
+  std::vector<std::size_t> targets;
+  targets.reserve(named);
+  for (const auto& entry : pds) {
+    const std::size_t rank = offsets.size() - 1;
+    auto it = ids.begin();
+    for (ProcessId t : entry.second) {
+      it = std::lower_bound(it, ids.end(), t);
+      if (it == ids.end()) break;
+      const auto target = static_cast<std::size_t>(it - ids.begin());
+      if (*it == t && target != rank) targets.push_back(target);
+    }
+    offsets.push_back(targets.size());
+  }
+
+  std::vector<ProcessId> scc;
+  scc.reserve(ids.size());
+  graph::tarjan_scc(
+      ids.size(),
+      [&](std::size_t v) {
+        return std::span<const std::size_t>(targets).subspan(
+            offsets[v], offsets[v + 1] - offsets[v]);
+      },
+      [&](std::span<const std::size_t> members) {
+        scc.clear();
+        for (std::size_t r : members) scc.push_back(ids[r]);
+        std::sort(scc.begin(), scc.end());
+        visit(std::span<const ProcessId>(scc));
+      });
+}
+
+/// The ascending ids `scc` holds, as a set.
+IdSet as_set(std::span<const ProcessId> scc) {
+  return IdSet(std::vector<ProcessId>(scc.begin(), scc.end()));
 }
 
 /// Big-SCC certification: components too large to enumerate are *certified
@@ -140,32 +190,36 @@ void enumerate_big_scc(const KnowledgeView& view, const IdSet& scc,
 /// The loop both strategies share: every received SCC in order, routed to
 /// the big-SCC certification path above `enumeration_cap` members (counted
 /// as `engine.big_scc_fallbacks` in the installed registry) and otherwise,
-/// as one ComponentMasks, to the strategy's own `enumerate`.
+/// as one ComponentMasks, to the strategy's own `enumerate`. Every
+/// component opens a `membership.scc_eval` span and records its size in
+/// `eval.scc_size`; only those it certifies or enumerates become sets.
 template <typename Enumerate>
 std::vector<SinkCandidate> enumerate_sccs(const KnowledgeView& view,
                                           std::size_t enumeration_cap,
                                           const SearchOptions& options,
                                           const Enumerate& enumerate) {
   std::vector<SinkCandidate> out;
-  for (const IdSet& scc : received_sccs(view)) {
+  // No component, no sample: the histogram is not created either.
+  if (view.received().empty()) return out;
+  obs::MetricsRegistry* const metrics = obs::current_metrics();
+  obs::MetricsRegistry::Histogram* const sizes =
+      metrics != nullptr ? &metrics->histogram("eval.scc_size") : nullptr;
+  for_each_received_scc(view, [&](std::span<const ProcessId> scc) {
     const obs::ScopedSpan span("membership.scc_eval", scc.size());
-    obs::MetricsRegistry* const metrics = obs::current_metrics();
-    if (metrics != nullptr) {
-      metrics->histogram("eval.scc_size").record(scc.size());
-    }
+    if (sizes != nullptr) sizes->record(scc.size());
     if (scc.size() > enumeration_cap) {
       if (metrics != nullptr) {
         metrics->counter("engine.big_scc_fallbacks").add();
       }
       const obs::ScopedSpan certify("membership.big_scc_certify", scc.size());
-      enumerate_big_scc(view, scc, options.removal_cap,
+      enumerate_big_scc(view, as_set(scc), options.removal_cap,
                         options.big_scc_samples, out);
-      continue;
+      return;
     }
     // κ = 0 below two vertices: a one-member component yields nothing.
-    if (scc.size() < 2) continue;
-    enumerate(ComponentMasks(view, scc), out);
-  }
+    if (scc.size() < 2) return;
+    enumerate(ComponentMasks(view, as_set(scc)), out);
+  });
   return out;
 }
 

@@ -18,7 +18,13 @@
 // Both strategies walk the SCCs of the received-knowledge graph in order and
 // enumerate each one from scratch on every evaluation, so candidate order —
 // and therefore every downstream decision — is a pure function of the view.
-// An SCC they enumerate is built once as a ComponentMasks
+// The SCCs come from one pass over the view's PDs: each received owner gets
+// its rank, the ranks its PD names go into one flat adjacency, and
+// graph::tarjan_scc (graph/scc.hpp) runs on that, with no Digraph built.
+// Vertices and out-lists ascend with the ids, as in
+// KnowledgeView::knowledge_graph, so components come in Tarjan's order over
+// K[S_received]. A component becomes a set only when a strategy takes it:
+// an SCC they enumerate is built once as a ComponentMasks
 // (protocol/sink_predicate.hpp), which evaluates each S1 as a 64-bit mask;
 // the big-SCC path evaluates its S1s with the reference
 // admissible_thresholds. The only membership memo sits above them: the

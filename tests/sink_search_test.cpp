@@ -7,6 +7,8 @@
 #include "graph/figures.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span_tracer.hpp"
 #include "protocol/sink.hpp"
 #include "protocol/sink_search.hpp"
 
@@ -289,6 +291,107 @@ TEST_P(KernelPropertyTest, StructuredMatchesRemovalsThroughTheReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+// --- What a search reports per received SCC -------------------------------
+//
+// Every received component, singletons included, opens one
+// membership.scc_eval span (its size as the argument, in component order)
+// and records one eval.scc_size sample; every component above the
+// strategy's enumeration cap counts one engine.big_scc_fallbacks.
+
+void expect_scc_observations(const SinkSearch& search, std::size_t cap,
+                             const KnowledgeView& view) {
+  obs::MetricsRegistry metrics;
+  obs::SpanTracer tracer(1 << 16);
+  {
+    const obs::ObsScope scope(&metrics, &tracer);
+    (void)search.candidates(view);
+  }
+  const std::vector<IdSet> components = received_components(view);
+  std::vector<std::uint64_t> sizes;
+  std::uint64_t above_cap = 0;
+  for (const IdSet& scc : components) {
+    sizes.push_back(scc.size());
+    above_cap += scc.size() > cap ? 1 : 0;
+  }
+
+  const obs::MetricsSnapshot snapshot = metrics.snapshot();
+  const auto histogram = snapshot.histograms.find("eval.scc_size");
+  ASSERT_NE(histogram, snapshot.histograms.end()) << search.name();
+  EXPECT_EQ(histogram->second.count, components.size()) << search.name();
+  EXPECT_EQ(histogram->second.sum, view.received().size()) << search.name();
+  EXPECT_EQ(snapshot.counter("engine.big_scc_fallbacks"), above_cap)
+      << search.name();
+
+  const obs::SpanTrace trace = tracer.take();
+  ASSERT_EQ(trace.dropped, 0U);
+  std::vector<std::uint64_t> span_sizes;
+  for (const obs::SpanRecord& record : trace.records) {
+    if (trace.names[record.name_id] == "membership.scc_eval") {
+      span_sizes.push_back(record.arg);
+    }
+  }
+  EXPECT_EQ(span_sizes, sizes) << search.name();
+}
+
+TEST_P(KernelPropertyTest, EveryReceivedSccIsObservedOnce) {
+  // The views of the two property tests above, searched with exhaustive
+  // caps small enough that larger components take the big-SCC path; at
+  // cap 0 every component does, singletons included.
+  Rng exhaustive_rng(GetParam());
+  const std::size_t n = 6 + GetParam() % 7;
+  const KnowledgeView small_view = random_view(
+      exhaustive_rng, n,
+      1.5 + static_cast<double>(exhaustive_rng.next_below(n)) / 2);
+  Rng structured_rng(GetParam() + 1000);
+  const KnowledgeView large_view = random_view(
+      structured_rng, 13 + GetParam() % 28,
+      2 + static_cast<double>(structured_rng.next_below(4)));
+
+  SearchOptions options;
+  options.removal_cap = 2;
+  for (const KnowledgeView* view : {&small_view, &large_view}) {
+    for (std::size_t cap : {0U, 3U}) {
+      options.exhaustive_cap = cap;
+      expect_scc_observations(ExhaustiveSinkSearch(options), cap, *view);
+    }
+    expect_scc_observations(StructuredSinkSearch(options),
+                            ComponentMasks::kMaxMembers, *view);
+  }
+}
+
+TEST(SccObservationTest, ComponentAboveTheCapBetweenSmallerOnes) {
+  // Cliques {1,2,3} -> {11..16} -> {21,22,23} -> singleton {30}: Tarjan
+  // from vertex 1 emits {30}, {21,22,23}, the six-member clique (above
+  // the cap of 4), then {1,2,3}.
+  graph::Digraph g;
+  for (const auto& clique :
+       {std::vector<std::uint64_t>{1, 2, 3},
+        std::vector<std::uint64_t>{11, 12, 13, 14, 15, 16},
+        std::vector<std::uint64_t>{21, 22, 23}}) {
+    for (std::uint64_t a : clique) {
+      for (std::uint64_t b : clique) {
+        if (a != b) g.add_edge(p(a), p(b));
+      }
+    }
+  }
+  g.add_edge(p(3), p(11));
+  g.add_edge(p(16), p(21));
+  g.add_edge(p(23), p(30));
+  const KnowledgeView view = KnowledgeView::omniscient(g);
+  std::vector<std::size_t> sizes;
+  for (const IdSet& scc : received_components(view)) {
+    sizes.push_back(scc.size());
+  }
+  ASSERT_EQ(sizes, (std::vector<std::size_t>{1, 3, 6, 3}));
+
+  SearchOptions options;
+  options.exhaustive_cap = 4;
+  expect_scc_observations(ExhaustiveSinkSearch(options),
+                          options.exhaustive_cap, view);
+  expect_scc_observations(StructuredSinkSearch(options),
+                          ComponentMasks::kMaxMembers, view);
+}
 
 /// Omniscient view of a circulant digraph on `n` vertices with an edge
 /// i -> i+s (mod n) for every step s, ids spaced out by 1000.

@@ -12,9 +12,11 @@ compared metric is chosen per row:
     runner-speed differences between the baseline machine and CI.
     Compared as-is.
   * events_per_sec / evals_per_sec — absolute throughput otherwise
-    (bench_simcore). Absolute numbers are machine-dependent, so each value
-    is normalized by the geometric mean of its file's gated absolute rows
-    before comparison: a uniformly slower CI runner cancels out, while one
+    (bench_simcore, bench_scale). Absolute numbers are machine-dependent,
+    so each row's current/baseline ratio is divided by the median ratio of
+    the file's matched gated absolute rows before comparison: a uniformly
+    slower CI runner cancels out, and so does a speed-up of a minority of
+    rows, which leaves the median where the untouched rows are. One
     workload regressing relative to the others still trips the gate. (A
     perfectly uniform global slowdown is indistinguishable from a slower
     machine and is deliberately not flagged.)
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import statistics
 import sys
 from typing import Any
 
@@ -50,23 +52,26 @@ def metric_for(row: Row) -> str | None:
     return None
 
 
-def geomean(values: list[float]) -> float:
-    positives = [v for v in values if v > 0]
-    if not positives:
-        return 1.0
-    return math.exp(sum(math.log(v) for v in positives) / len(positives))
-
-
-def normalizer(rows: list[Row]) -> float:
-    """Geometric mean of the gated absolute-metric values of one file."""
-    values: list[float] = []
-    for row in rows:
-        if row.get("gate", True) is False:
+def median_ratio(baseline_rows: list[Row], current_rows: dict[RowKey, Row]) -> float:
+    """Median current/baseline ratio over the gated absolute-metric rows
+    present in both files. 1.0 when there are none, or when the median is
+    not positive (most rows read zero), so each row is then compared raw."""
+    ratios: list[float] = []
+    for base_row in baseline_rows:
+        if base_row.get("gate", True) is False:
             continue
-        metric = metric_for(row)
-        if metric in ABSOLUTE_METRICS:
-            values.append(float(row[metric]))
-    return geomean(values)
+        metric = metric_for(base_row)
+        if metric not in ABSOLUTE_METRICS:
+            continue
+        cur_row = current_rows.get(row_key(base_row))
+        base_value = float(base_row[metric])
+        if cur_row is None or base_value <= 0:
+            continue
+        ratios.append(float(cur_row.get(metric, 0.0)) / base_value)
+    if not ratios:
+        return 1.0
+    median = statistics.median(ratios)
+    return median if median > 0 else 1.0
 
 
 def main() -> int:
@@ -87,8 +92,7 @@ def main() -> int:
         current_rows_list = json.load(f).get("results", [])
 
     current_rows: dict[RowKey, Row] = {row_key(r): r for r in current_rows_list}
-    base_norm = normalizer(baseline_rows)
-    cur_norm = normalizer(current_rows_list)
+    speed = median_ratio(baseline_rows, current_rows)
 
     failures: list[str] = []
     checked = 0
@@ -106,9 +110,8 @@ def main() -> int:
         base_value = float(base_row[metric])
         cur_value = float(cur_row.get(metric, 0.0))
         if metric in ABSOLUTE_METRICS:
-            base_value /= base_norm
-            cur_value /= cur_norm
-            shown_metric = f"{metric} (geomean-normalized)"
+            cur_value /= speed
+            shown_metric = f"{metric} (median-normalized)"
         else:
             shown_metric = metric
         if base_value <= 0:
