@@ -8,8 +8,12 @@
 //                                             AGREEMENT VIOLATED
 // then the fixed BFT-CUPFT protocol on AB (waits — safety preserved) and on
 // Fig. 4a (solves — the graph the extended model requires).
+//
+// Exits 1 unless every run ends with the verdict Theorem 7 predicts, so the
+// demo doubles as a check of the theorem's executable witness.
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
 #include "cup/scenario_registry.hpp"
 
@@ -17,8 +21,11 @@ namespace {
 
 using namespace bftcup;
 
-void print(const char* name, const cup::RunReport& r) {
-  std::printf("%-28s -> %-19s", name, r.verdict().c_str());
+/// Prints the run's verdict and decisions; true iff the verdict is
+/// `expected`.
+bool check(const char* name, const cup::RunReport& r, const char* expected) {
+  const std::string verdict = r.verdict();
+  std::printf("%-28s -> %-19s", name, verdict.c_str());
   if (!r.decisions.empty()) {
     std::printf(" decisions:");
     for (const auto& [who, d] : r.decisions) {
@@ -26,6 +33,9 @@ void print(const char* name, const cup::RunReport& r) {
     }
   }
   std::printf("\n");
+  if (verdict == expected) return true;
+  std::printf("  expected %s\n", expected);
+  return false;
 }
 
 }  // namespace
@@ -33,15 +43,20 @@ void print(const char* name, const cup::RunReport& r) {
 int main() {
   const auto& registry = cup::ScenarioRegistry::paper();
 
-  print("system A (naive)", registry.run("fig2/system-a-naive", 9));
-  print("system B (naive)", registry.run("fig2/system-b-naive", 9));
-  print("system AB (naive)", registry.run("fig2/system-ab-naive", 9));
-  print("system AB (BFT-CUPFT)", registry.run("fig2/system-ab-cupft", 9));
-  print("fig. 4a (BFT-CUPFT)", registry.run("fig4a/cupft-silent", 9));
+  bool ok = check("system A (naive)", registry.run("fig2/system-a-naive", 9),
+                  "SOLVED");
+  ok &= check("system B (naive)", registry.run("fig2/system-b-naive", 9),
+              "SOLVED");
+  ok &= check("system AB (naive)", registry.run("fig2/system-ab-naive", 9),
+              "AGREEMENT-VIOLATED");
+  ok &= check("system AB (BFT-CUPFT)",
+              registry.run("fig2/system-ab-cupft", 9), "NO-TERMINATION");
+  ok &= check("fig. 4a (BFT-CUPFT)", registry.run("fig4a/cupft-silent", 9),
+              "SOLVED");
 
   std::printf(
       "\nTakeaway: without f, BFT-CUP-grade knowledge lets disjoint groups\n"
       "decide independently; the extended (core-based) graphs of BFT-CUPFT\n"
       "restore safety, trading liveness on insufficient topologies.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -4,10 +4,7 @@
 #include "common/hex.hpp"
 #include "common/sys_resource.hpp"
 #include "crypto/sha256.hpp"
-#include "cup/cupft_node.hpp"
-#include "cup/naive_node.hpp"
 #include "cup/node.hpp"
-#include "protocol/sink_search.hpp"
 
 namespace bftcup::cup {
 namespace {
@@ -159,31 +156,15 @@ RunReport execute_scenario(
       continue;
     }
 
-    CupNodeBase::Params params;
+    CupNode::Params params;
+    params.mode = scenario.mode;
+    params.f = scenario.f;
+    params.closure_guard = scenario.cupft_known_closure;
     params.pd = pd;
     params.proposal = proposal;
-    params.discovery_period = scenario.discovery_period;
-    params.pbft_base_timeout = scenario.pbft_base_timeout;
     params.search = search;
     params.eval_cache = eval_cache;
-
-    switch (scenario.mode) {
-      case Mode::kAuth:
-        simulator.add_process(
-            std::make_unique<AuthCupNode>(id, scenario.f, std::move(params)));
-        break;
-      case Mode::kCupft: {
-        CupftNode::Options options;
-        options.require_known_closure = scenario.cupft_known_closure;
-        simulator.add_process(
-            std::make_unique<CupftNode>(id, std::move(params), options));
-        break;
-      }
-      case Mode::kNaive:
-        simulator.add_process(
-            std::make_unique<NaiveNode>(id, std::move(params)));
-        break;
-    }
+    simulator.add_process(std::make_unique<CupNode>(id, std::move(params)));
   }
 
   // Semantically trace.all_decided(correct), evaluated after *every* event

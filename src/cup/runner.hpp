@@ -11,19 +11,21 @@
 #include <optional>
 #include <string>
 
-#include "cup/node_base.hpp"
 #include "graph/digraph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
+#include "protocol/eval_cache.hpp"
+#include "protocol/sink_search.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
 namespace bftcup::cup {
 
+/// The membership rule every correct CupNode (cup/node.hpp) runs.
 enum class Mode {
-  kAuth,   ///< AuthCupNode: knows f (authenticated BFT-CUP, Section III)
-  kCupft,  ///< CupftNode: unknown f (BFT-CUPFT, Section VI)
-  kNaive,  ///< NaiveNode: unknown f, unsound rule (Section IV witness)
+  kAuth,   ///< Sink (Alg. 2): knows f (authenticated BFT-CUP, Section III)
+  kCupft,  ///< Core (Alg. 4): unknown f (BFT-CUPFT, Section VI)
+  kNaive,  ///< Observation 1: unknown f, unsound rule (Section IV witness)
 };
 
 enum class ByzBehavior {
@@ -55,12 +57,10 @@ struct Scenario {
   /// Time-scheduled fault script (crash/recover, link and partition windows,
   /// late joins). Empty by default; see ScenarioBuilder's fluent fault API.
   sim::FaultTimeline timeline;
-  SimTime discovery_period = 50;
-  SimTime pbft_base_timeout = 600;
   /// Optional custom delay policy (e.g. GroupStretchPolicy for Theorem 7).
   std::function<std::unique_ptr<sim::DelayPolicy>()> make_policy;
   std::shared_ptr<const protocol::SinkSearch> search;  ///< default: exhaustive
-  /// kCupft only: enable the knowledge-closure guard (see CupftNode).
+  /// kCupft only: enable the knowledge-closure guard (see CupNode).
   bool cupft_known_closure = false;
 
   // --- membership-engine cache knobs (README "Membership engine caching").

@@ -95,10 +95,13 @@ ScenarioBuilder& ScenarioBuilder::proposal(ProcessId id, Value value) {
 ScenarioBuilder& ScenarioBuilder::propose_range(std::uint64_t first,
                                                 std::uint64_t last,
                                                 Value value) {
-  for (std::uint64_t raw = first; raw <= last; ++raw) {
+  if (first > last) return *this;
+  // Ends on raw == last: with last = 2^64 - 1 no raw exceeds it, so a
+  // `raw <= last` loop would wrap ++raw to 0 and never end.
+  for (std::uint64_t raw = first;; ++raw) {
     scenario_.proposals[ProcessId(raw)] = value;
+    if (raw == last) return *this;
   }
-  return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::fake_pd(ProcessId id, IdSet advertised) {
@@ -142,11 +145,6 @@ ScenarioBuilder& ScenarioBuilder::join_at(ProcessId p, SimTime at) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::fault_timeline(sim::FaultTimeline timeline) {
-  scenario_.timeline = std::move(timeline);
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::wire_mutation(double rate,
                                                 std::uint32_t kind_mask,
                                                 std::uint32_t type_mask,
@@ -173,16 +171,6 @@ ScenarioBuilder& ScenarioBuilder::loss_burst(SimTime start, SimTime len,
   scenario_.loss.burst_len = len;
   scenario_.loss.burst_period = period;
   scenario_.loss.burst_drop_p = drop_p;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::discovery_period(SimTime period) {
-  scenario_.discovery_period = period;
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::pbft_base_timeout(SimTime timeout) {
-  scenario_.pbft_base_timeout = timeout;
   return *this;
 }
 
@@ -322,8 +310,6 @@ Scenario ScenarioBuilder::build() const {
       fail("burst loss window parameters must be non-negative");
     }
   }
-  if (s.discovery_period <= 0) fail("discovery_period must be positive");
-  if (s.pbft_base_timeout <= 0) fail("pbft_base_timeout must be positive");
   if (s.sim.horizon <= 0) fail("horizon must be positive");
   if (s.sim.net.delta <= 0) fail("delta must be positive");
   if (s.sim.net.gst < 0) fail("gst must be non-negative");

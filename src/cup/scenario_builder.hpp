@@ -12,8 +12,8 @@
 //
 // build() validates the assembled configuration (faulty ⊆ vertices, f
 // consistent with the graph, proposals/fake PDs keyed by real processes,
-// positive periods) and throws `ScenarioError` instead of letting a typo'd
-// experiment silently measure the wrong system.
+// positive horizon and delta) and throws `ScenarioError` instead of letting
+// a typo'd experiment silently measure the wrong system.
 #pragma once
 
 #include <initializer_list>
@@ -59,7 +59,8 @@ class ScenarioBuilder {
 
   ScenarioBuilder& proposal(ProcessId id, Value value);
   /// Every process with raw id in [first, last] proposes `value` (the
-  /// Theorem 7 experiments give each half of the system one value).
+  /// Theorem 7 experiments give each half of the system one value). An
+  /// empty range (first > last) sets nothing; last may be 2^64 - 1.
   ScenarioBuilder& propose_range(std::uint64_t first, std::uint64_t last,
                                  Value value);
   ScenarioBuilder& fake_pd(ProcessId id, IdSet advertised);
@@ -84,8 +85,6 @@ class ScenarioBuilder {
                              SimTime heal_at);
   /// Defers `p`'s start to `at` (late join / churn).
   ScenarioBuilder& join_at(ProcessId p, SimTime at);
-  /// Replaces the whole script (for timelines assembled elsewhere).
-  ScenarioBuilder& fault_timeline(sim::FaultTimeline timeline);
 
   // --- hostile wire (README "Hostile wire") --------------------------------
   // Both knobs break the paper's reliable-channel premise on purpose: they
@@ -113,8 +112,6 @@ class ScenarioBuilder {
   ScenarioBuilder& loss_burst(SimTime start, SimTime len, SimTime period = 0,
                               double drop_p = 1.0);
 
-  ScenarioBuilder& discovery_period(SimTime period);
-  ScenarioBuilder& pbft_base_timeout(SimTime timeout);
   ScenarioBuilder& delay_policy(
       std::function<std::unique_ptr<sim::DelayPolicy>()> make);
   ScenarioBuilder& search(std::shared_ptr<const protocol::SinkSearch> search);

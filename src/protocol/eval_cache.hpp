@@ -134,7 +134,7 @@ class BFTCUP_THREAD_CONFINED SharedEvalCache {
   Stats stats_;
 };
 
-/// The memo wrapper of both cached try_find_* overloads: counts the
+/// The memo wrapper of try_find_sink and try_find_core: counts the
 /// evaluation, then, with the memo on, answers from the entry for
 /// (search.cache_key(), param, view) or runs `cold` and stores its result.
 /// `cache == nullptr` runs `cold` alone.

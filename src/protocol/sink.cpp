@@ -5,25 +5,15 @@
 namespace bftcup::protocol {
 
 std::optional<SinkResult> try_find_sink(const KnowledgeView& view,
-                                        std::size_t f,
-                                        const SinkSearch& search) {
-  for (const SinkCandidate& c : search.candidates(view)) {
-    if (c.g != f) continue;  // Alg. 2 line 3 instantiates the predicate at f
-    SinkResult result;
-    result.members = c.members();
-    result.g = c.g;
-    result.s1 = c.s1;
-    result.s2 = c.s2;
-    return result;
-  }
-  return std::nullopt;
-}
-
-std::optional<SinkResult> try_find_sink(const KnowledgeView& view,
                                         std::size_t f, const SinkSearch& search,
                                         SharedEvalCache* cache) {
-  return memoized(cache, view, search, f,
-                  [&] { return try_find_sink(view, f, search); });
+  return memoized(cache, view, search, f, [&]() -> std::optional<SinkResult> {
+    for (const SinkCandidate& c : search.candidates(view)) {
+      // Alg. 2 line 3 instantiates the predicate at f.
+      if (c.g == f) return SinkResult{c.members(), c.g};
+    }
+    return std::nullopt;
+  });
 }
 
 }  // namespace bftcup::protocol

@@ -6,6 +6,7 @@
 #include "cup/scenario_builder.hpp"
 #include "cup/scenario_registry.hpp"
 #include "graph/osr.hpp"
+#include "protocol/discovery.hpp"
 #include "test_util.hpp"
 
 namespace bftcup {

@@ -1,4 +1,4 @@
-// Ablation of CupftNode's knowledge-closure guard against the
+// Ablation of the Core rule's knowledge-closure guard against the
 // bridge-hiding fake-PD attack (described in cupft_integration_test's
 // Fig4aBridgeHidingFakePdAttackSplits).
 #include <gtest/gtest.h>

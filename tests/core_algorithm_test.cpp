@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "graph/figures.hpp"
 #include "graph/generators.hpp"
 #include "protocol/core.hpp"
+#include "test_util.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -90,7 +93,7 @@ TEST(CoreAlgorithmTest, PartialCoreKnowledgeStillResolvesToFullCore) {
 
 TEST(CoreAlgorithmTest, PeripheryOnlyKnowledgeFindsNothingStrong) {
   // A fig4b ring member that has only ring PDs: every candidate has k = 1,
-  // which CupftNode's min_core_k = 2 guard rejects (see cup/cupft_node.hpp).
+  // which the Core rule's g >= 1 floor rejects (kMinG in cup/node.cpp).
   const auto inst = graph::figures::fig4b();
   KnowledgeView view(p(1), inst.graph.out_neighbors(p(1)));
   view.add_pd(p(2), inst.graph.out_neighbors(p(2)));
@@ -99,6 +102,57 @@ TEST(CoreAlgorithmTest, PeripheryOnlyKnowledgeFindsNothingStrong) {
   if (core.has_value()) {
     EXPECT_LT(core->k(), 2U);
   }
+}
+
+/// The Core rule as a per-member-set aggregate: for each member set its
+/// maximum g; the top set must hold its maximum strictly, and no smaller
+/// subset may sit at or above it (Theorem 8(b)).
+std::optional<SinkResult> aggregate_core(const KnowledgeView& view) {
+  std::map<IdSet, std::size_t> max_g;
+  for (const SinkCandidate& c : kSearch.candidates(view)) {
+    const auto [it, fresh] = max_g.emplace(c.members(), c.g);
+    if (!fresh && c.g > it->second) it->second = c.g;
+  }
+  if (max_g.empty()) return std::nullopt;
+  auto top = max_g.begin();
+  for (auto it = max_g.begin(); it != max_g.end(); ++it) {
+    if (it->second > top->second) top = it;
+  }
+  for (const auto& [members, g] : max_g) {
+    if (members == top->first) continue;
+    if (g == top->second) return std::nullopt;
+    if (g >= top->second && members.is_subset_of(top->first)) {
+      return std::nullopt;
+    }
+  }
+  return SinkResult{top->first, top->second};
+}
+
+TEST(CoreAlgorithmTest, TopGRuleMatchesThePerSetAggregateOnRandomViews) {
+  // Partial views of 6-12 processes with sparse ids (2^64 - 1 among them),
+  // unreceived PDs, self-loops and ghost ids. Both outcomes must occur: a
+  // core, and a tie among candidates.
+  std::size_t cores = 0;
+  std::size_t ties = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const std::size_t n = 6 + seed % 7;
+    const KnowledgeView view = test::random_view(
+        rng, n, 1.5 + static_cast<double>(rng.next_below(n)) / 2);
+    const auto expected = aggregate_core(view);
+    const auto core = try_find_core(view, kSearch);
+    ASSERT_EQ(core.has_value(), expected.has_value());
+    if (core.has_value()) {
+      EXPECT_EQ(core->members, expected->members);
+      EXPECT_EQ(core->g, expected->g);
+      ++cores;
+    } else if (!kSearch.candidates(view).empty()) {
+      ++ties;
+    }
+  }
+  EXPECT_GT(cores, 0U);
+  EXPECT_GT(ties, 0U);
 }
 
 class RandomCupftCoreTest : public ::testing::TestWithParam<std::uint64_t> {};

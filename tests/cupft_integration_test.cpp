@@ -77,7 +77,7 @@ TEST(CupftIntegrationTest, Fig4bWrongValueByzantine) {
 }
 
 TEST(CupftIntegrationTest, Fig3bSolvesWithoutKnowingF) {
-  // fig3b satisfies BFT-CUPFT; CupftNode must find the K5 core (+ absorbed
+  // fig3b satisfies BFT-CUPFT; the Core rule must find the K5 core (+ absorbed
   // silent Byzantine {5,7}) with no f provided.
   const auto inst = graph::figures::fig3b();
   const auto report = cupft_builder(inst.graph, inst.faulty).run();

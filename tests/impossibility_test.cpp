@@ -99,7 +99,7 @@ TEST(ImpossibilityTest, KnownFProtocolOnAbDoesNotSplit) {
   EXPECT_FALSE(graph::check_bft_cup_requirements(inst.graph, {}, 1).satisfied);
 }
 
-TEST(ImpossibilityTest, CupftNodesStaySilentOnAb) {
+TEST(ImpossibilityTest, CoreRuleStaysSilentOnAb) {
   // The fixed protocol pays with liveness on an insufficient graph, never
   // with safety.
   const auto report =

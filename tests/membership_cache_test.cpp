@@ -73,8 +73,7 @@ TEST(SharedEvalCacheTest, SinkResultMatchesColdAndReportsHits) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->members, cold->members);
   EXPECT_EQ(second->members, cold->members);
-  EXPECT_EQ(second->s1, cold->s1);
-  EXPECT_EQ(second->s2, cold->s2);
+  EXPECT_EQ(second->g, cold->g);
   EXPECT_EQ(cache.stats().evaluations, 2U);
   EXPECT_EQ(cache.stats().hits, 1U);
 

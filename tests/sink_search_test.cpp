@@ -11,6 +11,7 @@
 #include "obs/span_tracer.hpp"
 #include "protocol/sink.hpp"
 #include "protocol/sink_search.hpp"
+#include "test_util.hpp"
 
 namespace bftcup::protocol {
 namespace {
@@ -145,36 +146,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StrategyAgreementTest,
 // These cases rebuild the same S1 family here, in the same order, and run
 // every S1 through the reference admissible_thresholds(view, S1).
 
-/// A random view with every shape the kernel must reproduce: `n`
-/// processes with sparse ids (one at the top of the id space), PDs of
-/// about `degree` members that may name their owner or an id no process
-/// has, and processes whose PD the owner never received.
-KnowledgeView random_view(Rng& rng, std::size_t n, double degree) {
-  std::vector<ProcessId> ids;
-  IdSet used;
-  while (ids.size() < n) {
-    const std::uint64_t raw =
-        ids.empty() ? ~std::uint64_t{0} : 1 + rng.next_below(10 * n);
-    if (used.insert(p(raw))) ids.push_back(p(raw));
-  }
-  const double density = degree / static_cast<double>(n - 1);
-  const auto draw_pd = [&](std::size_t i) {
-    IdSet pd;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j != i && rng.chance(density)) pd.insert(ids[j]);
-    }
-    if (rng.chance(0.3)) pd.insert(ids[i]);
-    if (rng.chance(0.3)) pd.insert(p(20 * n + rng.next_below(4)));
-    return pd;
-  };
-  KnowledgeView view(ids[0], draw_pd(0));
-  for (std::size_t i = 1; i < n; ++i) {
-    const IdSet pd = draw_pd(i);
-    if (rng.chance(0.85)) view.add_pd(ids[i], pd);
-  }
-  return view;
-}
-
 std::vector<IdSet> received_components(const KnowledgeView& view) {
   return graph::strongly_connected_components(
              view.knowledge_graph(view.received()))
@@ -269,8 +240,8 @@ class KernelPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(KernelPropertyTest, ExhaustiveMatchesEveryMaskThroughTheReference) {
   Rng rng(GetParam());
   const std::size_t n = 6 + GetParam() % 7;
-  const KnowledgeView view =
-      random_view(rng, n, 1.5 + static_cast<double>(rng.next_below(n)) / 2);
+  const KnowledgeView view = test::random_view(
+      rng, n, 1.5 + static_cast<double>(rng.next_below(n)) / 2);
   SearchOptions options;
   options.exhaustive_cap = 12;
   EXPECT_EQ(ExhaustiveSinkSearch(options).candidates(view),
@@ -280,7 +251,7 @@ TEST_P(KernelPropertyTest, ExhaustiveMatchesEveryMaskThroughTheReference) {
 
 TEST_P(KernelPropertyTest, StructuredMatchesRemovalsThroughTheReference) {
   Rng rng(GetParam() + 1000);
-  const KnowledgeView view = random_view(
+  const KnowledgeView view = test::random_view(
       rng, 13 + GetParam() % 28, 2 + static_cast<double>(rng.next_below(4)));
   SearchOptions options;
   options.removal_cap = 2;
@@ -340,11 +311,11 @@ TEST_P(KernelPropertyTest, EveryReceivedSccIsObservedOnce) {
   // cap 0 every component does, singletons included.
   Rng exhaustive_rng(GetParam());
   const std::size_t n = 6 + GetParam() % 7;
-  const KnowledgeView small_view = random_view(
+  const KnowledgeView small_view = test::random_view(
       exhaustive_rng, n,
       1.5 + static_cast<double>(exhaustive_rng.next_below(n)) / 2);
   Rng structured_rng(GetParam() + 1000);
-  const KnowledgeView large_view = random_view(
+  const KnowledgeView large_view = test::random_view(
       structured_rng, 13 + GetParam() % 28,
       2 + static_cast<double>(structured_rng.next_below(4)));
 
@@ -473,7 +444,13 @@ TEST(TryFindSinkTest, ReturnsMembersUnionS1S2) {
   const ExhaustiveSinkSearch search;
   const auto sink = try_find_sink(view, 1, search);
   ASSERT_TRUE(sink.has_value());
-  EXPECT_EQ(sink->members, sink->s1.set_union(sink->s2));
+  const auto candidates = search.candidates(view);
+  const auto first_at_f = std::find_if(
+      candidates.begin(), candidates.end(),
+      [](const SinkCandidate& c) { return c.g == 1; });
+  ASSERT_NE(first_at_f, candidates.end());
+  EXPECT_EQ(sink->members, first_at_f->s1.set_union(first_at_f->s2));
+  EXPECT_EQ(sink->g, 1U);
   EXPECT_EQ(sink->members, (IdSet{p(1), p(2), p(3), p(4)}));
 }
 

@@ -1,12 +1,46 @@
-// Shared helpers for simulator-based tests.
+// Shared helpers for simulator-based and membership tests.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "common/random.hpp"
+#include "protocol/knowledge_view.hpp"
 #include "sim/simulator.hpp"
 
 namespace bftcup::test {
+
+/// A random partial view with every shape the membership search must
+/// handle: `n` processes with sparse ids (one at the top of the id space),
+/// PDs of about `degree` members that may name their owner or an id no
+/// process has, and processes whose PD the owner never received.
+inline protocol::KnowledgeView random_view(Rng& rng, std::size_t n,
+                                           double degree) {
+  std::vector<ProcessId> ids;
+  IdSet used;
+  while (ids.size() < n) {
+    const std::uint64_t raw =
+        ids.empty() ? ~std::uint64_t{0} : 1 + rng.next_below(10 * n);
+    if (used.insert(ProcessId(raw))) ids.push_back(ProcessId(raw));
+  }
+  const double density = degree / static_cast<double>(n - 1);
+  const auto draw_pd = [&](std::size_t i) {
+    IdSet pd;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i && rng.chance(density)) pd.insert(ids[j]);
+    }
+    if (rng.chance(0.3)) pd.insert(ids[i]);
+    if (rng.chance(0.3)) pd.insert(ProcessId(20 * n + rng.next_below(4)));
+    return pd;
+  };
+  protocol::KnowledgeView view(ids[0], draw_pd(0));
+  for (std::size_t i = 1; i < n; ++i) {
+    const IdSet pd = draw_pd(i);
+    if (rng.chance(0.85)) view.add_pd(ids[i], pd);
+  }
+  return view;
+}
 
 /// A process scripted with lambdas; handy for exercising the simulator and
 /// single protocol components without a full node.

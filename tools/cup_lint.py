@@ -73,6 +73,10 @@ DIGEST_PATH_MODULES = (
     "src/cup/runner.cpp",
     "src/cup/batch_runner.hpp",
     "src/cup/batch_runner.cpp",
+    # The node: its membership rule picks the membership digest() hashes,
+    # and the replay order of buffered PBFT traffic decides its decision.
+    "src/cup/node.hpp",
+    "src/cup/node.cpp",
     # Membership: RunReport::digest() hashes the memberships nodes adopt,
     # and candidate order in the search, the predicate and the core rule
     # decides which one that is. The eval memo's hash maps are probed by
