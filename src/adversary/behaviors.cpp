@@ -7,20 +7,10 @@ namespace bftcup::adversary {
 ByzantineNode::ByzantineNode(ProcessId id, ByzantineConfig config)
     : sim::Process(id),
       config_(std::move(config)),
-      view_(id, config_.advertised_pd) {}
-
-bool ByzantineNode::crashed(const sim::Context& ctx) const {
-  return config_.crash_at && ctx.now() >= *config_.crash_at;
-}
+      discovery_(id, config_.advertised_pd, /*period=*/0) {}
 
 void ByzantineNode::on_start(sim::Context& ctx) {
-  msg::SignedPd own;
-  own.owner = id();
-  own.pd = config_.advertised_pd;
-  own.sig = ctx.signer().sign(
-      msg::SignedPd::payload(id(), config_.advertised_pd));
-  spds_.push_back(std::move(own));
-  signed_own_ = true;
+  discovery_.sign_own_pd(ctx);
 
   if (config_.equivocate_consensus) {
     // Fire the equivocation once discovery has plausibly converged. The
@@ -65,52 +55,26 @@ void ByzantineNode::equivocate(sim::Context& ctx) {
 }
 
 void ByzantineNode::on_timer(int kind, sim::Context& ctx) {
-  if (crashed(ctx)) return;
   if (kind == 99) equivocate(ctx);
 }
 
 void ByzantineNode::on_message(ProcessId from, const msg::Message& message,
                                sim::Context& ctx) {
-  if (crashed(ctx)) return;
-  switch (message.type) {
-    case msg::MsgType::kGetPds: {
-      msg::Message reply;
-      reply.type = msg::MsgType::kSetPds;
-      if (config_.relay_pds) {
-        reply.pds = spds_;
-      } else if (signed_own_) {
-        reply.pds = {spds_.front()};
-      }
-      ctx.send(from, std::move(reply));
-      return;
-    }
-    case msg::MsgType::kSetPds: {
-      if (!config_.relay_pds) return;
-      for (const msg::SignedPd& spd : message.pds) {
-        if (view_.pd_of(spd.owner) != nullptr) continue;
-        msg::SignedPd::payload_into(spd.owner, spd.pd, payload_scratch_);
-        if (!ctx.verifier().verify(spd.owner, payload_scratch_, spd.sig))
-          continue;
-        view_.add_pd(spd.owner, spd.pd);
-        spds_.push_back(spd);
-      }
-      return;
-    }
-    case msg::MsgType::kGetDecidedVal: {
-      if (config_.wrong_decided_value) {
-        msg::Message reply;
-        reply.type = msg::MsgType::kDecidedVal;
-        reply.value = *config_.wrong_decided_value;
-        // Signed as itself — a Byzantine process can vouch for any value
-        // with its own key, so the fetch side's majority count (not the
-        // signature check) is what protects validity here.
-        reply.sig = ctx.signer().sign(msg::decided_val_payload(reply.value));
-        ctx.send(from, std::move(reply));
-      }
-      return;
-    }
-    default:
-      return;  // ignores consensus traffic (silent within PBFT)
+  if (message.type != msg::MsgType::kGetDecidedVal) {
+    // GETPDS / SETPDS as Algorithm 1 handles them; consensus traffic is
+    // ignored (silent within PBFT).
+    discovery_.handle_message(from, message, ctx);
+    return;
+  }
+  if (config_.wrong_decided_value) {
+    msg::Message reply;
+    reply.type = msg::MsgType::kDecidedVal;
+    reply.value = *config_.wrong_decided_value;
+    // Signed as itself — a Byzantine process can vouch for any value with
+    // its own key, so the fetch side's majority count (not the signature
+    // check) is what protects validity here.
+    reply.sig = ctx.signer().sign(msg::decided_val_payload(reply.value));
+    ctx.send(from, std::move(reply));
   }
 }
 

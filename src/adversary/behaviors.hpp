@@ -5,10 +5,9 @@
 // processes' signatures (they only hold their own Signer).
 #pragma once
 
-#include <memory>
 #include <optional>
 
-#include "protocol/knowledge_view.hpp"
+#include "protocol/discovery.hpp"
 #include "sim/process.hpp"
 
 namespace bftcup::adversary {
@@ -27,8 +26,6 @@ struct ByzantineConfig {
   /// PD advertised in discovery. The node signs it itself (it may lie about
   /// its own PD — that is allowed; it cannot lie about others').
   IdSet advertised_pd;
-  /// Relay collected (verified) PDs of others? Withholding slows discovery.
-  bool relay_pds = true;
   /// Answer GETDECIDEDVAL with this bogus value.
   std::optional<Value> wrong_decided_value;
   /// Equivocate in PBFT: as leader (or impostor) send conflicting
@@ -39,13 +36,11 @@ struct ByzantineConfig {
   IdSet consensus_members;
   Value value_a = 0;
   Value value_b = 1;
-  /// Stop all activity at this time (crash-style fault).
-  std::optional<SimTime> crash_at;
 };
 
 /// An actively malicious participant: takes part in discovery (possibly
 /// with a fake PD), optionally equivocates in consensus and serves wrong
-/// decided values.
+/// decided values. Crashing it is the fault timeline's job.
 class ByzantineNode final : public sim::Process {
  public:
   ByzantineNode(ProcessId id, ByzantineConfig config);
@@ -56,14 +51,12 @@ class ByzantineNode final : public sim::Process {
   void on_timer(int kind, sim::Context& ctx) override;
 
  private:
-  [[nodiscard]] bool crashed(const sim::Context& ctx) const;
   void equivocate(sim::Context& ctx);
 
   ByzantineConfig config_;
-  std::vector<msg::SignedPd> spds_;  ///< own fake PD + relayed genuine PDs
-  protocol::KnowledgeView view_;
-  Bytes payload_scratch_;  ///< reused verify buffer (see Discovery)
-  bool signed_own_ = false;
+  /// Algorithm 1's S_PD with the advertised PD as its own: answers GETPDS
+  /// and merges SETPDS like a correct node, but never polls.
+  protocol::Discovery discovery_;
   bool equivocated_ = false;
 };
 

@@ -14,17 +14,18 @@ Discovery::Discovery(ProcessId self, IdSet own_pd, SimTime period)
 void Discovery::start(sim::Context& ctx) {
   if (started_) return;
   started_ = true;
-  // Line 1: S_PD = { ⟨i, PD_i⟩_i }.
-  msg::SignedPd own;
-  own.owner = self_;
-  own.pd = own_pd_;
-  const Bytes payload = msg::SignedPd::payload(self_, own_pd_);
-  own.sig = ctx.signer().sign(payload);
-  spds_.push_back(std::move(own));
-
+  sign_own_pd(ctx);  // line 1
   // Line 2: periodically poll everyone we know.
   request_all(ctx);
   arm_timer(ctx);
+}
+
+void Discovery::sign_own_pd(sim::Context& ctx) {
+  msg::SignedPd own;
+  own.owner = self_;
+  own.pd = own_pd_;
+  own.sig = ctx.signer().sign(msg::SignedPd::payload(self_, own_pd_));
+  spds_.push_back(std::move(own));
 }
 
 void Discovery::arm_timer(sim::Context& ctx) {
@@ -77,7 +78,7 @@ bool Discovery::handle_message(ProcessId from, const msg::Message& message,
       // Lines 4-6: merge every *valid* signed PD.
       bool changed = false;
       for (const msg::SignedPd& spd : message.pds) {
-        if (view_.pd_of(spd.owner) != nullptr) continue;  // already have it
+        if (view_.received().contains(spd.owner)) continue;  // already have it
         msg::SignedPd::payload_into(spd.owner, spd.pd, payload_scratch_);
         if (!ctx.verifier().verify(spd.owner, payload_scratch_, spd.sig)) {
           continue;  // forged or corrupted — ignore

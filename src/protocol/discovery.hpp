@@ -25,6 +25,10 @@ class Discovery {
   /// Signs the node's own PD and arms the periodic task (Alg. 1 lines 1-2).
   void start(sim::Context& ctx);
 
+  /// Alg. 1 line 1 alone: S_PD = { ⟨i, PD_i⟩_i }. start() calls it; a
+  /// node that answers GETPDS but never polls calls only this.
+  void sign_own_pd(sim::Context& ctx);
+
   /// Handles GETPDS / SETPDS. Returns true iff the view changed (the caller
   /// should re-evaluate its sink/core condition). Other message types are
   /// ignored and return false.

@@ -16,6 +16,7 @@
 //    later direct push for that tick carries a larger seq, so migration
 //    preserves the per-bucket seq ordering invariant.
 //
+// Buckets and the heap start empty and grow to the events in flight.
 // clear() keeps every bucket's capacity and the heap's buffer, so a
 // recycled simulator replays its next run without re-growing the queue —
 // the RunContext steady state.
@@ -47,17 +48,6 @@ class BucketQueue {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Pre-sizes the buckets and the overflow heap from the caller's
-  /// expected-events hint (Simulator::Options). Bucket capacity persists
-  /// across clear(), so this is a one-time warmup, not a per-run cost.
-  void reserve(std::size_t expected_events) {
-    if (expected_events == 0) return;
-    const std::size_t per_bucket =
-        std::max<std::size_t>(2, expected_events >> kRingBits);
-    for (auto& bucket : ring_) bucket.reserve(per_bucket);
-    far_.reserve(std::max<std::size_t>(16, expected_events / 8));
-  }
 
   void push(Ev ev) {
     assert(ev.time >= base_ && "events are never scheduled in the past");

@@ -1,7 +1,6 @@
 // Process abstraction: event handlers + the capabilities a process may use.
 #pragma once
 
-#include "common/random.hpp"
 #include "common/types.hpp"
 #include "crypto/signer.hpp"
 #include "msg/message.hpp"
@@ -36,9 +35,9 @@ class Context {
   /// Arms a one-shot timer firing `delay` from now with the given kind.
   void set_timer(SimTime delay, int kind);
 
-  [[nodiscard]] const crypto::Signer& signer() const;
+  /// Signs as this process and no other (§II-A).
+  [[nodiscard]] crypto::Signer signer() const;
   [[nodiscard]] const crypto::Verifier& verifier() const;
-  [[nodiscard]] Rng& rng();
 
   /// Records this process's (single) consensus decision.
   void decide(Value value);

@@ -5,24 +5,18 @@
 
 namespace bftcup::sim {
 
-void ProcessTable::add(std::unique_ptr<Process> process, crypto::Signer signer,
-                       Rng rng) {
+void ProcessTable::add(std::unique_ptr<Process> process) {
   assert(!finalized_ && "processes must be added before the run starts");
   const ProcessId id = process->id();
   assert(!index_.contains(id) && "duplicate process id");
   index_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
-  slots_.push_back(Slot{std::move(process), signer, std::move(rng)});
+  slots_.push_back(Slot{std::move(process)});
 }
 
 void ProcessTable::clear() {
   slots_.clear();
   index_.clear();  // keeps the bucket array
   finalized_ = false;
-}
-
-void ProcessTable::reserve(std::size_t n) {
-  slots_.reserve(n);
-  index_.reserve(n);
 }
 
 void ProcessTable::finalize() {

@@ -1,11 +1,11 @@
 // Dense per-process storage for the simulator hot path.
 //
-// The seed simulator kept three std::map<ProcessId, …> tables (process,
-// signer, per-process rng) and paid tree walks on every dispatched event.
 // A ProcessTable resolves a ProcessId to a dense index with one hash lookup
-// and keeps everything a dispatch touches in a single slot vector. Slots are
+// and keeps what a dispatch touches in one slot vector: the process and its
+// up/down bits. A process signs through Context::signer(), which binds the
+// context's own id, since a process signs only as itself (§II-A). Slots are
 // sorted by id when the table is finalized, so start-up order — and with it
-// the seeded bit-replay digest — matches the old map iteration exactly.
+// the seeded bit-replay digest — is ascending id order.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/random.hpp"
-#include "crypto/signer.hpp"
 #include "sim/process.hpp"
 
 namespace bftcup::sim {
@@ -23,8 +21,6 @@ class ProcessTable {
  public:
   struct Slot {
     std::unique_ptr<Process> process;
-    crypto::Signer signer;
-    Rng rng;
     // Fault state. Joined/crashed are orthogonal so crash/recover/join
     // actions compose in any order; on_start fires exactly once, at the
     // first moment the process is up.
@@ -43,14 +39,11 @@ class ProcessTable {
 
   /// Registers a process. Must precede finalize(); duplicate ids are the
   /// caller's bug.
-  void add(std::unique_ptr<Process> process, crypto::Signer signer, Rng rng);
+  void add(std::unique_ptr<Process> process);
 
   /// Destroys every process and empties the table, keeping the slot
   /// vector's and the index's capacity — the recycled-run path.
   void clear();
-
-  /// Pre-sizes for `n` processes (scenario hint).
-  void reserve(std::size_t n);
 
   /// Sorts slots by id and rebuilds the dense index. Called once when the
   /// run starts; idempotent.

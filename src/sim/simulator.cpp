@@ -36,20 +36,12 @@ void Context::set_timer(SimTime delay, int kind) {
   sim_->do_set_timer(self_, delay, kind);
 }
 
-const crypto::Signer& Context::signer() const {
-  ProcessTable::Slot* slot = sim_->table_.find(self_);
-  assert(slot != nullptr);
-  return slot->signer;
+crypto::Signer Context::signer() const {
+  return crypto::Signer(self_, &sim_->registry_);
 }
 
 const crypto::Verifier& Context::verifier() const {
   return sim_->verifier_;
-}
-
-Rng& Context::rng() {
-  ProcessTable::Slot* slot = sim_->table_.find(self_);
-  assert(slot != nullptr);
-  return slot->rng;
 }
 
 void Context::decide(Value value) {
@@ -65,7 +57,7 @@ Simulator::Simulator(Options options)
       rng_(options.seed),
       registry_(options.seed ^ 0xb5f7c0deULL),
       verifier_(&registry_) {
-  configure(/*reuse=*/false);
+  configure();
 }
 
 void Simulator::reset(Options options) {
@@ -88,32 +80,21 @@ void Simulator::reset(Options options) {
   next_seq_ = 0;
   now_ = 0;
   started_ = false;
-  configure(/*reuse=*/true);
+  configure();
 }
 
 /// Shared tail of construction and reset: attaches the signature memo per
-/// the run's knob, installs the default delay policy, and applies hints.
-void Simulator::configure(bool reuse) {
+/// the run's knob and installs the default delay policy.
+void Simulator::configure() {
   registry_.attach_sign_cache(options_.verify_cache ? &sign_cache_ : nullptr);
   policy_ = std::make_unique<RandomDelayPolicy>();
   wire_.reset();
   if (options_.wire.enabled) wire_.emplace(options_.wire, options_.seed);
-  if (options_.expected_processes != 0) {
-    table_.reserve(options_.expected_processes);
-  }
-  if (!reuse && options_.expected_events != 0) {
-    queue_.reserve(options_.expected_events);  // capacity persists afterwards
-  }
 }
 
 void Simulator::add_process(std::unique_ptr<Process> process) {
   assert(!started_ && "processes must be added before run()");
-  const ProcessId id = process->id();
-  assert(!table_.contains(id) && "duplicate process id");
-  // Fork order is add order — part of the replay contract.
-  crypto::Signer signer(id, &registry_);
-  Rng process_rng = rng_.fork(id.raw() + 17);
-  table_.add(std::move(process), signer, std::move(process_rng));
+  table_.add(std::move(process));
 }
 
 void Simulator::set_stop_condition(std::function<bool(const Trace&)> cond) {

@@ -11,13 +11,15 @@
 // message payload is a refcounted MessageRef, so queue churn moves ~64
 // bytes and a refcount instead of deep-copying PD vectors per delivery.
 //
-// A Simulator is *recyclable*: reset() returns it to the
-// just-constructed state while keeping every capacity it grew (queue
-// buckets, process slots) and the seed-bound signature memo, whose keys
-// bind all of their inputs. cup::RunContext drives this to run batch
-// sweeps with near-zero per-run setup cost; a reset simulator is
-// observationally identical to a fresh one (asserted by the recycling
-// property suite and BatchRunner's verify_determinism).
+// Nothing is pre-sized: the queue buckets, the far-future heap and the
+// process table grow to the traffic a run produces (the queue only ever
+// holds what is in flight). A Simulator is *recyclable*: reset() returns it
+// to the just-constructed state while keeping every capacity it grew and
+// the seed-bound signature memo, whose keys bind all of their inputs.
+// cup::RunContext drives this to run batch sweeps with near-zero per-run
+// setup cost; a reset simulator is observationally identical to a fresh
+// one (asserted by the recycling property suite and BatchRunner's
+// verify_determinism).
 #pragma once
 
 #include <functional>
@@ -53,12 +55,6 @@ class Simulator {
     /// dropped. Disabled (the default) costs nothing and leaves every
     /// digest unchanged.
     WireConfig wire;
-
-    // --- recyclable-run plumbing (cup::RunContext) -----------------------
-    /// Pre-size hints: process count and expected event volume. Zero means
-    /// "no hint"; wrong hints cost only memory, never correctness.
-    std::size_t expected_processes = 0;
-    std::size_t expected_events = 0;
   };
 
   explicit Simulator(Options options);
@@ -118,7 +114,7 @@ class Simulator {
   void schedule_fault_actions();
   void apply_fault(const FaultAction& action);
   void start_or_resume(ProcessTable::Slot& slot);
-  void configure(bool reuse);
+  void configure();
   void deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
                         Context& ctx);
 

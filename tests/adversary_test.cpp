@@ -67,19 +67,30 @@ TEST(AdversaryTest, FakePdIsServedAndVerifies) {
 }
 
 TEST(AdversaryTest, RelayWithholdingCannotStopDirectContact) {
-  // Byzantine 2 withholds relayed PDs (relay_pds = false). That only slows
-  // discovery: once the victim learns 3 *exists* (from 2's own PD), the
-  // complete communication graph lets it query 3 directly (§II-C: knowledge
-  // limits whom you can contact, not the network).
+  // Byzantine 2 answers GETPDS with its own signed PD only, withholding
+  // every PD it relays. That only slows discovery: once the victim learns 3
+  // *exists* (from 2's own PD), the complete communication graph lets it
+  // query 3 directly (§II-C: knowledge limits whom you can contact, not the
+  // network).
   auto simulator = make_sim();
   auto probe = std::make_unique<Probe>(p(1), IdSet{p(2)});
   auto* probe_ptr = probe.get();
   simulator.add_process(std::move(probe));
 
-  ByzantineConfig config;
-  config.advertised_pd = IdSet{p(3)};
-  config.relay_pds = false;
-  simulator.add_process(std::make_unique<ByzantineNode>(p(2), config));
+  auto withholder = std::make_unique<test::ScriptedProcess>(p(2));
+  withholder->on_message_do(
+      [](ProcessId from, const msg::Message& m, sim::Context& ctx) {
+        if (m.type != msg::MsgType::kGetPds) return;
+        msg::SignedPd own;
+        own.owner = p(2);
+        own.pd = IdSet{p(3)};
+        own.sig = ctx.signer().sign(msg::SignedPd::payload(p(2), own.pd));
+        msg::Message reply;
+        reply.type = msg::MsgType::kSetPds;
+        reply.pds = {own};
+        ctx.send(from, std::move(reply));
+      });
+  simulator.add_process(std::move(withholder));
   simulator.add_process(std::make_unique<Probe>(p(3), IdSet{p(2)}));
   simulator.run();
 
@@ -88,22 +99,26 @@ TEST(AdversaryTest, RelayWithholdingCannotStopDirectContact) {
   EXPECT_NE(probe_ptr->view().pd_of(p(3)), nullptr);  // got it from 3 itself
 }
 
-TEST(AdversaryTest, CrashAtStopsActivity) {
+TEST(AdversaryTest, CrashedByzantineNodeNeverAnswers) {
+  // Crashing a Byzantine node is the fault timeline's job. Crashed at t = 1,
+  // before the probe's first GETPDS can arrive (every delay is >= 1 tick,
+  // and a fault precedes same-tick deliveries), it answers nothing, so its
+  // PD never reaches the probe.
   auto simulator = make_sim(5'000);
   auto probe = std::make_unique<Probe>(p(1), IdSet{p(2)});
+  auto* probe_ptr = probe.get();
   simulator.add_process(std::move(probe));
 
   ByzantineConfig config;
   config.advertised_pd = IdSet{p(1)};
-  config.crash_at = 1;  // crashes before it can answer anything
   simulator.add_process(std::make_unique<ByzantineNode>(p(2), config));
-  const auto before = simulator.trace().messages_sent();
+  sim::FaultTimeline timeline;
+  timeline.crash(p(2), 1);
+  simulator.set_fault_timeline(std::move(timeline));
   simulator.run();
-  (void)before;
-  // The probe keeps polling but 2 never answers after its crash time; no
-  // SETPDS from 2 means its PD is never received.
-  // (Deliveries of GETPDS to 2 still count as sent/delivered messages.)
-  SUCCEED();
+
+  EXPECT_GT(simulator.trace().messages_dropped(), 0U);  // GETPDS to 2 lost
+  EXPECT_EQ(probe_ptr->view().pd_of(p(2)), nullptr);
 }
 
 TEST(AdversaryTest, WrongDecidedValueOnlyAffectsAskers) {

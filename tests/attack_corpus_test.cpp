@@ -89,6 +89,9 @@ TEST(AttackCorpusTest, ReplayedSignedPdsAreIdempotent) {
   EXPECT_EQ(*discovery->view().pd_of(p(2)), (IdSet{p(3)}));
   // S_PD holds exactly own + one copy of PD_2.
   EXPECT_EQ(discovery->signed_pds().size(), 2U);
+  // The held check precedes verification: across every poll, the PD
+  // replayed 50 times per reply is verified once.
+  EXPECT_EQ(simulator.registry().verify_stats().lookups, 1U);
 }
 
 TEST(AttackCorpusTest, CrashMidConsensusStillTerminates) {

@@ -31,17 +31,18 @@ struct After {
 using Reference =
     std::priority_queue<TestEvent, std::vector<TestEvent>, After>;
 
-/// Drains both queues fully, interleaving bursts of pushes scheduled
-/// relative to the last popped time — the simulator's access pattern.
+/// Drains both queues fully, interleaving bursts of 1..`max_burst` pushes
+/// scheduled relative to the last popped time — the simulator's access
+/// pattern.
 void cross_validate(Rng& rng, BucketQueue<TestEvent>& queue, SimTime max_gap,
-                    int bursts) {
+                    int bursts, std::uint64_t max_burst = 6) {
   Reference reference;
   std::uint64_t seq = 0;
   SimTime now = 0;
   int payload = 0;
 
   const auto push_burst = [&](SimTime base) {
-    const int count = static_cast<int>(rng.next_below(6)) + 1;
+    const int count = static_cast<int>(rng.next_below(max_burst)) + 1;
     for (int i = 0; i < count; ++i) {
       TestEvent ev;
       ev.time = base + static_cast<SimTime>(rng.next_below(
@@ -98,6 +99,16 @@ TEST(BucketQueueTest, MatchesHeapOrderAcrossTheOverflowBoundary) {
                  /*bursts=*/300);
 }
 
+TEST(BucketQueueTest, MatchesHeapOrderOnDenseTicks) {
+  Rng rng(11);
+  BucketQueue<TestEvent> queue;
+  // Delays within δ = 10 and bursts of up to 500 events: a handful of
+  // buckets hold hundreds of events each and grow from empty while the
+  // ring drains them (nothing is pre-sized).
+  cross_validate(rng, queue, /*max_gap=*/10, /*bursts=*/400,
+                 /*max_burst=*/500);
+}
+
 TEST(BucketQueueTest, SameTickEventsDrainInSeqOrder) {
   // The simulator pushes in globally ascending seq (the FIFO tie-break);
   // same-tick events must drain in exactly that order — including events
@@ -130,7 +141,6 @@ TEST(BucketQueueTest, ClearedQueueReplaysIdentically) {
   };
 
   BucketQueue<TestEvent> queue;
-  queue.reserve(512);
   const auto first = drain_log(queue);
   queue.clear();  // keeps capacity; state must be as-new
   const auto second = drain_log(queue);

@@ -105,6 +105,21 @@ DIGEST_PATH_MODULES = (
     "src/graph/connectivity.cpp",
     "src/graph/maxflow.hpp",
     "src/graph/maxflow.cpp",
+    # The run engine fixes the event order every digest replays: the
+    # simulator's dispatch, the queue's (time, seq) drain and the process
+    # table's id-sorted start order. The table's id -> index hash map is
+    # probed, never walked.
+    "src/sim/simulator.hpp",
+    "src/sim/simulator.cpp",
+    "src/sim/bucket_queue.hpp",
+    "src/sim/process_table.hpp",
+    "src/sim/process_table.cpp",
+    # Discovery, whose code the Byzantine node answers with: the order of
+    # S_PD decides which PD version a receiver keeps.
+    "src/protocol/discovery.hpp",
+    "src/protocol/discovery.cpp",
+    "src/adversary/behaviors.hpp",
+    "src/adversary/behaviors.cpp",
     # The observability layer rides on digest-path runs: registries iterate
     # for snapshots and the tracer/export order must be replayable, so its
     # containers stay in the inventory and under R1.
