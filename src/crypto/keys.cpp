@@ -1,7 +1,6 @@
 #include "crypto/keys.hpp"
 
 #include "crypto/hmac.hpp"
-#include "crypto/sign_cache.hpp"
 
 namespace bftcup::crypto {
 namespace {
@@ -39,11 +38,11 @@ const Bytes& KeyRegistry::secret_for(ProcessId id) {
 Signature KeyRegistry::memoized_signature(ProcessId id, BytesView message,
                                           bool& memo_hit) {
   if (sign_cache_ == nullptr) return compute_signature(id, message);
-  if (const Signature* memo = sign_cache_->find(seed_, id, message)) {
+  if (const Signature* memo = sign_cache_->find(seed_, id.raw(), message)) {
     memo_hit = true;
     return *memo;
   }
-  return sign_cache_->insert(seed_, id, message,
+  return sign_cache_->insert(seed_, id.raw(), message,
                              compute_signature(id, message));
 }
 

@@ -5,8 +5,8 @@
 // layer. We model that layer as a KeyRegistry: a trusted oracle that derives
 // a per-process secret from a system seed. Processes receive only their own
 // Signer (see signer.hpp); verification recomputes the expected signature
-// through the registry (from its one signature memo when the simulator
-// attached it, crypto/sign_cache.hpp) and compares in constant time. The
+// through the registry (from its signature memo, SignCache below, when the
+// simulator attached one) and compares in constant time. The
 // unforgeability the protocol relies on — a Byzantine process cannot
 // fabricate a correct process's signed PD — is enforced structurally
 // because no code path hands one process another's secret.
@@ -16,6 +16,7 @@
 #include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/content_memo.hpp"
 #include "common/ids.hpp"
 #include "crypto/sha256.hpp"
 
@@ -30,7 +31,18 @@ struct Signature {
   friend bool operator==(const Signature&, const Signature&) = default;
 };
 
-class SignCache;  // crypto/sign_cache.hpp
+/// The signature memo: (key seed, signer, payload) -> Signature.
+///
+/// Runs re-create the same signed artifacts many times: SETPDS replies
+/// repeat previously seen SignedPds (Byzantine forgeries included, which
+/// every delivery must reject again), each recipient of a PBFT-DECIDE
+/// certificate re-verifies the same COMMIT shares, and a recycled run
+/// context replays whole runs byte for byte. A signature is a pure function
+/// of (key seed, signer, payload), and verify is a sign plus a constant-time
+/// compare, so one memo serves both directions, accepts and rejects alike.
+/// Binding the key seed keeps entries valid forever, so a recycled
+/// Simulator keeps its memo across reset().
+using SignCache = ContentMemo<Signature>;
 
 class KeyRegistry {
  public:
@@ -50,11 +62,10 @@ class KeyRegistry {
   /// stay valid forever.
   void reset(std::uint64_t system_seed);
 
-  /// Routes sign_as and verify through a signature memo
-  /// (crypto/sign_cache.hpp). May be null; the cache must outlive the
-  /// registry. Signatures are pure functions of (seed, signer, payload),
-  /// so every signature and verdict is identical with the memo attached or
-  /// not.
+  /// Routes sign_as and verify through a signature memo (SignCache). May
+  /// be null; the cache must outlive the registry. Signatures are pure
+  /// functions of (seed, signer, payload), so every signature and verdict
+  /// is identical with the memo attached or not.
   void attach_sign_cache(SignCache* cache) { sign_cache_ = cache; }
 
   /// Derives (and caches) the secret for `id`: SHA-256 over (seed, id).

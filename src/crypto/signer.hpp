@@ -29,7 +29,7 @@ class Signer {
 /// Every call goes through KeyRegistry::verify, so a repeated (signer,
 /// payload) pair — re-delivered SignedPds, quorum certificates, forgery
 /// floods — is served from the registry's sign memo when one is attached
-/// (see crypto/sign_cache.hpp).
+/// (crypto::SignCache, crypto/keys.hpp).
 class Verifier {
  public:
   explicit Verifier(KeyRegistry* registry) : registry_(registry) {}

@@ -237,20 +237,25 @@ BatchReport BatchRunner::run(const Sweep& sweep) const {
 
 namespace {
 
-/// First-failure slot shared by the pool's workers. The lock discipline is
-/// machine-checked: `first` is GUARDED_BY the mutex, so any access outside
-/// store()/take() fails the Clang -Wthread-safety build.
+/// Lowest-index failure slot shared by the pool's workers. The lock
+/// discipline is machine-checked: `error` and `index` are GUARDED_BY the
+/// mutex, so any access outside store()/take() fails the Clang
+/// -Wthread-safety build.
 struct FailureSlot {
   Mutex mutex;
-  std::exception_ptr first BFTCUP_GUARDED_BY(mutex);
+  std::exception_ptr error BFTCUP_GUARDED_BY(mutex);
+  std::size_t index BFTCUP_GUARDED_BY(mutex) = 0;
 
-  void store(std::exception_ptr error) BFTCUP_EXCLUDES(mutex) {
+  void store(std::size_t i, std::exception_ptr thrown) BFTCUP_EXCLUDES(mutex) {
     MutexLock lock(mutex);
-    if (!first) first = std::move(error);
+    if (!error || i < index) {
+      error = std::move(thrown);
+      index = i;
+    }
   }
   [[nodiscard]] std::exception_ptr take() BFTCUP_EXCLUDES(mutex) {
     MutexLock lock(mutex);
-    return first;
+    return error;
   }
 };
 
@@ -259,8 +264,10 @@ struct FailureSlot {
 /// it claims — the run-engine steady state. The work queue is a single
 /// atomic cursor; report aggregation needs no lock because results land in
 /// caller-owned slots indexed by i (disjoint per run), which also makes the
-/// output order independent of thread placement. The first exception wins
-/// and is rethrown after the pool drains.
+/// output order independent of thread placement. After the pool drains,
+/// the failure at the lowest index is rethrown: the cursor hands indices out
+/// in order, so every lower index ran, and the error is the one a serial
+/// run reports, whatever the thread count.
 void pool_execute(std::size_t count, std::size_t requested_threads,
                   const std::function<void(std::size_t, RunContext&)>& work) {
   std::size_t threads =
@@ -280,7 +287,7 @@ void pool_execute(std::size_t count, std::size_t requested_threads,
       try {
         work(i, context);
       } catch (...) {
-        failure.store(std::current_exception());
+        failure.store(i, std::current_exception());
         return;
       }
     }

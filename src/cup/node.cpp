@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "protocol/core.hpp"
+#include "protocol/timer_epoch.hpp"
 
 namespace bftcup::cup {
 namespace {
@@ -34,10 +35,9 @@ std::optional<protocol::SinkResult> CupNode::membership(
   switch (params_.mode) {
     case Mode::kAuth:
       return protocol::try_find_sink(view, params_.f, search,
-                                     params_.eval_cache.get());
+                                     params_.eval_cache);
     case Mode::kCupft: {
-      auto core =
-          protocol::try_find_core(view, search, params_.eval_cache.get());
+      auto core = protocol::try_find_core(view, search, params_.eval_cache);
       if (!core || core->g < kMinG) return std::nullopt;
       if (params_.closure_guard) {
         // Knowledge-closure guard: adopt a core only once the PD of every
@@ -171,11 +171,12 @@ void CupNode::on_recover(sim::Context& ctx) {
 }
 
 void CupNode::on_timer(int kind, sim::Context& ctx) {
-  if ((kind & 0xff) == protocol::Discovery::kTimerKind) {
+  if (protocol::timer_base_kind(kind) == protocol::Discovery::kTimerKind) {
     if (!decided_) discovery_.on_timer(kind, ctx);
     return;
   }
-  if ((kind & 0xff) == protocol::PbftInstance::kTimerKind && pbft_) {
+  if (protocol::timer_base_kind(kind) == protocol::PbftInstance::kTimerKind &&
+      pbft_) {
     pbft_->on_timer(kind, ctx);
     if (pbft_->decided()) finalize(pbft_->decision(), ctx);
   }

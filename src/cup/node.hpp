@@ -34,8 +34,9 @@ class CupNode final : public sim::Process {
     /// Shared, stateless candidate-search strategy.
     std::shared_ptr<const protocol::SinkSearch> search;
     /// Per-simulation evaluation memo shared by every correct node (may be
-    /// null); see protocol/eval_cache.hpp.
-    std::shared_ptr<protocol::SharedEvalCache> eval_cache;
+    /// null; owned by the RunContext, which outlives the node); see
+    /// protocol/eval_cache.hpp.
+    protocol::SharedEvalCache* eval_cache = nullptr;
   };
 
   CupNode(ProcessId id, Params params);

@@ -2,19 +2,14 @@
 
 namespace bftcup::cup {
 
-RunContext::RunContext()
-    : eval_cache_(std::make_shared<protocol::SharedEvalCache>()) {}
-
 RunReport RunContext::run(const Scenario& scenario) {
-  if (eval_cache_->entry_count() > kEvalCacheMaxEntries) {
-    eval_cache_->clear_entries();
-  }
-  eval_cache_->set_memo_enabled(scenario.eval_cache);
+  if (eval_cache_.size() > kEvalCacheMaxEntries) eval_cache_.clear();
+  eval_cache_.set_memo_enabled(scenario.eval_cache);
 
   if (!simulator_) {
     simulator_.emplace(scenario.sim);
   } else {
-    if (simulator_->sign_cache().entry_count() > kSignCacheMaxEntries) {
+    if (simulator_->sign_cache().size() > kSignCacheMaxEntries) {
       simulator_->sign_cache().clear();
     }
     simulator_->reset(scenario.sim);

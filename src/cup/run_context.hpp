@@ -11,7 +11,10 @@
 //    keeps every grown capacity (event-queue buckets, slot vectors) and
 //    the signature memo (keyed by key-seed + signer + payload);
 //  * the SharedEvalCache (keyed by strategy + parameter + canonical view
-//    bytes).
+//    bytes), which every node of a run borrows by plain pointer: declared
+//    before the simulator, it outlives every node.
+//
+// Both memos are ContentMemo instances (common/content_memo.hpp).
 //
 // Every memo key binds all inputs its result depends on, so retained
 // entries are exact answers, and a recycled run is observationally
@@ -30,7 +33,6 @@
 // prior runs (the behavioral fields and the digest never do).
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "cup/runner.hpp"
@@ -39,7 +41,7 @@ namespace bftcup::cup {
 
 class RunContext {
  public:
-  RunContext();
+  RunContext() = default;
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
   RunContext(RunContext&&) = delete;
@@ -61,7 +63,7 @@ class RunContext {
   static constexpr std::size_t kEvalCacheMaxEntries = 1u << 14;
   static constexpr std::size_t kSignCacheMaxEntries = 1u << 20;
 
-  std::shared_ptr<protocol::SharedEvalCache> eval_cache_;
+  protocol::SharedEvalCache eval_cache_;
   std::optional<sim::Simulator> simulator_;  ///< created on first run
   std::uint64_t runs_ = 0;
 };

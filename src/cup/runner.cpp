@@ -67,10 +67,9 @@ namespace detail {
 
 RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
-    const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    std::uint64_t contexts_recycled) {
+    protocol::SharedEvalCache& eval_cache, std::uint64_t contexts_recycled) {
   // Cross-run caches are cumulative; report deltas against entry.
-  const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache->stats();
+  const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache.stats();
   const crypto::KeyRegistry::VerifyStats verify_stats0 =
       simulator.registry().verify_stats();
 
@@ -163,7 +162,7 @@ RunReport execute_scenario(
     params.pd = pd;
     params.proposal = proposal;
     params.search = search;
-    params.eval_cache = eval_cache;
+    params.eval_cache = &eval_cache;
     simulator.add_process(std::make_unique<CupNode>(id, std::move(params)));
   }
 
@@ -209,9 +208,9 @@ RunReport execute_scenario(
   const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
   const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;
   registry.counter("eval.requested")
-      .add(eval_cache->stats().evaluations - eval_stats0.evaluations);
+      .add(eval_cache.stats().evaluations - eval_stats0.evaluations);
   registry.counter("eval.cache_hits")
-      .add(eval_cache->stats().hits - eval_stats0.hits);
+      .add(eval_cache.stats().hits - eval_stats0.hits);
   registry.counter("sig.verified").add(lookups - sig_hits);
   registry.counter("sig.cached").add(sig_hits);
   // The big-SCC path counts into this during the run; interned here even

@@ -178,8 +178,7 @@ namespace detail {
 /// call.
 [[nodiscard]] RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
-    const std::shared_ptr<protocol::SharedEvalCache>& eval_cache,
-    std::uint64_t contexts_recycled);
+    protocol::SharedEvalCache& eval_cache, std::uint64_t contexts_recycled);
 
 }  // namespace detail
 

@@ -147,13 +147,11 @@ ScenarioBuilder& ScenarioBuilder::join_at(ProcessId p, SimTime at) {
 
 ScenarioBuilder& ScenarioBuilder::wire_mutation(double rate,
                                                 std::uint32_t kind_mask,
-                                                std::uint32_t type_mask,
-                                                std::uint64_t wire_seed) {
+                                                std::uint32_t type_mask) {
   scenario_.sim.wire.enabled = true;
   scenario_.sim.wire.rate = rate;
   scenario_.sim.wire.kind_mask = kind_mask;
   scenario_.sim.wire.type_mask = type_mask;
-  scenario_.sim.wire.seed = wire_seed;
   return *this;
 }
 
@@ -165,12 +163,11 @@ ScenarioBuilder& ScenarioBuilder::loss(double drop_p, SimTime jitter) {
 }
 
 ScenarioBuilder& ScenarioBuilder::loss_burst(SimTime start, SimTime len,
-                                             SimTime period, double drop_p) {
+                                             SimTime period) {
   scenario_.loss.enabled = true;
   scenario_.loss.burst_start = start;
   scenario_.loss.burst_len = len;
   scenario_.loss.burst_period = period;
-  scenario_.loss.burst_drop_p = drop_p;
   return *this;
 }
 
@@ -300,9 +297,6 @@ Scenario ScenarioBuilder::build() const {
   if (s.loss.enabled) {
     if (!in_unit_interval(s.loss.drop_p)) {
       fail("loss drop probability must be in [0, 1]");
-    }
-    if (!in_unit_interval(s.loss.burst_drop_p)) {
-      fail("burst drop probability must be in [0, 1]");
     }
     if (s.loss.jitter < 0) fail("loss jitter must be non-negative");
     if (s.loss.burst_start < 0 || s.loss.burst_len < 0 ||

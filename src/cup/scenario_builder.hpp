@@ -94,23 +94,19 @@ class ScenarioBuilder {
   /// Seeded byte-level mutation of delivered frames: each targeted delivery
   /// is encoded, perturbed with probability `rate`, and re-parsed by the
   /// hardened decoder (rejects are counted and dropped). `kind_mask` selects
-  /// mutation kinds (bit i = sim::WireMutationKind i), `type_mask` the
-  /// targeted message types (bit i = msg::MsgType i), and `wire_seed` re-rolls
-  /// the mutation schedule independently of the simulation seed.
+  /// mutation kinds (bit i = sim::WireMutationKind i) and `type_mask` the
+  /// targeted message types (bit i = msg::MsgType i).
   ScenarioBuilder& wire_mutation(
       double rate, std::uint32_t kind_mask = sim::kAllWireMutationKinds,
-      std::uint32_t type_mask = sim::kAllWireMsgTypes,
-      std::uint64_t wire_seed = 0);
+      std::uint32_t type_mask = sim::kAllWireMsgTypes);
   /// Seeded message loss: every send is dropped with probability `drop_p`,
   /// and surviving deliveries gain uniform extra delay in [0, jitter]
   /// (clamped to the partial-synchrony cap).
   ScenarioBuilder& loss(double drop_p, SimTime jitter = 0);
   /// Burst loss windows [start + k*period, start + k*period + len) — one
-  /// window when period is 0 — inside which sends drop with `drop_p`
-  /// (default: total blackout). Implies the loss model even when the
-  /// baseline drop probability is zero.
-  ScenarioBuilder& loss_burst(SimTime start, SimTime len, SimTime period = 0,
-                              double drop_p = 1.0);
+  /// window when period is 0 — inside which every send drops. Implies the
+  /// loss model even when the baseline drop probability is zero.
+  ScenarioBuilder& loss_burst(SimTime start, SimTime len, SimTime period = 0);
 
   ScenarioBuilder& delay_policy(
       std::function<std::unique_ptr<sim::DelayPolicy>()> make);

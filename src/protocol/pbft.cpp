@@ -326,7 +326,7 @@ void PbftInstance::rearm_view_timer(sim::Context& ctx) {
 }
 
 void PbftInstance::on_timer(int kind, sim::Context& ctx) {
-  if ((kind & 0xff) != kTimerKind || decided_ || !started_) return;
+  if (timer_base_kind(kind) != kTimerKind || decided_ || !started_) return;
   if (!timer_epoch_matches(kind, timer_epoch_)) {
     return;  // stale timer from an old view or a pre-recovery chain
   }

@@ -19,6 +19,9 @@ inline constexpr std::uint64_t kTimerEpochMod = 0x7fffff;
   return base_kind | static_cast<int>(epoch % kTimerEpochMod) << 8;
 }
 
+/// The component's base kind of an encoded kind (its low byte).
+[[nodiscard]] inline int timer_base_kind(int kind) { return kind & 0xff; }
+
 [[nodiscard]] inline bool timer_epoch_matches(int kind, std::uint64_t epoch) {
   return static_cast<std::uint64_t>(kind >> 8) == epoch % kTimerEpochMod;
 }

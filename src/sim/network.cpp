@@ -91,9 +91,9 @@ SimTime LossyDelayPolicy::delivery_time(ProcessId from, ProcessId to,
 bool LossyDelayPolicy::should_drop(ProcessId /*from*/, ProcessId /*to*/,
                                    SimTime sent, Rng& rng,
                                    const NetConfig& /*cfg*/) {
-  const double p = in_burst(sent) ? config_.burst_drop_p : config_.drop_p;
-  if (p <= 0.0) return false;  // no draw: an all-zero config is transparent
-  return rng.chance(p);
+  // Neither a burst nor a zero drop_p draws (Rng::chance decides p <= 0 and
+  // p >= 1 without one), so an all-zero config is transparent.
+  return in_burst(sent) || rng.chance(config_.drop_p);
 }
 
 }  // namespace bftcup::sim

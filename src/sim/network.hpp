@@ -105,12 +105,11 @@ struct LossConfig {
   SimTime jitter = 0;
   /// Burst loss windows: [burst_start + k*burst_period,
   /// burst_start + k*burst_period + burst_len) for k = 0, 1, ... — a single
-  /// window when burst_period is 0. A burst_len of 0 disables bursts.
+  /// window when burst_period is 0. Every send inside one drops. A
+  /// burst_len of 0 disables bursts.
   SimTime burst_start = 0;
   SimTime burst_len = 0;
   SimTime burst_period = 0;
-  /// Drop probability inside a burst window (default: total blackout).
-  double burst_drop_p = 1.0;
 };
 
 /// Wraps another policy with seeded message loss and jitter (LossConfig).

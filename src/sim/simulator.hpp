@@ -15,7 +15,8 @@
 // process table grow to the traffic a run produces (the queue only ever
 // holds what is in flight). A Simulator is *recyclable*: reset() returns it
 // to the just-constructed state while keeping every capacity it grew and
-// the seed-bound signature memo, whose keys bind all of their inputs.
+// the signature memo (crypto::SignCache, a ContentMemo whose keys bind the
+// key seed, the signer and the payload).
 // cup::RunContext drives this to run batch sweeps with near-zero per-run
 // setup cost; a reset simulator is observationally identical to a fresh
 // one (asserted by the recycling property suite and BatchRunner's
@@ -26,7 +27,7 @@
 #include <memory>
 #include <optional>
 
-#include "crypto/sign_cache.hpp"
+#include "crypto/keys.hpp"
 #include "msg/message_ref.hpp"
 #include "sim/bucket_queue.hpp"
 #include "sim/fault_timeline.hpp"
@@ -44,7 +45,7 @@ class Simulator {
     std::uint64_t seed = 1;
     NetConfig net;
     SimTime horizon = 1'000'000;  ///< hard stop (simulated time)
-    /// Attach the signature memo (crypto/sign_cache.hpp) to the registry,
+    /// Attach the signature memo (crypto::SignCache) to the registry,
     /// so signing and verification reuse memoized signatures. Signatures
     /// are a pure function of (key seed, signer, payload), so replay stays
     /// bit-identical; off still counts verifications for the run report.

@@ -34,9 +34,8 @@ const char* to_string(WireMutationKind kind) {
 WireMutator::WireMutator(WireConfig config, std::uint64_t sim_seed)
     : config_(config),
       // Dedicated stream: the constant separates the wire schedule from the
-      // simulator's own forks, and config.seed lets sweeps re-roll mutations
-      // without touching delivery timing.
-      rng_(Rng(sim_seed ^ 0xa57eb1de5eedULL).fork(config.seed)) {
+      // simulator's own forks.
+      rng_(Rng(sim_seed ^ 0xa57eb1de5eedULL).fork(0)) {
   for (std::size_t i = 0; i < kWireMutationKindCount; ++i) {
     if ((config_.kind_mask >> i & 1u) != 0) {
       enabled_kinds_.push_back(static_cast<WireMutationKind>(i));

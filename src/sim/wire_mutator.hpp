@@ -9,10 +9,10 @@
 // the real codec::Decoder and message-parse path, and a frame the decoder
 // rejects is counted and dropped instead of delivered.
 //
-// Determinism contract: the mutator owns a dedicated Rng derived from
-// (simulator seed, WireConfig::seed) and draws only at process() calls,
-// which the simulator issues in its deterministic delivery order — so the
-// whole mutation schedule is a pure function of (scenario, seed) and replays
+// Determinism contract: the mutator owns a dedicated Rng derived from the
+// simulator seed and draws only at process() calls, which the simulator
+// issues in its deterministic delivery order — so the whole mutation
+// schedule is a pure function of (scenario, seed) and replays
 // bit-identically at any thread count. With `enabled` false the simulator
 // never constructs a mutator and never draws: the layer costs nothing and
 // every pre-existing digest is unchanged.
@@ -63,9 +63,6 @@ struct WireConfig {
   /// Targeted message types (bit i = MsgType i). Untargeted types bypass
   /// the wire path entirely.
   std::uint32_t type_mask = kAllWireMsgTypes;
-  /// Extra entropy folded into the mutator's RNG stream, so sweeps can vary
-  /// the wire schedule independently of the simulation seed.
-  std::uint64_t seed = 0;
 };
 
 class WireMutator {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cup/batch_runner.hpp"
 
 namespace bftcup::cup {
@@ -272,6 +274,66 @@ TEST(BatchRunnerTest, FactoryExceptionsPropagate) {
   });
   // The factory throws during expand(), before any thread starts.
   EXPECT_THROW((void)BatchRunner().run(sweep), ScenarioError);
+}
+
+/// Wraps a scenario's delay policy and throws `what` at its `at`-th send.
+class ThrowAtSend final : public sim::DelayPolicy {
+ public:
+  ThrowAtSend(std::unique_ptr<sim::DelayPolicy> inner, std::uint64_t at,
+              const char* what)
+      : inner_(std::move(inner)), at_(at), what_(what) {}
+
+  SimTime delivery_time(ProcessId from, ProcessId to, SimTime sent, Rng& rng,
+                        const sim::NetConfig& cfg) override {
+    if (++sends_ == at_) throw std::runtime_error(what_);
+    return inner_->delivery_time(from, to, sent, rng, cfg);
+  }
+
+ private:
+  std::unique_ptr<sim::DelayPolicy> inner_;
+  std::uint64_t at_;
+  const char* what_;
+  std::uint64_t sends_ = 0;
+};
+
+SweepPoint throwing_point(const std::string& name, std::uint64_t at,
+                          const char* what) {
+  Scenario config = ScenarioRegistry::paper().builder(name, 1).build();
+  config.make_policy = [inner = config.make_policy, at, what] {
+    return std::make_unique<ThrowAtSend>(
+        inner ? inner() : std::make_unique<sim::RandomDelayPolicy>(), at,
+        what);
+  };
+  return {name, 1, std::move(config)};
+}
+
+TEST(BatchRunnerTest, ReportsTheLowestFailingPointAtAnyThreadCount) {
+  // Point 0 fails late (tens of ms in), point 1 at once: a pool sees
+  // point 1 fail first, but a serial sweep never gets past point 0, and
+  // neither may the report.
+  const std::vector<SweepPoint> points = {
+      throwing_point("fig2/system-ab-naive", 50'000, "point 0"),
+      throwing_point("fig1b/silent", 1, "point 1"),
+  };
+  for (const std::size_t threads : {1, 2, 4}) {
+    BatchRunner::Options options;
+    options.threads = threads;
+    const BatchRunner runner(options);
+    try {
+      (void)runner.run(points);
+      ADD_FAILURE() << "run did not throw at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 0") << "run, " << threads << " threads";
+    }
+    try {
+      (void)runner.run_reports(points);
+      ADD_FAILURE() << "run_reports did not throw at " << threads
+                    << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 0")
+          << "run_reports, " << threads << " threads";
+    }
+  }
 }
 
 TEST(BatchRunnerTest, SolvedScenariosReportAsSolvedInAggregate) {

@@ -2,16 +2,19 @@
 // signature memo store pure functions of immutable inputs, so results are
 // bit-identical with caching on or off.
 //
-// 1. The per-simulation shared evaluation memo returns the cold result and
+// 1. ContentMemo, the type of both, tells keys apart by comparing them
+//    whole, not by their hash.
+// 2. The per-simulation shared evaluation memo returns the cold result and
 //    serves every repeated view from memory.
-// 2. The signature memo serves verification accepts AND rejects without
+// 3. The signature memo serves verification accepts AND rejects without
 //    changing outcomes, and its entries are bound to the key seed.
-// 3. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
+// 4. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
 //    64-bit mask out of range (UB) — oversized caps are clamped and
 //    oversized SCCs take the big-SCC certification path promptly.
 #include <gtest/gtest.h>
 
-#include "crypto/sign_cache.hpp"
+#include "common/content_memo.hpp"
+#include "crypto/keys.hpp"
 #include "cup/scenario_registry.hpp"
 #include "graph/generators.hpp"
 #include "protocol/core.hpp"
@@ -31,9 +34,49 @@ ProcessId p(std::uint64_t raw) {
   return ProcessId(raw);
 }
 
+TEST(ContentMemoTest, KeysDifferingInOneFieldFindTheirOwnValues) {
+  // Three groups of 1,000 keys: differing only in word a, only in word b,
+  // and byte strings of lengths 0-999 each a prefix of the next. That many
+  // keys share buckets, so equality, not the hash, must tell them apart.
+  ContentMemo<int> memo;
+  const Bytes payload = to_bytes("payload");
+  Bytes pattern(999);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const auto prefix = [&](int length) {
+    return BytesView(pattern).first(static_cast<std::size_t>(length));
+  };
+  for (int i = 0; i < 1000; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    EXPECT_EQ(memo.insert(u, 0, payload, i), i);
+    EXPECT_EQ(memo.insert(1000, u, payload, 1000 + i), 1000 + i);
+    EXPECT_EQ(memo.insert(2000, 0, prefix(i), 2000 + i), 2000 + i);
+  }
+  ASSERT_EQ(memo.size(), 3000U);
+  for (int i = 0; i < 1000; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    const int* by_a = memo.find(u, 0, payload);
+    const int* by_b = memo.find(1000, u, payload);
+    const int* by_bytes = memo.find(2000, 0, prefix(i));
+    ASSERT_NE(by_a, nullptr);
+    ASSERT_NE(by_b, nullptr);
+    ASSERT_NE(by_bytes, nullptr);
+    EXPECT_EQ(*by_a, i);
+    EXPECT_EQ(*by_b, 1000 + i);
+    EXPECT_EQ(*by_bytes, 2000 + i);
+  }
+  // An existing entry is kept, and clear() empties the memo.
+  EXPECT_EQ(memo.insert(0, 0, payload, -1), 0);
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0U);
+  EXPECT_EQ(memo.find(0, 0, payload), nullptr);
+  EXPECT_EQ(memo.find(2000, 0, prefix(0)), nullptr);
+}
+
 TEST(SharedEvalCacheTest, CanonicalViewBytesAreBigEndianWords) {
-  // The memo key layout: known (count, ids), then the PD count and each
-  // (owner, count, ids), every field one big-endian u64.
+  // The memo key layout: the prefix, then known (count, ids), then the PD
+  // count and each (owner, count, ids), every field one big-endian u64.
   const std::uint64_t wide = 0x0102030405060708;
   KnowledgeView view(p(1), IdSet{p(2)});
   view.add_pd(p(2), IdSet{p(1), p(wide)});
@@ -43,15 +86,13 @@ TEST(SharedEvalCacheTest, CanonicalViewBytesAreBigEndianWords) {
       1, 1, 2,        // owner 1, PD {2}
       2, 2, 1, wide,  // owner 2, PD {1, wide}
   };
-  Bytes expected;
+  Bytes expected = to_bytes("s/k");
   for (std::uint64_t word : words) {
     for (int shift = 56; shift >= 0; shift -= 8) {
       expected.push_back(static_cast<std::uint8_t>(word >> shift));
     }
   }
-  Bytes out = {0xFF};  // replaced, not appended to
-  protocol::view_canonical(view, out);
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(protocol::view_canonical(view, "s/k"), expected);
 }
 
 TEST(SharedEvalCacheTest, SinkResultMatchesColdAndReportsHits) {
@@ -101,12 +142,43 @@ TEST(SharedEvalCacheTest, CoreResultKeyedByViewDigest) {
   const auto a2 = protocol::try_find_core(view_a, search, &cache);
   EXPECT_EQ(cache.stats().evaluations, 4U);
   EXPECT_EQ(cache.stats().hits, 1U);  // only the repeated view hits
-  EXPECT_EQ(cache.entry_count(), 3U);
+  EXPECT_EQ(cache.size(), 3U);
   ASSERT_TRUE(a1.has_value());
   ASSERT_TRUE(a2.has_value());
   EXPECT_EQ(a1->members, a2->members);
   ASSERT_TRUE(b1.has_value());
   EXPECT_NE(a1->members, b1->members);
+}
+
+TEST(SharedEvalCacheTest, StrategiesWhoseKeysPrefixOneAnotherKeepApart) {
+  // The key of bs=2 is a prefix of the key of bs=24. Sharing one memo, the
+  // two strategies keep one entry each for the same view.
+  const auto view = KnowledgeView::omniscient(graph::figures::fig4a().graph);
+  SearchOptions two;
+  two.big_scc_samples = 2;
+  SearchOptions twenty_four;
+  twenty_four.big_scc_samples = 24;
+  const ExhaustiveSinkSearch search_two(two);
+  const ExhaustiveSinkSearch search_twenty_four(twenty_four);
+  ASSERT_EQ(search_twenty_four.cache_key().rfind(search_two.cache_key(), 0),
+            0U);
+
+  SharedEvalCache cache(true);
+  for (int round = 0; round < 2; ++round) {
+    for (const ExhaustiveSinkSearch* search :
+         {&search_two, &search_twenty_four}) {
+      const auto cold = protocol::try_find_core(view, *search);
+      const auto memo = protocol::try_find_core(view, *search, &cache);
+      ASSERT_EQ(memo.has_value(), cold.has_value());
+      if (cold) {
+        EXPECT_EQ(memo->members, cold->members);
+        EXPECT_EQ(memo->g, cold->g);
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), 2U);
+  EXPECT_EQ(cache.stats().evaluations, 4U);
+  EXPECT_EQ(cache.stats().hits, 2U);  // the second round only
 }
 
 TEST(SharedEvalCacheTest, RepeatedViewHitsAfterAStreakOfMisses) {
@@ -155,7 +227,7 @@ TEST(SignMemoTest, VerifyServesAcceptsAndRejectsFromTheSignMemo) {
   // Signing p(1) filled the memo, so only the first p(2) verify missed.
   EXPECT_EQ(registry.verify_stats().lookups, 9U);
   EXPECT_EQ(registry.verify_stats().hits, 8U);
-  EXPECT_EQ(memo.entry_count(), 2U);
+  EXPECT_EQ(memo.size(), 2U);
   EXPECT_EQ(bare.verify_stats().lookups, 9U);
   EXPECT_EQ(bare.verify_stats().hits, 0U);
 }
@@ -173,7 +245,7 @@ TEST(SignMemoTest, RetainedEntriesAreBoundToTheKeySeed) {
   ASSERT_EQ(registry.verify_stats().hits, 1U);
 
   registry.reset(43);
-  ASSERT_EQ(memo.entry_count(), 1U);  // retained, not cleared
+  ASSERT_EQ(memo.size(), 1U);  // retained, not cleared
   EXPECT_FALSE(registry.verify(p(1), payload, under42));
   EXPECT_EQ(registry.verify_stats().hits, 1U);  // a miss under seed 43
   crypto::KeyRegistry fresh43(43);
@@ -187,7 +259,7 @@ TEST(SignMemoTest, RetainedEntriesAreBoundToTheKeySeed) {
   registry.reset(42);
   EXPECT_TRUE(registry.verify(p(1), payload, under42));
   EXPECT_FALSE(registry.verify(p(1), payload, under43));
-  EXPECT_EQ(memo.entry_count(), 2U);
+  EXPECT_EQ(memo.size(), 2U);
   EXPECT_EQ(registry.verify_stats().lookups, 5U);
   EXPECT_EQ(registry.verify_stats().hits, 4U);
 }

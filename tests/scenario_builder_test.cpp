@@ -159,8 +159,6 @@ TEST(ScenarioBuilderTest, NanProbabilitiesRejected) {
   EXPECT_THROW(ScenarioBuilder(triangle()).wire_mutation(nan).build(),
                ScenarioError);
   EXPECT_THROW(ScenarioBuilder(triangle()).loss(nan).build(), ScenarioError);
-  EXPECT_THROW(ScenarioBuilder(triangle()).loss_burst(0, 10, 0, nan).build(),
-               ScenarioError);
 }
 
 TEST(ScenarioBuilderTest, ErrorsNameTheProblem) {

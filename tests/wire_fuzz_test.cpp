@@ -121,8 +121,8 @@ TEST(WireFuzzTest, MutatedFramesPerMsgTypeDecodeSafelyAndCanonically) {
     sim::WireConfig config;
     config.enabled = true;
     config.rate = 1.0;  // every delivery mutated
-    config.seed = t;
-    sim::WireMutator mutator(config, /*sim_seed=*/0xf022ed);
+    // A distinct mutation stream per type.
+    sim::WireMutator mutator(config, /*sim_seed=*/0xf022ed + t);
     std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
     std::uint64_t emitted = 0;

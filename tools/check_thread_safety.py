@@ -34,7 +34,7 @@ from pathlib import Path
 ANNOTATED_HEADERS = (
     "src/common/thread_annotations.hpp",
     "src/protocol/eval_cache.hpp",
-    "src/crypto/sign_cache.hpp",
+    "src/common/content_memo.hpp",
 )
 
 SKIP_EXIT_CODE = 77

@@ -79,8 +79,9 @@ DIGEST_PATH_MODULES = (
     "src/cup/node.cpp",
     # Membership: RunReport::digest() hashes the memberships nodes adopt,
     # and candidate order in the search, the predicate and the core rule
-    # decides which one that is. The eval memo's hash maps are probed by
-    # key, never walked.
+    # decides which one that is. The eval memo's hash map (a ContentMemo)
+    # is probed by key, never walked.
+    "src/common/content_memo.hpp",
     "src/protocol/knowledge_view.hpp",
     "src/protocol/knowledge_view.cpp",
     "src/protocol/sink_predicate.hpp",
