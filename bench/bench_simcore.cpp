@@ -125,7 +125,7 @@ msg::Message fat_message() {
     for (std::uint64_t member = 1; member <= 16; ++member) {
       spd.pd.insert(ProcessId(member));
     }
-    m.pds.push_back(std::move(spd));
+    m.pds.push_back(std::make_shared<const msg::SignedPd>(std::move(spd)));
   }
   return m;
 }

@@ -45,24 +45,38 @@ class FlatSet {
     return added;
   }
 
-  /// Sorted-input overload: a single linear merge instead of per-element
-  /// binary search + memmove (O(n+m) vs O(n·m) — the S_known merges of a
-  /// large-n discovery round are dominated by this call).
+  /// Sorted-input overload: one linear merge instead of per-element binary
+  /// search + memmove (O(n+m) vs O(n·m) — the S_known merges of a large-n
+  /// discovery round are dominated by this call). The merge runs in place,
+  /// back to front into the grown tail, so it allocates only when the
+  /// vector's capacity must grow, and not at all when nothing is new.
   std::size_t insert_all(const FlatSet& other) {
-    if (other.items_.empty()) return 0;
-    if (items_.empty()) {
-      items_ = other.items_;
-      return items_.size();
+    const std::vector<T>& add = other.items_;
+    std::size_t added = 0;
+    for (auto a = items_.begin(), b = add.begin(); b != add.end();) {
+      if (a == items_.end() || *b < *a) {
+        ++added;
+        ++b;
+      } else {
+        if (!(*a < *b)) ++b;
+        ++a;
+      }
     }
-    if (other.items_.size() == 1) {
-      return insert(other.items_.front()) ? 1U : 0U;
+    if (added == 0) return 0;
+
+    std::size_t i = items_.size();  // items_[0, i) not yet placed
+    std::size_t j = add.size();     // add[0, j) not yet placed
+    items_.resize(i + added);
+    for (std::size_t out = items_.size(); out != i;) {
+      // Every out slot above i takes the larger of the two tails; once
+      // out == i the rest of items_ is already where it belongs.
+      if (i == 0 || items_[i - 1] < add[j - 1]) {
+        items_[--out] = add[--j];
+      } else {
+        if (!(add[j - 1] < items_[i - 1])) --j;  // equal: keep one copy
+        items_[--out] = std::move(items_[--i]);
+      }
     }
-    std::vector<T> merged;
-    merged.reserve(items_.size() + other.items_.size());
-    std::set_union(items_.begin(), items_.end(), other.items_.begin(),
-                   other.items_.end(), std::back_inserter(merged));
-    const std::size_t added = merged.size() - items_.size();
-    items_ = std::move(merged);
     return added;
   }
 

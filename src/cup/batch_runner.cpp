@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -238,19 +239,20 @@ BatchReport BatchRunner::run(const Sweep& sweep) const {
 namespace {
 
 /// Lowest-index failure slot shared by the pool's workers. The lock
-/// discipline is machine-checked: `error` and `index` are GUARDED_BY the
-/// mutex, so any access outside store()/take() fails the Clang
-/// -Wthread-safety build.
+/// discipline is machine-checked: `error` is GUARDED_BY the mutex, so any
+/// access outside store()/take() fails the Clang -Wthread-safety build.
+/// `index` (SIZE_MAX while no point has failed) changes only under the
+/// mutex too, and is atomic so workers can read it without the lock.
 struct FailureSlot {
   Mutex mutex;
   std::exception_ptr error BFTCUP_GUARDED_BY(mutex);
-  std::size_t index BFTCUP_GUARDED_BY(mutex) = 0;
+  std::atomic<std::size_t> index{std::numeric_limits<std::size_t>::max()};
 
   void store(std::size_t i, std::exception_ptr thrown) BFTCUP_EXCLUDES(mutex) {
     MutexLock lock(mutex);
-    if (!error || i < index) {
+    if (i < index.load()) {
       error = std::move(thrown);
-      index = i;
+      index.store(i);
     }
   }
   [[nodiscard]] std::exception_ptr take() BFTCUP_EXCLUDES(mutex) {
@@ -264,10 +266,12 @@ struct FailureSlot {
 /// it claims — the run-engine steady state. The work queue is a single
 /// atomic cursor; report aggregation needs no lock because results land in
 /// caller-owned slots indexed by i (disjoint per run), which also makes the
-/// output order independent of thread placement. After the pool drains,
-/// the failure at the lowest index is rethrown: the cursor hands indices out
-/// in order, so every lower index ran, and the error is the one a serial
-/// run reports, whatever the thread count.
+/// output order independent of thread placement. Once a point has failed,
+/// a worker that claims a higher index returns without running it, since
+/// the sweep will only rethrow. After the pool drains, the failure at the
+/// lowest index is rethrown: the cursor hands indices out in order and
+/// every index below the lowest failure still runs, so the error is the
+/// one a serial run reports, whatever the thread count.
 void pool_execute(std::size_t count, std::size_t requested_threads,
                   const std::function<void(std::size_t, RunContext&)>& work) {
   std::size_t threads =
@@ -283,7 +287,7 @@ void pool_execute(std::size_t count, std::size_t requested_threads,
     RunContext context;
     for (;;) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= count) return;
+      if (i >= count || i > failure.index.load()) return;
       try {
         work(i, context);
       } catch (...) {

@@ -90,7 +90,7 @@ void CupNode::maybe_find_membership(sim::Context& ctx) {
     config.members = membership_->members;
     config.assumed_f = membership_->g;
     config.base_timeout = kPbftBaseTimeout;
-    pbft_.emplace(id(), std::move(config));
+    pbft_ = std::make_unique<protocol::PbftInstance>(id(), std::move(config));
     pbft_->start(params_.proposal, ctx);
     for (auto& [from, message] : pending_pbft_) {
       pbft_->handle_message(from, message, ctx);

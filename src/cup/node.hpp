@@ -60,7 +60,9 @@ class CupNode final : public sim::Process {
   protocol::ValueExchange exchange_;
   /// Who runs consensus, and its g: PBFT's quorum threshold.
   std::optional<protocol::SinkResult> membership_;
-  std::optional<protocol::PbftInstance> pbft_;
+  /// Out of line: the instance is over half a node's bytes, and only
+  /// members ever make one.
+  std::unique_ptr<protocol::PbftInstance> pbft_;
   /// PBFT traffic can arrive before we have discovered the sink/core
   /// ourselves; it is buffered and replayed once the instance exists.
   std::vector<std::pair<ProcessId, msg::Message>> pending_pbft_;

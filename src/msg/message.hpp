@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -46,6 +47,11 @@ inline constexpr std::size_t kMsgTypeCount =
 /// A participant-detector output signed by its owner: ⟨i, PD_i⟩_i.
 /// Correct processes sign once at startup; Byzantine processes can sign any
 /// *own* PD but cannot forge other owners' entries (Alg. 1, line 1 remark).
+///
+/// A SignedPd is immutable once made, and travels as a SignedPdRef: the
+/// owner's Discovery::sign_own_pd (or, on the hostile wire, decode_frame)
+/// makes the one object, and every S_PD, SETPDS reply and KnowledgeView
+/// that accepts it shares it by refcount instead of copying it.
 struct SignedPd {
   ProcessId owner;
   IdSet pd;
@@ -61,6 +67,10 @@ struct SignedPd {
 
   friend bool operator==(const SignedPd&, const SignedPd&) = default;
 };
+
+/// Shared handle to one immutable SignedPd. Handles compare by identity;
+/// compare `*a == *b` for contents.
+using SignedPdRef = std::shared_ptr<const SignedPd>;
 
 /// One signer's signature over a PBFT payload.
 struct SigShare {
@@ -81,8 +91,9 @@ struct QuorumCert {
 struct Message {
   MsgType type = MsgType::kGetPds;
 
-  // kSetPds.
-  std::vector<SignedPd> pds;
+  // kSetPds: the sender's S_PD, in its order (a receiver keeps the first
+  // version of each owner it accepts).
+  std::vector<SignedPdRef> pds;
 
   // Value-carrying messages (kDecidedVal, PBFT proposals).
   Value value = kNoValue;

@@ -28,10 +28,10 @@ template <typename Sink>
 void put_frame(Sink& enc, const Message& m) {
   enc.put_u8(static_cast<std::uint8_t>(m.type));
   enc.put_varint(m.pds.size());
-  for (const SignedPd& spd : m.pds) {
-    enc.put_id(spd.owner);
-    enc.put_id_set(spd.pd);
-    put_signature(enc, spd.sig);
+  for (const SignedPdRef& spd : m.pds) {
+    enc.put_id(spd->owner);
+    enc.put_id_set(spd->pd);
+    put_signature(enc, spd->sig);
   }
   enc.put_u64(m.value);
   enc.put_u32(m.view);
@@ -89,7 +89,8 @@ std::optional<Message> decode_frame(BytesView frame) {
     if (!pd) return std::nullopt;
     spd.pd = std::move(*pd);
     if (!get_signature(dec, spd.sig)) return std::nullopt;
-    m.pds.push_back(std::move(spd));
+    // Made once per decoded PD; the receiver's S_PD and view share it.
+    m.pds.push_back(std::make_shared<const SignedPd>(std::move(spd)));
   }
 
   const auto value = dec.get_u64();

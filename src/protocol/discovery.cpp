@@ -21,11 +21,9 @@ void Discovery::start(sim::Context& ctx) {
 }
 
 void Discovery::sign_own_pd(sim::Context& ctx) {
-  msg::SignedPd own;
-  own.owner = self_;
-  own.pd = own_pd_;
-  own.sig = ctx.signer().sign(msg::SignedPd::payload(self_, own_pd_));
-  spds_.push_back(std::move(own));
+  spds_.push_back(std::make_shared<const msg::SignedPd>(msg::SignedPd{
+      self_, own_pd_,
+      ctx.signer().sign(msg::SignedPd::payload(self_, own_pd_))}));
 }
 
 void Discovery::arm_timer(sim::Context& ctx) {
@@ -77,13 +75,14 @@ bool Discovery::handle_message(ProcessId from, const msg::Message& message,
     case msg::MsgType::kSetPds: {
       // Lines 4-6: merge every *valid* signed PD.
       bool changed = false;
-      for (const msg::SignedPd& spd : message.pds) {
-        if (view_.received().contains(spd.owner)) continue;  // already have it
-        msg::SignedPd::payload_into(spd.owner, spd.pd, payload_scratch_);
-        if (!ctx.verifier().verify(spd.owner, payload_scratch_, spd.sig)) {
+      for (const msg::SignedPdRef& spd : message.pds) {
+        if (view_.received().contains(spd->owner)) continue;  // already have it
+        msg::SignedPd::payload_into(spd->owner, spd->pd, payload_scratch_);
+        if (!ctx.verifier().verify(spd->owner, payload_scratch_, spd->sig)) {
           continue;  // forged or corrupted — ignore
         }
-        view_.add_pd(spd.owner, spd.pd);
+        // Share the signed object: the view aliases its set.
+        view_.add_pd(spd->owner, KnowledgeView::PdRef(spd, &spd->pd));
         spds_.push_back(spd);
         reply_cache_ = msg::MessageRef();  // S_PD grew; rebuild on demand
         changed = true;

@@ -6,6 +6,11 @@
 // into a KnowledgeView. Because PDs are signed by their owners, a Byzantine
 // process can neither alter a correct process's PD nor fabricate one — it
 // can only lie about its *own* PD or stay silent.
+//
+// S_PD holds handles, not copies: each signed PD is the one immutable
+// object its owner made (msg::SignedPdRef), so accepting it costs a
+// refcount in S_PD and an aliasing handle to its set in the view, and a
+// rebuilt SETPDS reply copies handles.
 #pragma once
 
 #include <vector>
@@ -52,8 +57,9 @@ class Discovery {
 
   [[nodiscard]] const KnowledgeView& view() const { return view_; }
 
-  /// S_PD: the verified signed PDs collected so far (own PD included).
-  [[nodiscard]] const std::vector<msg::SignedPd>& signed_pds() const {
+  /// S_PD: the verified signed PDs collected so far (own PD included), in
+  /// acceptance order.
+  [[nodiscard]] const std::vector<msg::SignedPdRef>& signed_pds() const {
     return spds_;
   }
 
@@ -72,11 +78,12 @@ class Discovery {
   /// pre-fault-timeline implementation.
   std::uint64_t timer_epoch_ = 0;
   KnowledgeView view_;
-  std::vector<msg::SignedPd> spds_;
+  std::vector<msg::SignedPdRef> spds_;
   /// The GETPDS request is identical every round: built once, shared.
   msg::MessageRef request_;
-  /// The SETPDS answer is shared across requesters and rebuilt only when
-  /// S_PD grows (null = stale).
+  /// The SETPDS answer is shared across requesters and rebuilt (a copy of
+  /// spds_'s handles) only when S_PD grows (null = stale). Freezing it
+  /// keeps every in-flight SETPDS from holding its own handle vector.
   msg::MessageRef reply_cache_;
   /// Reused payload buffer for signature checks in the SETPDS merge loop —
   /// one allocation for the node's lifetime instead of one per verify.

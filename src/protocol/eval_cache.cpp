@@ -29,15 +29,17 @@ Bytes view_canonical(const KnowledgeView& view, std::string_view prefix) {
   // Length-framed, sorted-order serialization: injective on view contents,
   // so byte equality is view equality. Sized up front (the prefix, then one
   // u64 per count, id and owner), then written a word at a time.
+  const auto& owners = view.received().values();
+  const auto& pds = view.pds();
   std::size_t words = 2 + view.known().size();
-  for (const auto& [owner, pd] : view.pds()) words += 2 + pd.size();
+  for (const auto& pd : pds) words += 2 + pd->size();
   Bytes out(prefix.size() + words * 8);
   std::memcpy(out.data(), prefix.data(), prefix.size());
   std::uint8_t* at = put_id_set(out.data() + prefix.size(), view.known());
-  at = put_u64(at, view.pds().size());
-  for (const auto& [owner, pd] : view.pds()) {
-    at = put_u64(at, owner.raw());
-    at = put_id_set(at, pd);
+  at = put_u64(at, pds.size());
+  for (std::size_t r = 0; r < pds.size(); ++r) {
+    at = put_u64(at, owners[r].raw());
+    at = put_id_set(at, *pds[r]);
   }
   assert(at == out.data() + out.size());
   return out;

@@ -1,29 +1,42 @@
 #include "protocol/knowledge_view.hpp"
 
+#include <algorithm>
+
 #include "common/bitset64.hpp"
 
 namespace bftcup::protocol {
 
 KnowledgeView::KnowledgeView(ProcessId self, const IdSet& own_pd) {
-  known_.insert(self);
-  known_.insert_all(own_pd);
   add_pd(self, own_pd);
 }
 
-bool KnowledgeView::add_pd(ProcessId owner, const IdSet& pd) {
-  bool changed = known_.insert(owner);
-  changed |= known_.insert_all(pd) > 0;
-  if (!pds_.contains(owner)) {
-    pds_.emplace(owner, pd);
+bool KnowledgeView::add_pd(ProcessId owner, PdRef pd) {
+  bool changed = learn(owner, *pd);
+  const auto& owners = received_.values();
+  const auto at = std::lower_bound(owners.begin(), owners.end(), owner);
+  if (at == owners.end() || *at != owner) {
+    pds_.insert(pds_.begin() + (at - owners.begin()), std::move(pd));
     received_.insert(owner);
     changed = true;
   }
   return changed;
 }
 
+bool KnowledgeView::add_pd(ProcessId owner, const IdSet& pd) {
+  if (received_.contains(owner)) return learn(owner, pd);
+  return add_pd(owner, std::make_shared<const IdSet>(pd));
+}
+
+bool KnowledgeView::learn(ProcessId owner, const IdSet& pd) {
+  const bool changed = known_.insert(owner);
+  return known_.insert_all(pd) > 0 || changed;
+}
+
 const IdSet* KnowledgeView::pd_of(ProcessId owner) const {
-  auto it = pds_.find(owner);
-  return it == pds_.end() ? nullptr : &it->second;
+  const auto& owners = received_.values();
+  const auto at = std::lower_bound(owners.begin(), owners.end(), owner);
+  if (at == owners.end() || *at != owner) return nullptr;
+  return pds_[static_cast<std::size_t>(at - owners.begin())].get();
 }
 
 graph::Digraph KnowledgeView::knowledge_graph(const IdSet& keep) const {
@@ -46,9 +59,10 @@ KnowledgeView KnowledgeView::omniscient(const graph::Digraph& g) {
   KnowledgeView view;
   const IdSet vertices = g.vertices();
   view.known_ = vertices;
+  view.received_ = vertices;
+  view.pds_.reserve(vertices.size());
   for (ProcessId id : vertices) {
-    view.received_.insert(id);
-    view.pds_.emplace(id, g.out_neighbors(id));
+    view.pds_.push_back(std::make_shared<const IdSet>(g.out_neighbors(id)));
   }
   return view;
 }

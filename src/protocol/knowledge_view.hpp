@@ -2,10 +2,17 @@
 // search strategies, and the Discovery algorithm.
 //
 // Mirrors Algorithm 1's three sets:
-//   S_PD       -> pds() (owner -> PD contents; signatures are checked before
-//                 insertion by the caller, so the view stores plain sets)
+//   S_PD       -> pds() (one PD per received() owner, same index;
+//                 signatures are checked before insertion by the caller, so
+//                 the view stores plain sets)
 //   S_known    -> known()
-//   S_received -> received() (the keys of pds())
+//   S_received -> received() (the owners of pds(), ascending)
+//
+// A PD is held by a shared handle, never copied: Discovery hands in an
+// aliasing handle into the owner's one signed PD (msg::SignedPdRef), so
+// every node that accepts PD_i shares one set. RRB and tests hand in plain
+// sets, which add_pd wraps once, and omniscient() wraps each vertex's
+// out-neighbourhood. Owner ids are stored once, in received().
 //
 // The view holds content only; every derived structure (knowledge graph,
 // SCCs, candidates) is computed per evaluation. PDs are immutable once
@@ -14,7 +21,8 @@
 // engine caching").
 #pragma once
 
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "common/types.hpp"
 #include "graph/digraph.hpp"
@@ -23,6 +31,9 @@ namespace bftcup::protocol {
 
 class KnowledgeView {
  public:
+  /// Shared, immutable PD contents.
+  using PdRef = std::shared_ptr<const IdSet>;
+
   KnowledgeView() = default;
 
   /// Initializes the view for process `self` with its own participant
@@ -32,12 +43,18 @@ class KnowledgeView {
   /// Records `owner`'s PD. Returns true if this changed the view (new owner
   /// or — from a Byzantine equivocator — different contents, which the view
   /// rejects by keeping the first version, mirroring "PD_i always returns
-  /// the same set"). New ids in `pd` are added to known().
+  /// the same set"). New ids in `*pd` are added to known(), merged in
+  /// place: accepting a PD allocates only when the view's vectors grow.
+  bool add_pd(ProcessId owner, PdRef pd);
+
+  /// Same, for a PD held by the caller: wrapped in a handle of its own only
+  /// if `owner` is new.
   bool add_pd(ProcessId owner, const IdSet& pd);
 
   [[nodiscard]] const IdSet& known() const { return known_; }
   [[nodiscard]] const IdSet& received() const { return received_; }
-  [[nodiscard]] const std::map<ProcessId, IdSet>& pds() const { return pds_; }
+  /// pds()[r] is the PD of received().values()[r]: ascending owners.
+  [[nodiscard]] const std::vector<PdRef>& pds() const { return pds_; }
   [[nodiscard]] const IdSet* pd_of(ProcessId owner) const;
 
   /// The knowledge graph K restricted to `keep` (K[keep]): the vertices
@@ -58,9 +75,12 @@ class KnowledgeView {
   [[nodiscard]] static KnowledgeView omniscient(const graph::Digraph& g);
 
  private:
+  /// Adds `owner` and the ids of `pd` to known(); true if any was new.
+  bool learn(ProcessId owner, const IdSet& pd);
+
   IdSet known_;
   IdSet received_;
-  std::map<ProcessId, IdSet> pds_;
+  std::vector<PdRef> pds_;  ///< parallel to received_
 };
 
 }  // namespace bftcup::protocol

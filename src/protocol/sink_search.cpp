@@ -82,22 +82,18 @@ void enumerate_structured(const ComponentMasks& component,
 
 /// Calls `visit(scc)` for every SCC of K[S_received], `scc` being the
 /// component's ids ascending; any strongly connected S1 (P2 needs κ >= 1)
-/// is a subset of one of these. One walk of view.pds(), whose keys are
-/// S_received ascending, ranks the owners and merges each sorted PD
-/// against them into one flat adjacency (self-loops dropped); Tarjan runs
+/// is a subset of one of these. The owners are S_received ascending, and
+/// one walk of view.pds() (parallel to them) merges each sorted PD against
+/// them into one flat adjacency of ranks (self-loops dropped); Tarjan runs
 /// on that. Vertices and out-lists ascend exactly as
 /// knowledge_graph(received()) orders them, so the components come in the
 /// same order, which fixes candidate order for both strategies.
 template <typename Visit>
 void for_each_received_scc(const KnowledgeView& view, const Visit& visit) {
+  const std::vector<ProcessId>& ids = view.received().values();  // rank -> id
   const auto& pds = view.pds();
-  std::vector<ProcessId> ids;  // rank -> id
-  ids.reserve(pds.size());
   std::size_t named = 0;
-  for (const auto& entry : pds) {
-    ids.push_back(entry.first);
-    named += entry.second.size();
-  }
+  for (const auto& pd : pds) named += pd->size();
 
   // Owner r's targets are targets[offsets[r] .. offsets[r + 1]), as ranks.
   std::vector<std::size_t> offsets;
@@ -105,10 +101,10 @@ void for_each_received_scc(const KnowledgeView& view, const Visit& visit) {
   offsets.push_back(0);
   std::vector<std::size_t> targets;
   targets.reserve(named);
-  for (const auto& entry : pds) {
+  for (const auto& pd : pds) {
     const std::size_t rank = offsets.size() - 1;
     auto it = ids.begin();
-    for (ProcessId t : entry.second) {
+    for (ProcessId t : *pd) {
       it = std::lower_bound(it, ids.end(), t);
       if (it == ids.end()) break;
       const auto target = static_cast<std::size_t>(it - ids.begin());

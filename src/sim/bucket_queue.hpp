@@ -16,10 +16,18 @@
 //    later direct push for that tick carries a larger seq, so migration
 //    preserves the per-bucket seq ordering invariant.
 //
-// Buckets and the heap start empty and grow to the events in flight.
-// clear() keeps every bucket's capacity and the heap's buffer, so a
-// recycled simulator replays its next run without re-growing the queue —
-// the RunContext steady state.
+// Buckets and the heap start empty and grow to the events in flight. A
+// big bucket buffer is held only while its tick holds events: pop() moves
+// a drained bucket's buffer onto one spare list when it has room for more
+// than kKeptEvents, and a bucket holding no buffer takes the most recently
+// spared one on its first event. The ring so keeps about one big buffer
+// per tick with events in flight (about δ of them), not one per tick a
+// run has ever touched. A small buffer stays with its tick. Were it
+// spared too, a tick holding one timer would take a big spare, and over
+// many short runs every pending tick would come to hold a big buffer.
+// clear() does the same for every bucket and keeps the heap's buffer, so
+// a recycled simulator replays its next run without re-growing the queue
+// — the RunContext steady state.
 //
 // Ev must expose `.time` (SimTime, non-negative, never below the last
 // popped time) and `.seq` (unique, strictly increasing across pushes).
@@ -43,6 +51,9 @@ class BucketQueue {
   static constexpr std::size_t kRingBits = 10;
   static constexpr std::size_t kRingSize = std::size_t{1} << kRingBits;
   static constexpr std::size_t kRingMask = kRingSize - 1;
+  /// A drained bucket keeps a buffer with room for at most this many
+  /// events; a bigger one goes onto the spare list.
+  static constexpr std::size_t kKeptEvents = 64;
 
   BucketQueue() : ring_(kRingSize) {}
 
@@ -58,9 +69,7 @@ class BucketQueue {
     if (ev.time < base_) ev.time = base_;
     ++size_;
     if (static_cast<std::size_t>(ev.time - base_) < kRingSize) {
-      ring_[static_cast<std::size_t>(ev.time) & kRingMask].push_back(
-          std::move(ev));
-      ++in_ring_;
+      to_ring(std::move(ev));
       return;
     }
     far_.push_back(std::move(ev));
@@ -79,16 +88,15 @@ class BucketQueue {
         --in_ring_;
         --size_;
         if (cursor_ == bucket.size()) {
-          bucket.clear();
+          release(bucket);
           cursor_ = 0;
         }
         return ev;
       }
-      // Bucket drained: advance the window. With an empty ring, jump
-      // straight to the earliest far event instead of scanning tick by
-      // tick across a sparse stretch.
-      bucket.clear();
-      cursor_ = 0;
+      // Bucket drained (and released): advance the window. With an empty
+      // ring, jump straight to the earliest far event instead of scanning
+      // tick by tick across a sparse stretch.
+      assert(bucket.empty() && cursor_ == 0);
       if (in_ring_ == 0) {
         assert(!far_.empty());
         base_ = std::max(base_ + 1, far_.front().time);
@@ -99,14 +107,25 @@ class BucketQueue {
     }
   }
 
-  /// Empties the queue; keeps bucket and heap capacity for the next run.
+  /// Empties the queue; keeps every buffer (big ones as spares) and the
+  /// heap's capacity for the next run.
   void clear() {
-    for (auto& bucket : ring_) bucket.clear();
+    for (auto& bucket : ring_) release(bucket);
     far_.clear();
     base_ = 0;
     cursor_ = 0;
     in_ring_ = 0;
     size_ = 0;
+  }
+
+  /// Bytes the queue holds on the heap: the ring's slot array, every
+  /// bucket and spare buffer, and the far heap's buffer.
+  [[nodiscard]] std::size_t capacity_bytes() const {
+    std::size_t events = far_.capacity();
+    for (const auto& bucket : ring_) events += bucket.capacity();
+    for (const auto& buffer : spares_) events += buffer.capacity();
+    return events * sizeof(Ev) + ring_.capacity() * sizeof(ring_[0]) +
+           spares_.capacity() * sizeof(spares_[0]);
   }
 
  private:
@@ -127,13 +146,33 @@ class BucketQueue {
       std::pop_heap(far_.begin(), far_.end(), After{});
       Ev ev = std::move(far_.back());
       far_.pop_back();
-      ring_[static_cast<std::size_t>(ev.time) & kRingMask].push_back(
-          std::move(ev));
-      ++in_ring_;
+      to_ring(std::move(ev));
     }
   }
 
+  /// Appends `ev` to its tick's bucket, which takes the most recently
+  /// spared buffer if it holds none.
+  void to_ring(Ev ev) {
+    auto& bucket = ring_[static_cast<std::size_t>(ev.time) & kRingMask];
+    if (bucket.capacity() == 0 && !spares_.empty()) {
+      bucket = std::move(spares_.back());
+      spares_.pop_back();
+    }
+    bucket.push_back(std::move(ev));
+    ++in_ring_;
+  }
+
+  /// Empties `bucket`, and moves its buffer onto the spare list if it has
+  /// room for more than kKeptEvents.
+  void release(std::vector<Ev>& bucket) {
+    bucket.clear();
+    if (bucket.capacity() <= kKeptEvents) return;
+    spares_.push_back(std::move(bucket));
+    bucket = std::vector<Ev>();
+  }
+
   std::vector<std::vector<Ev>> ring_;
+  std::vector<std::vector<Ev>> spares_;  ///< empty buffers, LIFO
   std::vector<Ev> far_;  ///< min-heap on (time, seq)
   SimTime base_ = 0;     ///< current drain tick; ring window = [base_, base_+R)
   std::size_t cursor_ = 0;   ///< next undrained index in the base_ bucket

@@ -87,7 +87,7 @@ TEST(AdversaryTest, RelayWithholdingCannotStopDirectContact) {
         own.sig = ctx.signer().sign(msg::SignedPd::payload(p(2), own.pd));
         msg::Message reply;
         reply.type = msg::MsgType::kSetPds;
-        reply.pds = {own};
+        reply.pds = {std::make_shared<const msg::SignedPd>(own)};
         ctx.send(from, std::move(reply));
       });
   simulator.add_process(std::move(withholder));

@@ -79,7 +79,8 @@ TEST(AttackCorpusTest, ReplayedSignedPdsAreIdempotent) {
     own.sig = ctx.signer().sign(msg::SignedPd::payload(p(2), own.pd));
     msg::Message reply;
     reply.type = msg::MsgType::kSetPds;
-    for (int i = 0; i < 50; ++i) reply.pds.push_back(own);  // replay x50
+    const auto shared = std::make_shared<const msg::SignedPd>(own);
+    for (int i = 0; i < 50; ++i) reply.pds.push_back(shared);  // replay x50
     ctx.send(from, std::move(reply));
   });
   simulator.add_process(std::move(replayer));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "cup/batch_runner.hpp"
 
@@ -276,16 +278,20 @@ TEST(BatchRunnerTest, FactoryExceptionsPropagate) {
   EXPECT_THROW((void)BatchRunner().run(sweep), ScenarioError);
 }
 
-/// Wraps a scenario's delay policy and throws `what` at its `at`-th send.
+/// Wraps a scenario's delay policy and throws `what` at its `at`-th send,
+/// setting `*thrown` (when given) just before.
 class ThrowAtSend final : public sim::DelayPolicy {
  public:
   ThrowAtSend(std::unique_ptr<sim::DelayPolicy> inner, std::uint64_t at,
-              const char* what)
-      : inner_(std::move(inner)), at_(at), what_(what) {}
+              const char* what, std::atomic<bool>* thrown)
+      : inner_(std::move(inner)), at_(at), what_(what), thrown_(thrown) {}
 
   SimTime delivery_time(ProcessId from, ProcessId to, SimTime sent, Rng& rng,
                         const sim::NetConfig& cfg) override {
-    if (++sends_ == at_) throw std::runtime_error(what_);
+    if (++sends_ == at_) {
+      if (thrown_ != nullptr) thrown_->store(true);
+      throw std::runtime_error(what_);
+    }
     return inner_->delivery_time(from, to, sent, rng, cfg);
   }
 
@@ -293,16 +299,41 @@ class ThrowAtSend final : public sim::DelayPolicy {
   std::unique_ptr<sim::DelayPolicy> inner_;
   std::uint64_t at_;
   const char* what_;
+  std::atomic<bool>* thrown_;
   std::uint64_t sends_ = 0;
 };
 
+/// Wraps a scenario's delay policy and holds the run at its first send
+/// until `*release` is set.
+class WaitAtFirstSend final : public sim::DelayPolicy {
+ public:
+  WaitAtFirstSend(std::unique_ptr<sim::DelayPolicy> inner,
+                  const std::atomic<bool>* release)
+      : inner_(std::move(inner)), release_(release) {}
+
+  SimTime delivery_time(ProcessId from, ProcessId to, SimTime sent, Rng& rng,
+                        const sim::NetConfig& cfg) override {
+    if (!waited_) {
+      waited_ = true;
+      while (!release_->load()) std::this_thread::yield();
+    }
+    return inner_->delivery_time(from, to, sent, rng, cfg);
+  }
+
+ private:
+  std::unique_ptr<sim::DelayPolicy> inner_;
+  const std::atomic<bool>* release_;
+  bool waited_ = false;
+};
+
 SweepPoint throwing_point(const std::string& name, std::uint64_t at,
-                          const char* what) {
+                          const char* what,
+                          std::atomic<bool>* thrown = nullptr) {
   Scenario config = ScenarioRegistry::paper().builder(name, 1).build();
-  config.make_policy = [inner = config.make_policy, at, what] {
+  config.make_policy = [inner = config.make_policy, at, what, thrown] {
     return std::make_unique<ThrowAtSend>(
         inner ? inner() : std::make_unique<sim::RandomDelayPolicy>(), at,
-        what);
+        what, thrown);
   };
   return {name, 1, std::move(config)};
 }
@@ -333,6 +364,45 @@ TEST(BatchRunnerTest, ReportsTheLowestFailingPointAtAnyThreadCount) {
       EXPECT_STREQ(e.what(), "point 0")
           << "run_reports, " << threads << " threads";
     }
+  }
+}
+
+TEST(BatchRunnerTest, StopsClaimingPointsAfterAFailure) {
+  // Point 0 throws at its first send, and every other point waits at its
+  // first send until it has. By then each other worker holds one point;
+  // once the failure is stored, no worker may start a point above it, so
+  // a pool starts about one point per thread, not all 200.
+  for (const std::size_t threads : {2, 4}) {
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> thrown{false};
+    std::vector<SweepPoint> points = {
+        throwing_point("fig1b/silent", 1, "point 0", &thrown)};
+    for (std::uint64_t seed = 2; seed <= 200; ++seed) {
+      Scenario config =
+          ScenarioRegistry::paper().builder("fig1b/silent", seed).build();
+      config.make_policy = [inner = config.make_policy, &thrown] {
+        return std::make_unique<WaitAtFirstSend>(
+            inner ? inner() : std::make_unique<sim::RandomDelayPolicy>(),
+            &thrown);
+      };
+      points.push_back({"fig1b/silent", seed, std::move(config)});
+    }
+    for (SweepPoint& point : points) {
+      point.config.make_policy = [make = point.config.make_policy, &started] {
+        started.fetch_add(1);
+        return make();
+      };
+    }
+
+    BatchRunner::Options options;
+    options.threads = threads;
+    try {
+      (void)BatchRunner(options).run(points);
+      ADD_FAILURE() << "run did not throw at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "point 0") << threads << " threads";
+    }
+    EXPECT_LE(started.load(), 2 * threads) << threads << " threads";
   }
 }
 

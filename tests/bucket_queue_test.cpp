@@ -124,6 +124,42 @@ TEST(BucketQueueTest, SameTickEventsDrainInSeqOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
+TEST(BucketQueueTest, DrainedBucketsReturnTheirBuffers) {
+  // 1,000 consecutive ticks each get a burst of 500 events, pushed two
+  // ticks ahead of the tick being drained, so at most 3 ticks hold events
+  // at once. A drained bucket spares its buffer for the next burst: the
+  // queue holds about 3 buffers of 512 events, never one per tick touched.
+  constexpr SimTime kTicks = 1'000;
+  constexpr std::uint64_t kBurst = 500;
+  BucketQueue<TestEvent> queue;
+  const std::size_t empty_bytes = queue.capacity_bytes();
+  std::uint64_t seq = 0;
+  std::uint64_t next_expected = 0;
+  std::size_t peak = 0;
+  for (SimTime t = 0; t < kTicks; ++t) {
+    for (std::uint64_t i = 0; i < kBurst; ++i) {
+      queue.push({.time = t + 2, .seq = seq++});
+    }
+    peak = std::max(peak, queue.capacity_bytes() - empty_bytes);
+    while (!queue.empty() && queue.size() > 2 * kBurst) {
+      const TestEvent ev = queue.pop();
+      ASSERT_EQ(ev.seq, next_expected++);
+      ASSERT_EQ(ev.time, static_cast<SimTime>(ev.seq / kBurst) + 2);
+    }
+  }
+  while (!queue.empty()) ASSERT_EQ(queue.pop().seq, next_expected++);
+  EXPECT_EQ(next_expected, seq);
+  EXPECT_LE(peak, 4 * 512 * sizeof(TestEvent));
+
+  // clear() spares every buffer: the next run re-grows nothing.
+  queue.clear();
+  const std::size_t retained = queue.capacity_bytes();
+  for (std::uint64_t i = 0; i < kBurst; ++i) {
+    queue.push({.time = 5, .seq = i});
+  }
+  EXPECT_EQ(queue.capacity_bytes(), retained);
+}
+
 TEST(BucketQueueTest, ClearedQueueReplaysIdentically) {
   const auto drain_log = [](BucketQueue<TestEvent>& queue) {
     Rng rng(99);

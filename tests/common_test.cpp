@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <vector>
 
 #include "common/flat_set.hpp"
 #include "common/hex.hpp"
@@ -70,6 +73,53 @@ TEST(FlatSetTest, InsertAllCountsNewElements) {
   IdSet b = {ProcessId(1), ProcessId(2), ProcessId(3)};
   EXPECT_EQ(a.insert_all(b), 2U);
   EXPECT_EQ(a.insert_all(b), 0U);
+}
+
+TEST(FlatSetTest, InPlaceInsertAllMatchesSetUnion) {
+  // insert_all merges back to front inside the grown vector; its result
+  // and count must be std::set_union's.
+  const auto check = [](const IdSet& base, const IdSet& add) {
+    std::vector<ProcessId> expected;
+    std::set_union(base.begin(), base.end(), add.begin(), add.end(),
+                   std::back_inserter(expected));
+    IdSet merged = base;
+    const std::size_t added = merged.insert_all(add);
+    EXPECT_EQ(merged.values(), expected);
+    EXPECT_EQ(added, expected.size() - base.size());
+  };
+  const auto ids = [](std::initializer_list<std::uint64_t> raw) {
+    IdSet out;
+    for (std::uint64_t r : raw) out.insert(ProcessId(r));
+    return out;
+  };
+  check({}, {});
+  check({}, ids({3, 1, 2}));
+  check(ids({3, 1, 2}), {});
+  check(ids({1, 2, 3}), ids({7, 8}));         // disjoint, after
+  check(ids({7, 8}), ids({1, 2, 3}));         // disjoint, before
+  check(ids({1, 5, 9}), ids({0, 5, 6, 10}));  // overlapping, interleaved
+  check(ids({1, 2, 3, 4}), ids({2, 3}));      // all present
+  check(ids({1, 2, 3}), ids({1, 2, 3}));      // equal
+
+  Rng rng(2024);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::uint64_t universe = 1 + rng.next_below(64);
+    IdSet base;
+    IdSet add;
+    const std::uint64_t base_n = rng.next_below(40);
+    const std::uint64_t add_n = rng.next_below(40);
+    for (std::uint64_t i = 0; i < base_n; ++i) {
+      base.insert(ProcessId(rng.next_below(universe)));
+    }
+    for (std::uint64_t i = 0; i < add_n; ++i) {
+      add.insert(ProcessId(rng.next_below(universe)));
+    }
+    check(base, add);
+  }
+
+  IdSet self = ids({4, 2});
+  EXPECT_EQ(self.insert_all(self), 0U);
+  EXPECT_EQ(self, ids({2, 4}));
 }
 
 TEST(FlatSetTest, LexicographicOrderForMapKeys) {

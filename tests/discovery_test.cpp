@@ -126,13 +126,13 @@ TEST(DiscoveryTest, ForgedPdIsRejected) {
     forged.pd = IdSet{p(2)};
     forged.sig = ctx.signer().sign(
         msg::SignedPd::payload(p(3), forged.pd));  // signed by 2, not 3!
-    reply.pds = {forged};
+    reply.pds = {std::make_shared<const msg::SignedPd>(forged)};
     // Also a self-signed own PD, which IS acceptable.
     msg::SignedPd own;
     own.owner = p(2);
     own.pd = IdSet{p(1)};
     own.sig = ctx.signer().sign(msg::SignedPd::payload(p(2), own.pd));
-    reply.pds.push_back(own);
+    reply.pds.push_back(std::make_shared<const msg::SignedPd>(own));
     ctx.send(from, std::move(reply));
   });
 
@@ -144,6 +144,43 @@ TEST(DiscoveryTest, ForgedPdIsRejected) {
   EXPECT_EQ(view.pd_of(p(3)), nullptr);   // forged: rejected
   ASSERT_NE(view.pd_of(p(2)), nullptr);   // self-signed: accepted
   EXPECT_EQ(*view.pd_of(p(2)), (IdSet{p(1)}));
+  // S_PD holds the victim's own PD and PD_2, never the forgery.
+  const auto& spds = victim_ptr->discovery().signed_pds();
+  ASSERT_EQ(spds.size(), 2U);
+  EXPECT_EQ(spds[0]->owner, p(1));
+  EXPECT_EQ(spds[1]->owner, p(2));
+}
+
+TEST(DiscoveryTest, AcceptedPdsShareTheOwnersSignedObject) {
+  // No node copies a PD it accepts: S_PD holds the very object its owner
+  // signed, and the view's set for that owner is the one inside it.
+  const auto inst = graph::figures::fig1b();
+  Fixture fx(inst.graph);
+  fx.simulator.run();
+
+  std::map<ProcessId, const msg::SignedPd*> signed_by;
+  for (const auto& [id, node] : fx.nodes) {
+    const auto& own = node->discovery().signed_pds().front();
+    ASSERT_EQ(own->owner, id);
+    signed_by.emplace(id, own.get());
+  }
+  std::size_t shared = 0;
+  for (const auto& [id, node] : fx.nodes) {
+    const Discovery& discovery = node->discovery();
+    EXPECT_EQ(discovery.signed_pds().size(),
+              discovery.view().received().size())
+        << to_string(id);
+    for (const msg::SignedPdRef& spd : discovery.signed_pds()) {
+      const msg::SignedPd* original = signed_by.at(spd->owner);
+      EXPECT_EQ(spd.get(), original) << to_string(id);
+      if (spd->owner == id) continue;  // the own view entry predates signing
+      EXPECT_EQ(discovery.view().pd_of(spd->owner), &original->pd)
+          << to_string(id) << " view of " << to_string(spd->owner);
+      ++shared;
+    }
+  }
+  // Every node learns at least the three sink members' PDs.
+  EXPECT_GE(shared, fx.nodes.size() * 2);
 }
 
 TEST(DiscoveryTest, StopQuiescesPolling) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/random.hpp"
 #include "graph/figures.hpp"
+#include "protocol/eval_cache.hpp"
 #include "protocol/knowledge_view.hpp"
 
 namespace bftcup::protocol {
@@ -76,6 +82,48 @@ TEST(KnowledgeViewTest, OmniscientMatchesGraph) {
   }
   // Knowledge graph reconstructs the original.
   EXPECT_EQ(view.knowledge_graph(view.known()), inst.graph);
+}
+
+TEST(KnowledgeViewTest, AnyAddOrderIteratesAscendingAndFirstVersionWins) {
+  // Owners 2..13, and a second, different version for every third owner.
+  std::vector<std::pair<ProcessId, IdSet>> deliveries;
+  for (std::uint64_t owner = 2; owner <= 13; ++owner) {
+    deliveries.emplace_back(p(owner), IdSet{p(owner % 7 + 1), p(owner + 20)});
+    if (owner % 3 == 0) {
+      deliveries.emplace_back(p(owner), IdSet{p(owner + 40)});
+    }
+  }
+
+  Rng rng(17);
+  for (int trial = 0; trial < 50; ++trial) {
+    rng.shuffle(deliveries);
+    KnowledgeView shuffled(p(1), IdSet{p(2)});
+    std::map<ProcessId, IdSet> first;  // the version each owner keeps
+    for (const auto& [owner, pd] : deliveries) {
+      shuffled.add_pd(owner, pd);
+      first.emplace(owner, pd);
+    }
+
+    // pds() runs parallel to received(), owners ascending.
+    const auto& owners = shuffled.received().values();
+    ASSERT_EQ(owners.size(), first.size() + 1);
+    ASSERT_EQ(shuffled.pds().size(), owners.size());
+    EXPECT_EQ(owners.front(), p(1));
+    EXPECT_EQ(*shuffled.pds().front(), (IdSet{p(2)}));
+    for (std::size_t r = 1; r < owners.size(); ++r) {
+      EXPECT_LT(owners[r - 1], owners[r]);
+      EXPECT_EQ(*shuffled.pds()[r], first.at(owners[r]));
+      EXPECT_EQ(shuffled.pd_of(owners[r]), shuffled.pds()[r].get());
+    }
+
+    // The same content added in ascending owner order (winners first, then
+    // the losing versions, whose ids still join known()) serializes to
+    // the same bytes.
+    KnowledgeView ordered(p(1), IdSet{p(2)});
+    for (const auto& [owner, pd] : first) ordered.add_pd(owner, pd);
+    for (const auto& [owner, pd] : deliveries) ordered.add_pd(owner, pd);
+    EXPECT_EQ(view_canonical(shuffled, "k"), view_canonical(ordered, "k"));
+  }
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ Message sample() {
   SignedPd spd;
   spd.owner = ProcessId(4);
   spd.pd = {ProcessId(1), ProcessId(2), ProcessId(3)};
-  m.pds.push_back(spd);
+  m.pds.push_back(std::make_shared<const SignedPd>(spd));
   m.value = 42;
   m.path = {ProcessId(7), ProcessId(8)};
   return m;

@@ -56,7 +56,7 @@ TEST(MessageTest, EncodedSizeGrowsWithContent) {
     SignedPd spd;
     spd.owner = p(i);
     spd.pd = IdSet{p(i + 1), p(i + 2), p(i + 3)};
-    big.pds.push_back(spd);
+    big.pds.push_back(std::make_shared<const SignedPd>(spd));
   }
   EXPECT_GT(big.encoded_size(), small.encoded_size());
 }
@@ -93,10 +93,10 @@ std::size_t metric_layout_size(const Message& m) {
   codec::Encoder enc;
   enc.put_u8(static_cast<std::uint8_t>(m.type));
   enc.put_varint(m.pds.size());
-  for (const SignedPd& spd : m.pds) {
-    enc.put_id(spd.owner);
-    enc.put_id_set(spd.pd);
-    put_sig(enc, spd.sig);
+  for (const SignedPdRef& spd : m.pds) {
+    enc.put_id(spd->owner);
+    enc.put_id_set(spd->pd);
+    put_sig(enc, spd->sig);
   }
   enc.put_u64(m.value);
   enc.put_u32(m.view);
@@ -134,7 +134,7 @@ TEST(MessageTest, EncodedSizeIsTheFrameMinusTheCertFlag) {
               SignedPd spd;
               spd.owner = p(i);
               spd.pd = IdSet{p(i + 1), p(i + 200)};
-              m.pds.push_back(spd);
+              m.pds.push_back(std::make_shared<const SignedPd>(spd));
             }
           }
           if (with_cert) {

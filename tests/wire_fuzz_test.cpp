@@ -40,12 +40,12 @@ crypto::Signature pattern_sig(std::uint8_t fill) {
   return sig;
 }
 
-msg::SignedPd make_spd(std::uint64_t owner) {
+msg::SignedPdRef make_spd(std::uint64_t owner) {
   msg::SignedPd spd;
   spd.owner = ProcessId(owner);
   spd.pd = {ProcessId(owner), ProcessId(owner + 1), ProcessId(owner + 2)};
   spd.sig = pattern_sig(static_cast<std::uint8_t>(owner));
-  return spd;
+  return std::make_shared<const msg::SignedPd>(std::move(spd));
 }
 
 /// A representative, fully populated message of the given type: every field

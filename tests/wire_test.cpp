@@ -128,6 +128,29 @@ TEST(WireTransparencyTest, ZeroLossConfigReproducesGoldenDigest) {
   EXPECT_EQ(run(7).digest(), kFig1bSilentSeed7);
 }
 
+TEST(WireTransparencyTest, SetPdsRoundTripKeepsEverySignedPd) {
+  // Decoding makes new PD objects; what must survive is their contents, in
+  // order, repeats included (a replayed handle travels as two copies).
+  msg::Message m;
+  m.type = msg::MsgType::kSetPds;
+  for (std::uint64_t owner = 1; owner <= 4; ++owner) {
+    msg::SignedPd spd;
+    spd.owner = ProcessId(owner);
+    spd.pd = {ProcessId(owner + 1), ProcessId(owner * 1000)};
+    spd.sig.bytes.fill(static_cast<std::uint8_t>(owner));
+    m.pds.push_back(std::make_shared<const msg::SignedPd>(std::move(spd)));
+  }
+  m.pds.push_back(m.pds.front());
+
+  const std::optional<msg::Message> decoded =
+      msg::decode_frame(msg::encode_frame(m));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->pds.size(), m.pds.size());
+  for (std::size_t i = 0; i < m.pds.size(); ++i) {
+    EXPECT_EQ(*decoded->pds[i], *m.pds[i]) << "pd " << i;
+  }
+}
+
 // --- 3. component determinism ----------------------------------------------
 
 sim::WireConfig storm_config() {

@@ -119,6 +119,11 @@ DIGEST_PATH_MODULES = (
     # S_PD decides which PD version a receiver keeps.
     "src/protocol/discovery.hpp",
     "src/protocol/discovery.cpp",
+    # The messages S_PD travels in: the order of Message::pds decides which
+    # PD version a receiver keeps, and frame_size feeds bytes_sent.
+    "src/msg/message.hpp",
+    "src/msg/message.cpp",
+    "src/msg/wire.cpp",
     "src/adversary/behaviors.hpp",
     "src/adversary/behaviors.cpp",
     # The observability layer rides on digest-path runs: registries iterate
