@@ -6,8 +6,8 @@ namespace bftcup::adversary {
 
 ByzantineNode::ByzantineNode(ProcessId id, ByzantineConfig config)
     : sim::Process(id),
-      config_(std::move(config)),
-      discovery_(id, config_.advertised_pd, /*period=*/0) {}
+      discovery_(id, std::move(config.advertised_pd), /*period=*/0),
+      config_(std::move(config)) {}
 
 void ByzantineNode::on_start(sim::Context& ctx) {
   discovery_.sign_own_pd(ctx);

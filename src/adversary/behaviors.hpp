@@ -24,7 +24,8 @@ class SilentNode final : public sim::Process {
 /// Configuration for the active Byzantine node.
 struct ByzantineConfig {
   /// PD advertised in discovery. The node signs it itself (it may lie about
-  /// its own PD — that is allowed; it cannot lie about others').
+  /// its own PD — that is allowed; it cannot lie about others'). Moves into
+  /// the node's Discovery, which holds its one copy.
   IdSet advertised_pd;
   /// Answer GETDECIDEDVAL with this bogus value.
   std::optional<Value> wrong_decided_value;
@@ -53,10 +54,12 @@ class ByzantineNode final : public sim::Process {
  private:
   void equivocate(sim::Context& ctx);
 
-  ByzantineConfig config_;
   /// Algorithm 1's S_PD with the advertised PD as its own: answers GETPDS
-  /// and merges SETPDS like a correct node, but never polls.
+  /// and merges SETPDS like a correct node, but never polls. Declared
+  /// before config_, so it takes the advertised PD before config_ is
+  /// moved in.
   protocol::Discovery discovery_;
+  ByzantineConfig config_;
   bool equivocated_ = false;
 };
 

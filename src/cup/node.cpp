@@ -21,10 +21,10 @@ constexpr std::size_t kMinG = 1;
 
 }  // namespace
 
-CupNode::CupNode(ProcessId id, Params params)
+CupNode::CupNode(ProcessId id, IdSet pd, Params params)
     : sim::Process(id),
       params_(std::move(params)),
-      discovery_(id, params_.pd, kDiscoveryPeriod),
+      discovery_(id, std::move(pd), kDiscoveryPeriod),
       exchange_(id) {
   assert(params_.search != nullptr);
 }

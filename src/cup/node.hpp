@@ -29,7 +29,6 @@ class CupNode final : public sim::Process {
     Mode mode = Mode::kAuth;
     std::size_t f = 0;           ///< kAuth: the given fault threshold
     bool closure_guard = false;  ///< kCupft: the knowledge-closure guard
-    IdSet pd;                    ///< PD_i
     Value proposal = 0;
     /// Shared, stateless candidate-search strategy.
     std::shared_ptr<const protocol::SinkSearch> search;
@@ -39,7 +38,8 @@ class CupNode final : public sim::Process {
     protocol::SharedEvalCache* eval_cache = nullptr;
   };
 
-  CupNode(ProcessId id, Params params);
+  /// `pd` (PD_i) moves into Discovery, which holds the node's one copy.
+  CupNode(ProcessId id, IdSet pd, Params params);
 
   void on_start(sim::Context& ctx) override;
   void on_message(ProcessId from, const msg::Message& message,

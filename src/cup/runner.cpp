@@ -89,18 +89,7 @@ RunReport execute_scenario(
   }
   const obs::ObsScope obs_scope(&registry, tracer.get());
 
-  if (scenario.make_policy || scenario.loss.enabled) {
-    std::unique_ptr<sim::DelayPolicy> policy =
-        scenario.make_policy ? scenario.make_policy()
-                             : std::make_unique<sim::RandomDelayPolicy>();
-    if (scenario.loss.enabled) {
-      // The lossy wrapper goes outermost so its drop decision is asked first
-      // and its jitter stretches whatever the scenario's policy scheduled.
-      policy = std::make_unique<sim::LossyDelayPolicy>(std::move(policy),
-                                                       scenario.loss);
-    }
-    simulator.set_delay_policy(std::move(policy));
-  }
+  if (scenario.make_policy) simulator.set_delay_policy(scenario.make_policy());
   if (!scenario.timeline.empty()) {
     simulator.set_fault_timeline(scenario.timeline);
   }
@@ -129,7 +118,7 @@ RunReport execute_scenario(
   std::size_t index = 0;
   for (ProcessId id : vertices) {
     const Value proposal = proposals[index++];
-    const IdSet pd = scenario.graph.out_neighbors(id);
+    IdSet pd = scenario.graph.out_neighbors(id);
 
     if (scenario.faulty.contains(id)) {
       if (scenario.byz == ByzBehavior::kSilent) {
@@ -137,7 +126,7 @@ RunReport execute_scenario(
         continue;
       }
       adversary::ByzantineConfig config;
-      config.advertised_pd = pd;
+      config.advertised_pd = std::move(pd);
       if (scenario.byz == ByzBehavior::kFakePd) {
         auto it = scenario.fake_pds.find(id);
         if (it != scenario.fake_pds.end()) config.advertised_pd = it->second;
@@ -151,7 +140,7 @@ RunReport execute_scenario(
         config.wrong_decided_value = 666;
       }
       simulator.add_process(
-          std::make_unique<adversary::ByzantineNode>(id, config));
+          std::make_unique<adversary::ByzantineNode>(id, std::move(config)));
       continue;
     }
 
@@ -159,11 +148,11 @@ RunReport execute_scenario(
     params.mode = scenario.mode;
     params.f = scenario.f;
     params.closure_guard = scenario.cupft_known_closure;
-    params.pd = pd;
     params.proposal = proposal;
     params.search = search;
     params.eval_cache = &eval_cache;
-    simulator.add_process(std::make_unique<CupNode>(id, std::move(params)));
+    simulator.add_process(
+        std::make_unique<CupNode>(id, std::move(pd), std::move(params)));
   }
 
   // Semantically trace.all_decided(correct), evaluated after *every* event
@@ -196,11 +185,6 @@ RunReport execute_scenario(
   report.messages_dropped = trace.messages_dropped();
   report.bytes_sent = trace.bytes_sent();
   report.sent_by_type = trace.sent_by_type();
-  // Hostile-wire counters come straight from the trace (per-run by
-  // construction) and are copied into the registry below.
-  report.frames_mutated = trace.frames_mutated();
-  report.frames_rejected = trace.frames_rejected();
-  report.frames_lost = trace.frames_lost();
   report.decisions = trace.decisions();
   report.memberships = trace.memberships();
   report.membership_times = trace.membership_times();
@@ -216,26 +200,6 @@ RunReport execute_scenario(
   // The big-SCC path counts into this during the run; interned here even
   // when it never fired, so every snapshot carries the name.
   registry.counter("engine.big_scc_fallbacks");
-  // wire.* rows appear only on runs where the hostile wire actually acted:
-  // a zero add would still intern the counter and grow every clean run's
-  // snapshot.
-  if (report.frames_mutated != 0) {
-    registry.counter("wire.frames_mutated").add(report.frames_mutated);
-    const sim::Trace::WireKindHistogram& by_kind = trace.mutated_by_kind();
-    for (std::size_t i = 0; i < by_kind.size(); ++i) {
-      if (by_kind[i] == 0) continue;
-      registry
-          .counter(std::string("wire.mutated.") +
-                   sim::to_string(static_cast<sim::WireMutationKind>(i)))
-          .add(by_kind[i]);
-    }
-  }
-  if (report.frames_rejected != 0) {
-    registry.counter("wire.frames_rejected").add(report.frames_rejected);
-  }
-  if (report.frames_lost != 0) {
-    registry.counter("wire.frames_lost").add(report.frames_lost);
-  }
   registry.gauge("proc.peak_rss_bytes").set_max(peak_rss_bytes());
   registry.gauge("engine.contexts_recycled").set(contexts_recycled);
   report.metrics = registry.snapshot();
@@ -244,6 +208,9 @@ RunReport execute_scenario(
   report.signatures_verified = report.metrics.counter("sig.verified");
   report.signatures_cached = report.metrics.counter("sig.cached");
   report.big_scc_fallbacks = report.metrics.counter("engine.big_scc_fallbacks");
+  report.frames_mutated = report.metrics.counter("wire.frames_mutated");
+  report.frames_rejected = report.metrics.counter("wire.frames_rejected");
+  report.frames_lost = report.metrics.counter("wire.frames_lost");
   if (tracer != nullptr) {
     report.spans = std::make_shared<const obs::SpanTrace>(tracer->take());
   }

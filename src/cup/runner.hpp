@@ -46,14 +46,13 @@ struct Scenario {
   /// Proposals (default: 1000 + id).
   std::map<ProcessId, Value> proposals;
 
+  /// The simulator's options, the hostile wire included (README "Hostile
+  /// wire"): `sim.loss` holds the seeded drop/jitter/burst loss model and
+  /// `sim.wire` the byte-level mutation config. Both are off by default and
+  /// break the paper's reliable-channel premise, so Theorem 1 liveness is
+  /// out of scope while they are active — safety (agreement, validity, no
+  /// forged senders or spliced certs) is not.
   sim::Simulator::Options sim;
-  /// Lossy-network fault model (README "Hostile wire"): seeded drop/jitter/
-  /// burst loss wrapped around the delay policy (the scenario's make_policy
-  /// or the default). Disabled by default; `sim.wire` holds the byte-level
-  /// mutation config. Both break the paper's reliable-channel premise, so
-  /// Theorem 1 liveness is out of scope while they are active — safety
-  /// (agreement, validity, no forged senders or spliced certs) is not.
-  sim::LossConfig loss;
   /// Time-scheduled fault script (crash/recover, link and partition windows,
   /// late joins). Empty by default; see ScenarioBuilder's fluent fault API.
   sim::FaultTimeline timeline;
@@ -122,9 +121,11 @@ struct RunReport {
   /// from exhaustive to certify-plus-sample.
   // cup-lint: digest-excluded(diagnostic counter, behavior-neutral)
   std::uint64_t big_scc_fallbacks = 0;
-  // Hostile-wire counters (README "Hostile wire"). Zero whenever the wire
-  // layer and loss model are off, and excluded from digest() like every
-  // post-corpus field: the golden serialization predates them.
+  // Hostile-wire counters (README "Hostile wire"): mirrors of the wire.*
+  // counters in `metrics`, set from them like the mirrors above. Zero
+  // whenever the wire layer and loss model are off, and excluded from
+  // digest() like every post-corpus field: the golden serialization
+  // predates them.
   /// Deliveries whose encoded frame the WireMutator perturbed.
   // cup-lint: digest-excluded(hostile-wire counter; golden digests predate it)
   std::uint64_t frames_mutated = 0;

@@ -156,18 +156,16 @@ ScenarioBuilder& ScenarioBuilder::wire_mutation(double rate,
 }
 
 ScenarioBuilder& ScenarioBuilder::loss(double drop_p, SimTime jitter) {
-  scenario_.loss.enabled = true;
-  scenario_.loss.drop_p = drop_p;
-  scenario_.loss.jitter = jitter;
+  scenario_.sim.loss.drop_p = drop_p;
+  scenario_.sim.loss.jitter = jitter;
   return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::loss_burst(SimTime start, SimTime len,
                                              SimTime period) {
-  scenario_.loss.enabled = true;
-  scenario_.loss.burst_start = start;
-  scenario_.loss.burst_len = len;
-  scenario_.loss.burst_period = period;
+  scenario_.sim.loss.burst_start = start;
+  scenario_.sim.loss.burst_len = len;
+  scenario_.sim.loss.burst_period = period;
   return *this;
 }
 
@@ -294,15 +292,13 @@ Scenario ScenarioBuilder::build() const {
       fail("wire type_mask must be a non-empty subset of the message types");
     }
   }
-  if (s.loss.enabled) {
-    if (!in_unit_interval(s.loss.drop_p)) {
-      fail("loss drop probability must be in [0, 1]");
-    }
-    if (s.loss.jitter < 0) fail("loss jitter must be non-negative");
-    if (s.loss.burst_start < 0 || s.loss.burst_len < 0 ||
-        s.loss.burst_period < 0) {
-      fail("burst loss window parameters must be non-negative");
-    }
+  const sim::LossConfig& loss = s.sim.loss;
+  if (!in_unit_interval(loss.drop_p)) {
+    fail("loss drop probability must be in [0, 1]");
+  }
+  if (loss.jitter < 0) fail("loss jitter must be non-negative");
+  if (loss.burst_start < 0 || loss.burst_len < 0 || loss.burst_period < 0) {
+    fail("burst loss window parameters must be non-negative");
   }
   if (s.sim.horizon <= 0) fail("horizon must be positive");
   if (s.sim.net.delta <= 0) fail("delta must be positive");

@@ -104,8 +104,8 @@ class ScenarioBuilder {
   /// (clamped to the partial-synchrony cap).
   ScenarioBuilder& loss(double drop_p, SimTime jitter = 0);
   /// Burst loss windows [start + k*period, start + k*period + len) — one
-  /// window when period is 0 — inside which every send drops. Implies the
-  /// loss model even when the baseline drop probability is zero.
+  /// window when period is 0 — inside which every send drops, whatever the
+  /// baseline drop probability.
   ScenarioBuilder& loss_burst(SimTime start, SimTime len, SimTime period = 0);
 
   ScenarioBuilder& delay_policy(

@@ -464,7 +464,7 @@ void register_dynamic(ScenarioRegistry& registry) {
 void register_wire(ScenarioRegistry& registry) {
   // Hostile-wire robustness family: the protocol under a byte-level
   // Byzantine wire (sim::WireMutator) and a lossy fault model
-  // (sim::LossyDelayPolicy). Safety must hold on every entry — mutated or
+  // (sim::LossConfig). Safety must hold on every entry — mutated or
   // lost frames may cost termination, never agreement or validity; the
   // assertions and pinned digests live in tests/wire_test.cpp.
   constexpr auto kind_bit = [](sim::WireMutationKind kind) {

@@ -105,8 +105,7 @@ ExploreResult Explorer::explore(const std::vector<Genome>& seeds) const {
         result.corpus.push_back(
             {genomes[i], signature, reports[i].verdict()});
       }
-      const auto classification =
-          classify(genomes[i], reports[i], options_.oracle);
+      const auto classification = classify(genomes[i], reports[i]);
       if (!classification.has_value()) continue;
       const std::string key =
           std::string(to_string(classification->kind)) +
@@ -174,7 +173,7 @@ ExploreResult Explorer::explore(const std::vector<Genome>& seeds) const {
   // its content-addressed name. Serial and deterministic; replays go
   // through a recycled context (warm caches over near-identical genomes).
   cup::RunContext replay_context;
-  const Shrinker shrinker(options_.shrinker, options_.oracle);
+  const Shrinker shrinker(options_.shrinker);
   for (Finding& finding : result.findings) {
     if (options_.shrink) {
       ShrinkOutcome outcome = shrinker.shrink(

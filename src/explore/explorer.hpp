@@ -31,7 +31,6 @@ struct ExplorerOptions {
   std::size_t max_findings_per_kind = 8;
   bool shrink = true;
   std::size_t threads = 0;  ///< BatchRunner pool width; 0 = hardware
-  OracleOptions oracle;
   ShrinkOptions shrinker;
 };
 

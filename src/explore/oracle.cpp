@@ -95,8 +95,7 @@ bool requirements_satisfied(const Genome& genome) {
 }
 
 std::optional<Classification> classify(const Genome& genome,
-                                       const cup::RunReport& report,
-                                       const OracleOptions& options) {
+                                       const cup::RunReport& report) {
   const bool satisfied = requirements_satisfied(genome);
   const bool wire = genome.wire_active();
   if (!report.agreement || !report.validity) {
@@ -104,7 +103,7 @@ std::optional<Classification> classify(const Genome& genome,
     // disappears when the wire genes are stripped (same seed, same
     // adversary) is a decode-path or verification hole, not a protocol
     // counterexample. The replay is deterministic, so the attribution is.
-    if (wire && options.attribute_wire && baseline_is_clean(genome)) {
+    if (wire && baseline_is_clean(genome)) {
       return Classification{FindingKind::kWireSafety, satisfied};
     }
     if (!report.agreement) {

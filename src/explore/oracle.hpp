@@ -36,15 +36,6 @@ enum class FindingKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(FindingKind kind);
 
-struct OracleOptions {
-  /// On a safety break with wire genes active, replay the genome with the
-  /// wire stripped (same seed). A clean baseline pins the blame on the
-  /// hostile wire (kWireSafety); a dirty one falls through to the ordinary
-  /// kAgreement/kValidity classification. Costs one extra run, only on
-  /// wire-active safety violations.
-  bool attribute_wire = true;
-};
-
 /// Omniscient solvability: Theorem 1 (kAuth/kNaive) or the Section V
 /// requirements (kCupft) on G_safe = graph[correct], with the genome's
 /// static faulty set. Timed crashes are *not* folded in — the predicate
@@ -60,9 +51,12 @@ struct Classification {
                          const Classification&) = default;
 };
 
-/// Classifies one run; nullopt when the behavior is unremarkable.
+/// Classifies one run; nullopt when the behavior is unremarkable. A safety
+/// break with wire genes active is replayed with the wire stripped (same
+/// seed): a clean baseline pins the blame on the hostile wire
+/// (kWireSafety), a dirty one falls through to kAgreement/kValidity. That
+/// costs one extra run, only on wire-active safety violations.
 [[nodiscard]] std::optional<Classification> classify(
-    const Genome& genome, const cup::RunReport& report,
-    const OracleOptions& options = {});
+    const Genome& genome, const cup::RunReport& report);
 
 }  // namespace bftcup::explore

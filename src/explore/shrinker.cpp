@@ -104,7 +104,7 @@ bool Shrinker::reproduces(const Genome& genome,
                           const Classification& target) const {
   if (!genome.valid()) return false;
   const cup::RunReport report = context_.run(genome.to_builder().build());
-  const auto classification = classify(genome, report, oracle_);
+  const auto classification = classify(genome, report);
   return classification.has_value() && *classification == target;
 }
 

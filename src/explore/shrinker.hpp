@@ -38,8 +38,7 @@ struct ShrinkOutcome {
 
 class Shrinker {
  public:
-  explicit Shrinker(ShrinkOptions options = {}, OracleOptions oracle = {})
-      : options_(options), oracle_(oracle) {}
+  explicit Shrinker(ShrinkOptions options = {}) : options_(options) {}
 
   /// Minimizes `start` (which must replay to `target`) under the reduction
   /// set below. Deterministic.
@@ -58,7 +57,6 @@ class Shrinker {
 
  private:
   ShrinkOptions options_;
-  OracleOptions oracle_;
   /// Replay engine, recycled across the ddmin probes. Mutable: warming the
   /// pool is not an observable state change (replay results are identical
   /// to fresh runs). Makes the shrinker non-copyable, like the context.

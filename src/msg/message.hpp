@@ -48,10 +48,10 @@ inline constexpr std::size_t kMsgTypeCount =
 /// Correct processes sign once at startup; Byzantine processes can sign any
 /// *own* PD but cannot forge other owners' entries (Alg. 1, line 1 remark).
 ///
-/// A SignedPd is immutable once made, and travels as a SignedPdRef: the
-/// owner's Discovery::sign_own_pd (or, on the hostile wire, decode_frame)
-/// makes the one object, and every S_PD, SETPDS reply and KnowledgeView
-/// that accepts it shares it by refcount instead of copying it.
+/// A SignedPd is immutable once signed, and travels as a SignedPdRef: the
+/// owner's Discovery (or, on the hostile wire, decode_frame) makes the one
+/// object, and every S_PD, SETPDS reply and KnowledgeView that accepts it
+/// shares it by refcount instead of copying it.
 struct SignedPd {
   ProcessId owner;
   IdSet pd;

@@ -7,9 +7,13 @@ namespace bftcup::protocol {
 
 Discovery::Discovery(ProcessId self, IdSet own_pd, SimTime period)
     : self_(self),
-      own_pd_(std::move(own_pd)),
       period_(period),
-      view_(self, own_pd_) {}
+      own_(std::make_shared<msg::SignedPd>(
+          msg::SignedPd{self, std::move(own_pd), {}})) {
+  // The view's own entry aliases the object sign_own_pd will sign, like the
+  // entry of any accepted PD.
+  view_.add_pd(self, KnowledgeView::PdRef(own_, &own_->pd));
+}
 
 void Discovery::start(sim::Context& ctx) {
   if (started_) return;
@@ -21,9 +25,8 @@ void Discovery::start(sim::Context& ctx) {
 }
 
 void Discovery::sign_own_pd(sim::Context& ctx) {
-  spds_.push_back(std::make_shared<const msg::SignedPd>(msg::SignedPd{
-      self_, own_pd_,
-      ctx.signer().sign(msg::SignedPd::payload(self_, own_pd_))}));
+  own_->sig = ctx.signer().sign(msg::SignedPd::payload(self_, own_->pd));
+  spds_.push_back(std::move(own_));  // immutable from here on
 }
 
 void Discovery::arm_timer(sim::Context& ctx) {

@@ -10,9 +10,12 @@
 // S_PD holds handles, not copies: each signed PD is the one immutable
 // object its owner made (msg::SignedPdRef), so accepting it costs a
 // refcount in S_PD and an aliasing handle to its set in the view, and a
-// rebuilt SETPDS reply copies handles.
+// rebuilt SETPDS reply copies handles. The owner's own PD is no exception:
+// the constructor moves it into its signed object, unsigned until
+// sign_own_pd, and the view aliases that, so a node holds its own PD once.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "protocol/knowledge_view.hpp"
@@ -31,7 +34,8 @@ class Discovery {
   void start(sim::Context& ctx);
 
   /// Alg. 1 line 1 alone: S_PD = { ⟨i, PD_i⟩_i }. start() calls it; a
-  /// node that answers GETPDS but never polls calls only this.
+  /// node that answers GETPDS but never polls calls only this. Call it
+  /// once.
   void sign_own_pd(sim::Context& ctx);
 
   /// Handles GETPDS / SETPDS. Returns true iff the view changed (the caller
@@ -71,12 +75,14 @@ class Discovery {
   void arm_timer(sim::Context& ctx);
 
   ProcessId self_;
-  IdSet own_pd_;
   SimTime period_;
   /// Bumped by restart(); stale timer fires are dropped. Stays 0 in
   /// fault-free runs, so the timer kind stays bit-identical to the
   /// pre-fault-timeline implementation.
   std::uint64_t timer_epoch_ = 0;
+  /// ⟨i, PD_i⟩ before sign_own_pd signs it and moves it into S_PD; null
+  /// after.
+  std::shared_ptr<msg::SignedPd> own_;
   KnowledgeView view_;
   std::vector<msg::SignedPdRef> spds_;
   /// The GETPDS request is identical every round: built once, shared.

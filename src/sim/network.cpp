@@ -11,27 +11,22 @@ SimTime synchrony_cap(SimTime sent, const NetConfig& cfg) {
   const SimTime base = std::max(sent, cfg.gst);
   const SimTime capped =
       base > kSimTimeMax - cfg.delta ? kSimTimeMax : base + cfg.delta;
-  // The cap never undercuts the physical floor sent + min_delay: when a
-  // channel is configured with min_delay > δ, the floor wins and the
-  // message is delivered at exactly its floor (enforced here so wrapping
-  // policies that clamp to the cap cannot deliver before the floor either).
-  const SimTime floor =
-      sent > kSimTimeMax - cfg.min_delay ? kSimTimeMax : sent + cfg.min_delay;
+  // The cap never undercuts the one-tick floor, so a policy that clamps to
+  // it cannot deliver a message at its send instant either.
+  const SimTime floor = sent == kSimTimeMax ? kSimTimeMax : sent + 1;
   return std::max(capped, floor);
 }
 
 SimTime RandomDelayPolicy::delivery_time(ProcessId /*from*/, ProcessId /*to*/,
                                          SimTime sent, Rng& rng,
                                          const NetConfig& cfg) {
-  const SimTime lo = sent + cfg.min_delay;
-  const SimTime hi = synchrony_cap(sent, cfg);  // >= lo by construction
+  const SimTime hi = synchrony_cap(sent, cfg);  // >= sent + 1
   if (sent >= cfg.gst) {
-    // After GST: within δ (clamped to [lo, hi] when min_delay > δ).
-    return std::min(hi, sent + std::max<SimTime>(cfg.min_delay,
-                                                 rng.next_in(1, cfg.delta)));
+    // After GST: within δ, and never before the floor (δ >= 1).
+    return std::min(hi, sent + rng.next_in(1, cfg.delta));
   }
   // Before GST: adversarial draw over the allowed window.
-  return rng.next_in(lo, hi);
+  return rng.next_in(sent + 1, hi);
 }
 
 GroupStretchPolicy::GroupStretchPolicy(std::unique_ptr<DelayPolicy> inner,
@@ -66,34 +61,11 @@ SimTime SlowSenderPolicy::delivery_time(ProcessId from, ProcessId to,
   return std::min(std::max(base, release_at_), synchrony_cap(sent, cfg));
 }
 
-LossyDelayPolicy::LossyDelayPolicy(std::unique_ptr<DelayPolicy> inner,
-                                   LossConfig config)
-    : inner_(std::move(inner)), config_(config) {}
-
-bool LossyDelayPolicy::in_burst(SimTime t) const {
-  if (config_.burst_len == 0 || t < config_.burst_start) return false;
-  const SimTime offset = t - config_.burst_start;
-  if (config_.burst_period == 0) return offset < config_.burst_len;
-  return offset % config_.burst_period < config_.burst_len;
-}
-
-SimTime LossyDelayPolicy::delivery_time(ProcessId from, ProcessId to,
-                                        SimTime sent, Rng& rng,
-                                        const NetConfig& cfg) {
-  const SimTime base = inner_->delivery_time(from, to, sent, rng, cfg);
-  if (config_.jitter == 0) return base;  // no draw: zero jitter is free
-  const SimTime extra = rng.next_below(config_.jitter + 1);
-  const SimTime jittered =
-      base > kSimTimeMax - extra ? kSimTimeMax : base + extra;
-  return std::min(jittered, synchrony_cap(sent, cfg));
-}
-
-bool LossyDelayPolicy::should_drop(ProcessId /*from*/, ProcessId /*to*/,
-                                   SimTime sent, Rng& rng,
-                                   const NetConfig& /*cfg*/) {
-  // Neither a burst nor a zero drop_p draws (Rng::chance decides p <= 0 and
-  // p >= 1 without one), so an all-zero config is transparent.
-  return in_burst(sent) || rng.chance(config_.drop_p);
+bool LossConfig::in_burst(SimTime t) const {
+  if (burst_len == 0 || t < burst_start) return false;
+  const SimTime offset = t - burst_start;
+  if (burst_period == 0) return offset < burst_len;
+  return offset % burst_period < burst_len;
 }
 
 }  // namespace bftcup::sim

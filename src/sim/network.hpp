@@ -3,13 +3,15 @@
 // Channels are reliable and authenticated: every sent message is delivered
 // exactly once, and the receiver learns the true sender. The adversary
 // controls *when*, subject to partial synchrony: a message sent at time t is
-// delivered by max(t, GST) + δ. Before GST the delay is arbitrary within
-// that cap; after GST it is at most δ.
+// delivered by max(t, GST) + δ, and never before t + 1. Before GST the delay
+// is arbitrary within that cap; after GST it is at most δ. A DelayPolicy
+// chooses each delivery time and nothing else.
 //
-// LossyDelayPolicy deliberately breaks the reliable-channel premise: it is a
-// fault model (hostile-wire PR), not a paper assumption. Runs under it are
-// outside Theorem 1's hypotheses, so the oracle treats liveness differently
-// when it is active — safety, however, must still hold.
+// LossConfig deliberately breaks the reliable-channel premise: it is a fault
+// model, not a paper assumption, and the simulator applies it next to the
+// wire mutator (Simulator::Options::loss). Runs under it are outside
+// Theorem 1's hypotheses, so the oracle treats liveness differently when it
+// is active — safety, however, must still hold.
 #pragma once
 
 #include <memory>
@@ -20,9 +22,8 @@
 namespace bftcup::sim {
 
 struct NetConfig {
-  SimTime gst = 0;       ///< global stabilization time
-  SimTime delta = 10;    ///< post-GST delay bound δ
-  SimTime min_delay = 1; ///< messages never arrive at their send instant
+  SimTime gst = 0;     ///< global stabilization time
+  SimTime delta = 10;  ///< post-GST delay bound δ
 };
 
 /// Strategy deciding each message's delivery time. Implementations must
@@ -35,20 +36,10 @@ class DelayPolicy {
   [[nodiscard]] virtual SimTime delivery_time(ProcessId from, ProcessId to,
                                               SimTime sent, Rng& rng,
                                               const NetConfig& cfg) = 0;
-
-  /// Asked once per send, before delivery_time. A true return drops the
-  /// message on the floor (counted, never delivered). The default neither
-  /// drops nor touches `rng` — existing policies keep their exact draw
-  /// sequence, so every pre-existing digest is unchanged.
-  [[nodiscard]] virtual bool should_drop(ProcessId /*from*/, ProcessId /*to*/,
-                                         SimTime /*sent*/, Rng& /*rng*/,
-                                         const NetConfig& /*cfg*/) {
-    return false;
-  }
 };
 
-/// Uniform random delay in [min_delay, δ] after GST; before GST, an
-/// adversarial uniform draw over the whole allowed window.
+/// Uniform random delay in [1, δ] after GST; before GST, an adversarial
+/// uniform draw over the whole allowed window.
 class RandomDelayPolicy final : public DelayPolicy {
  public:
   [[nodiscard]] SimTime delivery_time(ProcessId from, ProcessId to,
@@ -94,12 +85,14 @@ class SlowSenderPolicy final : public DelayPolicy {
   SimTime release_at_;
 };
 
-/// Knobs for the lossy-network fault model. All probabilities are in [0, 1].
+/// Knobs for the lossy-network fault model, which the simulator applies to
+/// every send (Simulator::do_send). All-zero, the default, draws nothing
+/// and drops nothing. Draws come from the simulator RNG in send order, so
+/// the loss schedule is a pure function of (scenario, seed).
 struct LossConfig {
-  bool enabled = false;
-  /// Baseline per-message drop probability (outside burst windows).
+  /// Baseline per-message drop probability in [0, 1] (outside bursts).
   double drop_p = 0.0;
-  /// Extra uniform delay in [0, jitter] added to the inner policy's delivery
+  /// Extra uniform delay in [0, jitter] added to the policy's delivery
   /// time, clamped back to the partial-synchrony cap: delayed messages still
   /// obey δ; the loss model breaks reliability, not synchrony.
   SimTime jitter = 0;
@@ -110,36 +103,14 @@ struct LossConfig {
   SimTime burst_start = 0;
   SimTime burst_len = 0;
   SimTime burst_period = 0;
-};
 
-/// Wraps another policy with seeded message loss and jitter (LossConfig).
-/// Deterministic: drop/jitter draws come from the simulator RNG in send
-/// order, so the loss schedule is a pure function of (scenario, seed). With
-/// all knobs at their zero defaults the wrapper draws nothing and is
-/// bit-transparent.
-class LossyDelayPolicy final : public DelayPolicy {
- public:
-  LossyDelayPolicy(std::unique_ptr<DelayPolicy> inner, LossConfig config);
-
-  [[nodiscard]] SimTime delivery_time(ProcessId from, ProcessId to,
-                                      SimTime sent, Rng& rng,
-                                      const NetConfig& cfg) override;
-
-  [[nodiscard]] bool should_drop(ProcessId from, ProcessId to, SimTime sent,
-                                 Rng& rng, const NetConfig& cfg) override;
-
- private:
+  /// True iff a send at `t` falls inside a burst window.
   [[nodiscard]] bool in_burst(SimTime t) const;
-
-  std::unique_ptr<DelayPolicy> inner_;
-  LossConfig config_;
 };
 
 /// Clamp helper shared by policies: the partial-synchrony delivery cap
-/// max(sent, GST) + δ, never below the physical floor sent + min_delay.
-/// A message sent exactly at GST is post-GST: its cap is GST + δ. When
-/// min_delay > δ the configuration is over-constrained and the floor wins —
-/// policies clamping to this cap therefore still honor min_delay.
+/// max(sent, GST) + δ, never below the one-tick floor sent + 1. A message
+/// sent exactly at GST is post-GST: its cap is GST + δ.
 [[nodiscard]] SimTime synchrony_cap(SimTime sent, const NetConfig& cfg);
 
 }  // namespace bftcup::sim

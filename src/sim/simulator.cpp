@@ -1,11 +1,26 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
+#include <string_view>
 
 #include "msg/wire.hpp"
 #include "obs/span_tracer.hpp"
 
 namespace bftcup::sim {
+namespace {
+
+/// Adds one to the run's hostile-wire counter `name` (README "Hostile
+/// wire"). Interned on first use, so a run the wire never touched carries
+/// no wire.* name.
+void count_wire_fault(std::string_view name) {
+  if (obs::MetricsRegistry* const metrics = obs::current_metrics()) {
+    metrics->counter(name).add();
+  }
+}
+
+}  // namespace
 
 void Process::on_timer(int /*kind*/, Context& /*ctx*/) {}
 void Process::on_recover(Context& /*ctx*/) {}
@@ -122,14 +137,26 @@ void Simulator::do_send(ProcessId from, ProcessId to, msg::MessageRef message) {
     // silently drops: there is no process to deliver to.
     return;
   }
-  if (policy_->should_drop(from, to, now_, rng_, options_.net)) {
-    // Lossy-network fault model: the message vanishes on the wire.
+  // Lossy-network fault model: the message vanishes on the wire. Neither a
+  // burst nor a zero drop_p draws (Rng::chance decides p <= 0 without one).
+  const LossConfig& loss = options_.loss;
+  if (loss.in_burst(now_) || rng_.chance(loss.drop_p)) {
     trace_.record_drop();
-    trace_.record_frame_lost();
+    count_wire_fault("wire.frames_lost");
     return;
   }
   Event ev;
   ev.time = policy_->delivery_time(from, to, now_, rng_, options_.net);
+  if (loss.jitter != 0) {
+    // Extra delay clamped back to the cap: loss breaks reliability, not
+    // synchrony. The bound is unsigned, since jitter + 1 overflows SimTime
+    // at jitter = kSimTimeMax.
+    const auto extra = static_cast<SimTime>(
+        rng_.next_below(static_cast<std::uint64_t>(loss.jitter) + 1));
+    const SimTime jittered =
+        ev.time > kSimTimeMax - extra ? kSimTimeMax : ev.time + extra;
+    ev.time = std::min(jittered, synchrony_cap(now_, options_.net));
+  }
   ev.seq = next_seq_++;
   ev.kind = Event::Kind::kDelivery;
   ev.from = from;
@@ -241,11 +268,14 @@ void Simulator::deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
                                  Context& ctx) {
   const Bytes frame = msg::encode_frame(*ev.message);
   WireMutator::Result result = wire_->process(frame);
-  if (result.kind) trace_.record_frame_mutated(*result.kind);
+  if (result.kind) {
+    count_wire_fault("wire.frames_mutated");
+    count_wire_fault(std::string("wire.mutated.") + to_string(*result.kind));
+  }
   for (const Bytes& out : result.frames) {
     std::optional<msg::Message> decoded = msg::decode_frame(out);
     if (!decoded) {
-      trace_.record_frame_rejected();
+      count_wire_fault("wire.frames_rejected");
       continue;
     }
     slot.process->on_message(ev.from, *decoded, ctx);

@@ -1,9 +1,11 @@
 // Deterministic discrete-event simulator.
 //
 // Owns the processes (a dense ProcessTable), the key registry (simulated
-// PKI), the delay policy, the fault timeline, the event queue, and the
-// trace. Single-threaded; all nondeterminism flows from the seeded Rng, so a
-// (seed, topology, policy, timeline) tuple replays bit-identically.
+// PKI), the delay policy, the fault timeline, the hostile wire (loss model
+// and frame mutator), the event queue, and the trace. Single-threaded; all
+// nondeterminism flows from the seeded Rng, so a (seed, topology, policy,
+// timeline) tuple replays bit-identically. The hostile wire counts what it
+// did in the run's metrics registry (wire.*).
 //
 // The event queue is the hot path of every experiment sweep: a two-level
 // bucketed queue (sim/bucket_queue.hpp) drains the exact (time, seq) total
@@ -50,6 +52,11 @@ class Simulator {
     /// are a pure function of (key seed, signer, payload), so replay stays
     /// bit-identical; off still counts verifications for the run report.
     bool verify_cache = true;
+    /// Lossy-network fault model (sim/network.hpp) on every send to a
+    /// known recipient over an up link: the drop is drawn before the delay
+    /// policy runs, the jitter after it. All-zero (the default) draws
+    /// nothing and leaves every digest unchanged.
+    LossConfig loss;
     /// Hostile-wire layer (sim/wire_mutator.hpp). When enabled, targeted
     /// deliveries are routed through encode_frame -> mutation ->
     /// decode_frame; frames the hardened decoder rejects are counted and

@@ -23,19 +23,6 @@ void Trace::record_drop() {
   ++messages_dropped_;
 }
 
-void Trace::record_frame_mutated(WireMutationKind kind) {
-  ++frames_mutated_;
-  ++mutated_by_kind_[static_cast<std::size_t>(kind)];
-}
-
-void Trace::record_frame_rejected() {
-  ++frames_rejected_;
-}
-
-void Trace::record_frame_lost() {
-  ++frames_lost_;
-}
-
 void Trace::record_membership(ProcessId who, const IdSet& members,
                               SimTime time) {
   memberships_.emplace(who, members);

@@ -1,4 +1,6 @@
-// Execution trace: everything the experiment harnesses measure.
+// Execution trace: what the run decided and what it sent, for the run
+// report and its digest. Engine effort, the hostile wire's fault counts
+// included, goes to the run's metrics registry instead (obs/metrics.hpp).
 //
 // A run writes at most one decision and one membership record per process,
 // in decision order rather than id order, so the records live in std::maps:
@@ -13,7 +15,6 @@
 
 #include "common/types.hpp"
 #include "msg/message.hpp"
-#include "sim/wire_mutator.hpp"
 
 namespace bftcup::sim {
 
@@ -33,18 +34,10 @@ class Trace {
   void record_decision(ProcessId who, Value value, SimTime time);
   void record_send(std::size_t bytes, msg::MsgType type);
   void record_delivery();
-  /// A sent message lost to a fault (downed link, crashed or not-yet-joined
-  /// recipient) instead of delivered.
+  /// A sent message lost to a fault (downed link, lossy wire, crashed or
+  /// not-yet-joined recipient) instead of delivered.
   void record_drop();
   void record_membership(ProcessId who, const IdSet& members, SimTime time);
-
-  /// Hostile-wire accounting (sim/wire_mutator.hpp). A mutated delivery is
-  /// one WireMutator::process() call that perturbed the frame; a rejected
-  /// frame is one msg::decode_frame refusal (counted and dropped); a lost
-  /// frame is one DelayPolicy::should_drop hit.
-  void record_frame_mutated(WireMutationKind kind);
-  void record_frame_rejected();
-  void record_frame_lost();
 
   [[nodiscard]] const DecisionMap& decisions() const { return decisions_; }
   [[nodiscard]] const MembershipMap& memberships() const {
@@ -64,16 +57,6 @@ class Trace {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] const MsgHistogram& sent_by_type() const {
     return sent_by_type_;
-  }
-
-  using WireKindHistogram = std::array<std::uint64_t, kWireMutationKindCount>;
-  [[nodiscard]] std::uint64_t frames_mutated() const { return frames_mutated_; }
-  [[nodiscard]] std::uint64_t frames_rejected() const {
-    return frames_rejected_;
-  }
-  [[nodiscard]] std::uint64_t frames_lost() const { return frames_lost_; }
-  [[nodiscard]] const WireKindHistogram& mutated_by_kind() const {
-    return mutated_by_kind_;
   }
 
   /// True iff every process in `who` decided.
@@ -98,10 +81,6 @@ class Trace {
   std::uint64_t messages_dropped_ = 0;
   std::uint64_t bytes_sent_ = 0;
   MsgHistogram sent_by_type_{};
-  std::uint64_t frames_mutated_ = 0;
-  std::uint64_t frames_rejected_ = 0;
-  std::uint64_t frames_lost_ = 0;
-  WireKindHistogram mutated_by_kind_{};
 };
 
 }  // namespace bftcup::sim

@@ -152,8 +152,8 @@ TEST(DiscoveryTest, ForgedPdIsRejected) {
 }
 
 TEST(DiscoveryTest, AcceptedPdsShareTheOwnersSignedObject) {
-  // No node copies a PD it accepts: S_PD holds the very object its owner
-  // signed, and the view's set for that owner is the one inside it.
+  // No node copies a PD, its own included: S_PD holds the very object its
+  // owner signed, and the view's set for that owner is the one inside it.
   const auto inst = graph::figures::fig1b();
   Fixture fx(inst.graph);
   fx.simulator.run();
@@ -173,7 +173,6 @@ TEST(DiscoveryTest, AcceptedPdsShareTheOwnersSignedObject) {
     for (const msg::SignedPdRef& spd : discovery.signed_pds()) {
       const msg::SignedPd* original = signed_by.at(spd->owner);
       EXPECT_EQ(spd.get(), original) << to_string(id);
-      if (spd->owner == id) continue;  // the own view entry predates signing
       EXPECT_EQ(discovery.view().pd_of(spd->owner), &original->pd)
           << to_string(id) << " view of " << to_string(spd->owner);
       ++shared;

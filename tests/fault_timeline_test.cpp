@@ -23,13 +23,12 @@ msg::Message ping() {
   return m;
 }
 
-/// delta == min_delay == 1 makes every delivery land exactly one tick after
-/// the send, so tests can reason about absolute times.
+/// delta == 1, the one-tick floor, makes every delivery land exactly one
+/// tick after the send, so tests can reason about absolute times.
 Simulator::Options lockstep_options() {
   Simulator::Options options;
   options.net.gst = 0;
   options.net.delta = 1;
-  options.net.min_delay = 1;
   return options;
 }
 

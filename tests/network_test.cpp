@@ -1,5 +1,5 @@
 // Regression tests for the partial-synchrony clamp (paper §II-A): a message
-// sent at time t is delivered by max(t, GST) + δ, never before t + min_delay.
+// sent at time t is delivered by max(t, GST) + δ, never before t + 1.
 #include <gtest/gtest.h>
 
 #include "sim/network.hpp"
@@ -24,14 +24,13 @@ TEST(SynchronyCapTest, SentExactlyAtGstIsPostGst) {
   EXPECT_EQ(synchrony_cap(1'001, cfg), 1'011);
 }
 
-TEST(SynchronyCapTest, CapNeverUndercutsMinDelayFloor) {
+TEST(SynchronyCapTest, CapNeverUndercutsTheOneTickFloor) {
   NetConfig cfg;
   cfg.gst = 0;
+  cfg.delta = 0;  // over-constrained: the floor beats δ
+  EXPECT_EQ(synchrony_cap(100, cfg), 101);
+  // With δ >= 1 the cap is the classic max(t, GST) + δ.
   cfg.delta = 5;
-  cfg.min_delay = 20;  // over-constrained: floor beats δ
-  EXPECT_EQ(synchrony_cap(100, cfg), 120);
-  // With min_delay <= δ the cap is the classic max(t, GST) + δ.
-  cfg.min_delay = 1;
   EXPECT_EQ(synchrony_cap(100, cfg), 105);
 }
 
@@ -42,9 +41,8 @@ TEST(SynchronyCapTest, SaturatesNearTheTimeLimit) {
   EXPECT_EQ(synchrony_cap(0, cfg), kSimTimeMax);
   // The floor saturates too.
   cfg.gst = 0;
-  cfg.delta = 1;
-  cfg.min_delay = 100;
-  EXPECT_EQ(synchrony_cap(kSimTimeMax - 5, cfg), kSimTimeMax);
+  cfg.delta = 0;
+  EXPECT_EQ(synchrony_cap(kSimTimeMax, cfg), kSimTimeMax);
 }
 
 TEST(RandomDelayPolicyTest, SentExactlyAtGstDeliversWithinDelta) {
@@ -60,50 +58,37 @@ TEST(RandomDelayPolicyTest, SentExactlyAtGstDeliversWithinDelta) {
   }
 }
 
-TEST(RandomDelayPolicyTest, MinDelayAboveDeltaDeliversAtTheFloorPostGst) {
-  NetConfig cfg;
-  cfg.gst = 0;
-  cfg.delta = 5;
-  cfg.min_delay = 20;
-  Rng rng(7);
-  RandomDelayPolicy policy;
-  for (int i = 0; i < 100; ++i) {
-    // The post-GST window [sent + min_delay, sent + δ] is empty; the floor
-    // wins and delivery lands exactly on it.
-    EXPECT_EQ(policy.delivery_time(p(1), p(2), 100, rng, cfg), 120);
-  }
-}
-
-TEST(RandomDelayPolicyTest, MinDelayAboveDeltaPreGstStaysInWindow) {
+TEST(RandomDelayPolicyTest, PreGstDrawStaysInWindow) {
   NetConfig cfg;
   cfg.gst = 1'000;
   cfg.delta = 5;
-  cfg.min_delay = 20;
   Rng rng(7);
   RandomDelayPolicy policy;
   for (int i = 0; i < 300; ++i) {
     const SimTime t = policy.delivery_time(p(1), p(2), 100, rng, cfg);
-    EXPECT_GE(t, 120);     // never before the floor
-    EXPECT_LE(t, 1'005);   // never after max(t, GST) + δ
+    EXPECT_GE(t, 101);    // never before the one-tick floor
+    EXPECT_LE(t, 1'005);  // never after max(t, GST) + δ
   }
 }
 
-TEST(WrappedPolicyTest, StretchClampCannotBeatTheFloor) {
-  // Regression: the stretch policies clamp to synchrony_cap; before the fix
-  // a min_delay > δ configuration let that clamp deliver *earlier* than the
-  // physical floor.
+TEST(WrappedPolicyTest, StretchClampKeepsTheWindow) {
+  // The stretch policies clamp to synchrony_cap: a release time already
+  // past leaves the inner draw in [t + 1, t + δ].
   NetConfig cfg;
   cfg.gst = 0;
   cfg.delta = 5;
-  cfg.min_delay = 20;
   Rng rng(3);
   SlowSenderPolicy slow(std::make_unique<RandomDelayPolicy>(), IdSet{p(9)},
                         /*release_at=*/2);
   GroupStretchPolicy stretch(std::make_unique<RandomDelayPolicy>(),
                              IdSet{p(1)}, IdSet{p(2)}, /*release_at=*/2);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_GE(slow.delivery_time(p(9), p(1), 100, rng, cfg), 120);
-    EXPECT_GE(stretch.delivery_time(p(1), p(2), 100, rng, cfg), 120);
+    const SimTime slowed = slow.delivery_time(p(9), p(1), 100, rng, cfg);
+    EXPECT_GE(slowed, 101);
+    EXPECT_LE(slowed, 105);
+    const SimTime stretched = stretch.delivery_time(p(1), p(2), 100, rng, cfg);
+    EXPECT_GE(stretched, 101);
+    EXPECT_LE(stretched, 105);
   }
 }
 

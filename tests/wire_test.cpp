@@ -4,12 +4,14 @@
 // 1. Pinned digests for the wire/* registry family — the hostile-wire runs
 //    are as bit-replayable as every other scenario, and safety (agreement,
 //    validity) holds on all of them even though liveness may not.
-// 2. Transparency: enabling the wire path at rate 0, or the loss wrapper
+// 2. Transparency: enabling the wire path at rate 0, or the loss model
 //    with all-zero knobs, reproduces the wire-off golden digests byte for
 //    byte. This is the load-bearing guarantee that the layer costs nothing
 //    when off and that encode_frame -> decode_frame is a faithful inverse
 //    on every frame a real run produces.
-// 3. WireMutator / LossyDelayPolicy determinism in isolation.
+// 3. WireMutator determinism in isolation, and the simulator's loss model:
+//    its draw order, transparency, burst windows, and pinned digests with
+//    a custom delay policy, a fault timeline, and the largest jitter.
 // 4. Genome wire genes: one-line artifact round-trip, pre-wire lines parse
 //    to the wire-off defaults (corpus compatibility).
 // 5. Builder validation, shrinker wire reductions, and the oracle's
@@ -31,8 +33,18 @@
 #include "explore/shrinker.hpp"
 #include "msg/message.hpp"
 #include "msg/wire.hpp"
+#include "obs/span_tracer.hpp"
 #include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "sim/wire_mutator.hpp"
+#include "test_util.hpp"
+
+// Under a sanitizer build, a UBSan report fails this binary instead of
+// scrolling past: the largest-jitter replay below guards an overflow that
+// only UBSan can see.
+extern "C" const char* __ubsan_default_options() {
+  return "halt_on_error=1:print_stacktrace=1";
+}
 
 namespace bftcup {
 namespace {
@@ -118,8 +130,8 @@ TEST(WireTransparencyTest, RateZeroWirePathReproducesGoldenDigest) {
 }
 
 TEST(WireTransparencyTest, ZeroLossConfigReproducesGoldenDigest) {
-  // loss(0, 0): the wrapper is installed but draws nothing and drops
-  // nothing — bit-transparent per the LossyDelayPolicy contract.
+  // loss(0, 0): the loss model draws nothing and drops nothing —
+  // bit-transparent per the sim::LossConfig contract.
   const auto& registry = cup::ScenarioRegistry::paper();
   const auto run = [&](std::uint64_t seed) {
     return registry.builder("fig1b/silent", seed).loss(0.0, 0).run();
@@ -205,80 +217,202 @@ TEST(WireMutatorTest, RateZeroPassesFramesThroughUntouched) {
   }
 }
 
-TEST(LossyDelayPolicyTest, SameSeedSameDropAndDelaySchedule) {
-  sim::LossConfig config;
-  config.enabled = true;
-  config.drop_p = 0.4;
-  config.jitter = 5;
-  const sim::NetConfig net;
-  const auto schedule = [&] {
-    sim::LossyDelayPolicy policy(
-        std::make_unique<sim::RandomDelayPolicy>(), config);
-    Rng rng(9);
-    std::vector<SimTime> out;
-    for (SimTime t = 0; t < 500; ++t) {
-      // Mirror the simulator's per-send order: should_drop first, then
-      // delivery_time only for survivors.
-      if (policy.should_drop(ProcessId(1), ProcessId(2), t, rng, net)) {
-        out.push_back(-1);
-      } else {
-        out.push_back(
-            policy.delivery_time(ProcessId(1), ProcessId(2), t, rng, net));
-      }
-    }
-    return out;
-  };
-  const auto a = schedule();
-  const auto b = schedule();
-  EXPECT_EQ(a, b);
-  // Sanity: the schedule actually drops and delivers.
-  EXPECT_GT(std::count(a.begin(), a.end(), SimTime(-1)), 0);
-  EXPECT_LT(std::count(a.begin(), a.end(), SimTime(-1)),
-            static_cast<long>(a.size()));
+/// The simulator's loss model on one link: process 1 sends one message per
+/// tick at ticks 1..kLossSends, and the schedule maps each send to its
+/// delivery tick, or -1 when the wire lost it.
+constexpr SimTime kLossSends = 500;
+
+struct LossRun {
+  std::vector<SimTime> schedule;
+  obs::MetricsSnapshot metrics;
+};
+
+LossRun run_loss(const sim::LossConfig& loss, std::uint64_t seed) {
+  sim::Simulator::Options options;
+  options.seed = seed;
+  options.loss = loss;
+  sim::Simulator simulator(options);
+  LossRun out;
+  out.schedule.assign(kLossSends, -1);
+  auto sender = std::make_unique<test::ScriptedProcess>(ProcessId(1));
+  sender->on_start_do([](sim::Context& ctx) { ctx.set_timer(1, 0); });
+  sender->on_timer_do([](int, sim::Context& ctx) {
+    msg::Message m;
+    m.type = msg::MsgType::kDecidedVal;
+    m.value = static_cast<Value>(ctx.now() - 1);  // the send's index
+    ctx.send(ProcessId(2), std::move(m));
+    if (ctx.now() < kLossSends) ctx.set_timer(1, 0);
+  });
+  auto receiver = std::make_unique<test::ScriptedProcess>(ProcessId(2));
+  receiver->on_message_do(
+      [&out](ProcessId, const msg::Message& m, sim::Context& ctx) {
+        out.schedule.at(m.value) = ctx.now();
+      });
+  simulator.add_process(std::move(sender));
+  simulator.add_process(std::move(receiver));
+  obs::MetricsRegistry metrics;
+  {
+    const obs::ObsScope scope(&metrics, nullptr);
+    simulator.run();
+  }
+  out.metrics = metrics.snapshot();
+  return out;
 }
 
-TEST(LossyDelayPolicyTest, AllZeroKnobsAreBitTransparent) {
-  // With every knob at its zero default the wrapper must neither drop nor
-  // touch the RNG: its delivery times match the bare inner policy draw for
-  // draw on a same-seeded stream.
-  sim::LossConfig zero;
-  zero.enabled = true;
+/// The same link replayed on a bare Rng in the order the simulator draws:
+/// per send, the drop, then the delay policy's delivery time, then the
+/// jitter, clamped to the synchrony cap.
+std::vector<SimTime> reference_schedule(const sim::LossConfig& loss,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
   const sim::NetConfig net;
-  sim::LossyDelayPolicy wrapped(std::make_unique<sim::RandomDelayPolicy>(),
-                                zero);
-  sim::RandomDelayPolicy bare;
-  Rng rng_wrapped(7);
-  Rng rng_bare(7);
-  for (SimTime t = 0; t < 200; ++t) {
-    EXPECT_FALSE(
-        wrapped.should_drop(ProcessId(1), ProcessId(2), t, rng_wrapped, net));
-    EXPECT_EQ(
-        wrapped.delivery_time(ProcessId(1), ProcessId(2), t, rng_wrapped, net),
-        bare.delivery_time(ProcessId(1), ProcessId(2), t, rng_bare, net));
+  sim::RandomDelayPolicy policy;
+  std::vector<SimTime> out;
+  for (SimTime t = 1; t <= kLossSends; ++t) {
+    if (loss.in_burst(t) || rng.chance(loss.drop_p)) {
+      out.push_back(-1);
+      continue;
+    }
+    SimTime at = policy.delivery_time(ProcessId(1), ProcessId(2), t, rng, net);
+    if (loss.jitter != 0) {
+      const auto extra = static_cast<SimTime>(
+          rng.next_below(static_cast<std::uint64_t>(loss.jitter) + 1));
+      at = std::min(at + extra, sim::synchrony_cap(t, net));
+    }
+    out.push_back(at);
+  }
+  return out;
+}
+
+std::uint64_t lost_sends(const std::vector<SimTime>& schedule) {
+  return static_cast<std::uint64_t>(
+      std::count(schedule.begin(), schedule.end(), SimTime(-1)));
+}
+
+TEST(LossModelTest, SameSeedSameDropAndDelaySchedule) {
+  sim::LossConfig loss;
+  loss.drop_p = 0.4;
+  loss.jitter = 5;
+  const LossRun a = run_loss(loss, 9);
+  const LossRun b = run_loss(loss, 9);
+  EXPECT_EQ(a.schedule, b.schedule);
+  EXPECT_EQ(a.schedule, reference_schedule(loss, 9));
+  // Sanity: the schedule actually drops and delivers, and the run's metrics
+  // count every loss.
+  const std::uint64_t lost = lost_sends(a.schedule);
+  EXPECT_GT(lost, 0u);
+  EXPECT_LT(lost, static_cast<std::uint64_t>(kLossSends));
+  EXPECT_EQ(a.metrics.counter("wire.frames_lost"), lost);
+  EXPECT_NE(run_loss(loss, 10).schedule, a.schedule);
+}
+
+TEST(LossModelTest, AllZeroConfigDropsNothingAndMovesNoDraw) {
+  // The default config must neither drop nor draw: every delivery matches
+  // the bare delay policy draw for draw, and the run's metrics carry no
+  // wire.* name.
+  const LossRun run = run_loss(sim::LossConfig{}, 7);
+  EXPECT_EQ(lost_sends(run.schedule), 0u);
+  EXPECT_EQ(run.schedule, reference_schedule(sim::LossConfig{}, 7));
+  for (const auto& [name, value] : run.metrics.counters) {
+    EXPECT_NE(name.rfind("wire.", 0), 0u) << name;
   }
 }
 
-TEST(LossyDelayPolicyTest, BurstWindowsRecurWithPeriod) {
-  sim::LossConfig config;
-  config.enabled = true;
-  config.burst_start = 10;
-  config.burst_len = 5;
-  config.burst_period = 100;  // [10,15), [110,115), ...
-  const sim::NetConfig net;
-  sim::LossyDelayPolicy policy(std::make_unique<sim::RandomDelayPolicy>(),
-                               config);
-  Rng rng(1);
-  const auto dropped = [&](SimTime t) {
-    return policy.should_drop(ProcessId(1), ProcessId(2), t, rng, net);
-  };
+TEST(LossModelTest, BurstWindowsRecurWithPeriod) {
+  sim::LossConfig loss;
+  loss.burst_start = 10;
+  loss.burst_len = 5;
+  loss.burst_period = 100;  // [10,15), [110,115), ...
   // A burst is a total blackout inside, untouched outside.
-  EXPECT_FALSE(dropped(9));
-  EXPECT_TRUE(dropped(10));
-  EXPECT_TRUE(dropped(14));
-  EXPECT_FALSE(dropped(15));
-  EXPECT_TRUE(dropped(112));
-  EXPECT_FALSE(dropped(215));
-  EXPECT_TRUE(dropped(1010));
+  EXPECT_FALSE(loss.in_burst(9));
+  EXPECT_TRUE(loss.in_burst(10));
+  EXPECT_TRUE(loss.in_burst(14));
+  EXPECT_FALSE(loss.in_burst(15));
+  EXPECT_TRUE(loss.in_burst(112));
+  EXPECT_FALSE(loss.in_burst(215));
+  EXPECT_TRUE(loss.in_burst(1010));
+  // On the link, exactly the sends inside a window are lost.
+  const LossRun run = run_loss(loss, 1);
+  for (SimTime t = 1; t <= kLossSends; ++t) {
+    EXPECT_EQ(run.schedule[static_cast<std::size_t>(t - 1)] == -1,
+              loss.in_burst(t))
+        << "send at " << t;
+  }
+  EXPECT_EQ(lost_sends(run.schedule), 25u);  // five windows of five ticks
+  EXPECT_EQ(run.metrics.counter("wire.frames_lost"), 25u);
+}
+
+struct LossPin {
+  const char* what;
+  std::uint64_t seed;
+  const char* digest;
+  std::uint64_t lost;  ///< wire.frames_lost
+};
+
+/// Captured while loss was a wrapper around the scenario's delay policy.
+/// The simulator must draw the same values in the same order, so these
+/// stay byte-identical.
+constexpr LossPin kLossCompositionPins[] = {
+    {"group-stretch", 1,
+     "2c49ce81b6656106bde105f578914fe2d3e4ab62d8ed333cfa95c7b114651536", 4873},
+    {"group-stretch", 7,
+     "4553c7ac541e8733b776399f9f6baf3a58143b3a8160c30612626b8789710a80", 4833},
+    {"timeline", 1,
+     "6a281ce723000dd35744c083b573e785c89606091bb5750216c65f93aff94d58", 14427},
+    {"timeline", 7,
+     "4809767fc0db8f7160370fb27c576015093598690ce1c7cd40983125ab187b94", 13991},
+    {"slow-sender", 1,
+     "b67b29fa67c3cc2071be2c4abb6445fd011188bc655a9980c68e7fc6bd246f68", 13816},
+    {"slow-sender", 7,
+     "59ef3a5e428a1c017362f35c64a401e97a4a8fb993f0ff47c44cbfb883983ba3", 13699},
+};
+
+cup::ScenarioBuilder loss_composition(const std::string& what,
+                                      std::uint64_t seed) {
+  const auto& registry = cup::ScenarioRegistry::paper();
+  if (what == "group-stretch") {
+    // Theorem 7's system AB schedule (sim::GroupStretchPolicy).
+    return registry.builder("fig2/system-ab-cupft", seed).loss(0.05, 20);
+  }
+  if (what == "timeline") {
+    return registry.builder("dyn/link-flap", seed).loss(0.05, 20);
+  }
+  // Process 2's sends held until t = 300, pre-GST.
+  return registry.builder("fig1b/silent", seed)
+      .gst(1'000)
+      .delay_policy([] {
+        return std::make_unique<sim::SlowSenderPolicy>(
+            std::make_unique<sim::RandomDelayPolicy>(), IdSet{ProcessId(2)},
+            /*release_at=*/300);
+      })
+      .loss(0.05, 3);
+}
+
+TEST(LossModelTest, ComposesWithDelayPoliciesAndTimelines) {
+  for (const LossPin& pin : kLossCompositionPins) {
+    const cup::RunReport report = loss_composition(pin.what, pin.seed).run();
+    EXPECT_EQ(report.digest(), pin.digest) << pin.what << " seed " << pin.seed;
+    EXPECT_EQ(report.frames_lost, pin.lost) << pin.what << " seed " << pin.seed;
+    EXPECT_EQ(report.metrics.counter("wire.frames_lost"), pin.lost)
+        << pin.what << " seed " << pin.seed;
+  }
+}
+
+TEST(LossModelTest, LargestJitterReplaysWithoutOverflow) {
+  // Genome and builder both accept jitter = 2^63 - 1, the largest SimTime.
+  // The jitter draw's bound jitter + 1 must not overflow; the run replays
+  // the digest the wrapped bound gave.
+  const auto genome = explore::Genome::parse_line(
+      "v=1.2.3.4|e=1>2;1>3;1>4;2>1;2>3;2>4;3>1;3>2;3>4;4>1;4>2;4>3|f=1|"
+      "mode=auth|byz=silent|faulty=4|fpd=|tl=|gst=0|delta=10|hz=300000|"
+      "seed=1|cg=0|loss=0:9223372036854775807");
+  ASSERT_TRUE(genome.has_value());
+  ASSERT_EQ(genome->loss_jitter, kSimTimeMax);
+  const cup::RunReport report =
+      cup::run_scenario(genome->to_builder().build());
+  EXPECT_EQ(report.verdict(), "SOLVED");
+  EXPECT_EQ(report.digest(),
+            "e2fe70bba5b1134aaf1e1d73ce1313ce799144b35bc02c3a52923a8854f6c953");
 }
 
 // --- 4. genome wire genes ---------------------------------------------------
@@ -338,9 +472,8 @@ TEST(WireGenomeTest, WireGenesFlowIntoScenario) {
   const cup::Scenario s = g.to_builder().build();
   EXPECT_TRUE(s.sim.wire.enabled);
   EXPECT_DOUBLE_EQ(s.sim.wire.rate, 0.125);
-  EXPECT_TRUE(s.loss.enabled);
-  EXPECT_DOUBLE_EQ(s.loss.drop_p, 0.040);
-  EXPECT_EQ(s.loss.jitter, SimTime(3));
+  EXPECT_DOUBLE_EQ(s.sim.loss.drop_p, 0.040);
+  EXPECT_EQ(s.sim.loss.jitter, SimTime(3));
 }
 
 // --- 5. builder validation, shrinker, oracle --------------------------------
@@ -434,14 +567,6 @@ TEST(WireOracleTest, PlantClassifiesAsWireSafetyAndBaselineIsClean) {
       cup::run_scenario(stripped.to_builder().build());
   EXPECT_TRUE(baseline.agreement);
   EXPECT_TRUE(baseline.validity);
-
-  // With attribution disabled the same run classifies as a plain agreement
-  // finding (naive mode).
-  explore::OracleOptions no_attr;
-  no_attr.attribute_wire = false;
-  const auto plain = explore::classify(*plant, report, no_attr);
-  ASSERT_TRUE(plain.has_value());
-  EXPECT_NE(plain->kind, explore::FindingKind::kWireSafety);
 }
 
 }  // namespace

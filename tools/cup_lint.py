@@ -115,6 +115,21 @@ DIGEST_PATH_MODULES = (
     "src/sim/bucket_queue.hpp",
     "src/sim/process_table.hpp",
     "src/sim/process_table.cpp",
+    # What the simulator asks per send and per delivery: the delay policies
+    # and the loss model pick delivery times, the fault timeline opens and
+    # closes links, and the wire mutator draws the mutation schedule.
+    "src/sim/network.hpp",
+    "src/sim/network.cpp",
+    "src/sim/fault_timeline.hpp",
+    "src/sim/fault_timeline.cpp",
+    "src/sim/wire_mutator.hpp",
+    "src/sim/wire_mutator.cpp",
+    # Consensus among the members: PBFT's decision and the value exchange
+    # that serves it are the decisions digest() hashes.
+    "src/protocol/pbft.hpp",
+    "src/protocol/pbft.cpp",
+    "src/protocol/consensus.hpp",
+    "src/protocol/consensus.cpp",
     # Discovery, whose code the Byzantine node answers with: the order of
     # S_PD decides which PD version a receiver keeps.
     "src/protocol/discovery.hpp",
