@@ -286,8 +286,9 @@ void Simulator::run() {
   // Observability (README "Observability"): resolve the run's metrics
   // observer once — the per-event cost below is a pointer null check when
   // metrics are off, and the counter is bumped through the interned
-  // pointer, never a per-event name lookup. Pure observation: nothing read
-  // back, so dispatch order and results are untouched.
+  // pointer, never a per-event name lookup. The queue's far pushes and
+  // retained bytes are read once, when the run ends. Pure observation:
+  // nothing read back, so dispatch order and results are untouched.
   obs::MetricsRegistry* const metrics = obs::current_metrics();
   obs::MetricsRegistry::Counter* const event_counter =
       metrics != nullptr ? &metrics->counter("sim.events") : nullptr;
@@ -343,6 +344,11 @@ void Simulator::run() {
       slot.process->on_timer(ev.timer_kind, ctx);
     }
     if (stop_ && stop_(trace_)) break;
+  }
+
+  if (metrics != nullptr) {
+    metrics->counter("sim.far_events").add(queue_.far_pushes());
+    metrics->gauge("sim.queue_bytes").set(queue_.capacity_bytes());
   }
 }
 

@@ -9,16 +9,21 @@
 //
 // The event queue is the hot path of every experiment sweep: a two-level
 // bucketed queue (sim/bucket_queue.hpp) drains the exact (time, seq) total
-// order with O(1) push/pop, and an Event is a small POD-ish record whose
-// message payload is a refcounted MessageRef, so queue churn moves ~64
-// bytes and a refcount instead of deep-copying PD vectors per delivery.
+// order with O(1) push and amortized O(1) pop, near ticks in a ring and far
+// ones (the pre-GST deliveries) in page lists; only an event a whole turn
+// of the page slots (131,072 ticks) or more ahead is moved once more per
+// turn. An Event is a small POD-ish record whose message payload is a
+// refcounted MessageRef, so queue churn moves ~64 bytes and a refcount
+// instead of deep-copying PD vectors per delivery. The run's metrics get
+// the queue's retained bytes (sim.queue_bytes) and its pushes to page
+// lists (sim.far_events).
 //
-// Nothing is pre-sized: the queue buckets, the far-future heap and the
-// process table grow to the traffic a run produces (the queue only ever
-// holds what is in flight). A Simulator is *recyclable*: reset() returns it
-// to the just-constructed state while keeping every capacity it grew and
-// the signature memo (crypto::SignCache, a ContentMemo whose keys bind the
-// key seed, the signer and the payload).
+// Nothing is pre-sized: the queue buckets, the page-list chunk pool and
+// the process table grow to the traffic a run produces (the queue only
+// ever holds what is in flight). A Simulator is *recyclable*: reset()
+// returns it to the just-constructed state while keeping every capacity it
+// grew and the signature memo (crypto::SignCache, a ContentMemo whose keys
+// bind the key seed, the signer and the payload).
 // cup::RunContext drives this to run batch sweeps with near-zero per-run
 // setup cost; a reset simulator is observationally identical to a fresh
 // one (asserted by the recycling property suite and BatchRunner's
