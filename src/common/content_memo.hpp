@@ -40,14 +40,29 @@ class BFTCUP_THREAD_CONFINED ContentMemo {
   const V& insert(std::uint64_t a, std::uint64_t b, BytesView bytes,
                   V value) {
     Key key{a, b, Bytes(bytes.begin(), bytes.end()), hash_of(a, b, bytes)};
-    return map_.emplace(std::move(key), std::move(value)).first->second;
+    const auto [it, inserted] = map_.emplace(std::move(key), std::move(value));
+    if (inserted) key_bytes_ += it->first.bytes.capacity();
+    return it->second;
   }
 
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
+  /// Bytes the memo holds on the heap, in O(1): the bucket array, one node
+  /// per entry (a next pointer and the stored key and value; the noexcept
+  /// Hash means the node caches no hash code) and the stored key bytes.
+  /// Heap blocks a value owns are not counted.
+  [[nodiscard]] std::size_t capacity_bytes() const {
+    return map_.bucket_count() * sizeof(void*) +
+           map_.size() * (sizeof(void*) + sizeof(std::pair<const Key, V>)) +
+           key_bytes_;
+  }
+
   /// Drops every entry but keeps the buckets: the owner's cap valve, never
   /// needed for soundness.
-  void clear() { map_.clear(); }
+  void clear() {
+    map_.clear();
+    key_bytes_ = 0;
+  }
 
  private:
   static std::size_t hash_of(std::uint64_t a, std::uint64_t b,
@@ -98,6 +113,7 @@ class BFTCUP_THREAD_CONFINED ContentMemo {
   };
 
   std::unordered_map<Key, V, Hash, Eq> map_;
+  std::size_t key_bytes_ = 0;  ///< capacity of every stored key's bytes
 };
 
 }  // namespace bftcup

@@ -99,19 +99,22 @@ void Sha256::update(BytesView data) {
 }
 
 Digest Sha256::finalize() {
+  // Padding (FIPS 180-4 §5.1.1), written into the block buffer in place:
+  // the 0x80 byte, zeros up to 56 mod 64, then the message length in bits,
+  // big-endian. update() leaves at most 63 bytes buffered, so the 0x80 byte
+  // always fits; past byte 56 the length needs a second block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(BytesView(&zero, 1));
-
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  // update() counts these bytes in total_len_, but total_len_ is no longer
-  // consulted: bit_len was latched above.
-  update(BytesView(len_bytes, 8));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

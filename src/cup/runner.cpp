@@ -202,6 +202,7 @@ RunReport execute_scenario(
   registry.counter("engine.big_scc_fallbacks");
   registry.gauge("proc.peak_rss_bytes").set_max(peak_rss_bytes());
   registry.gauge("engine.contexts_recycled").set(contexts_recycled);
+  registry.gauge("membership.eval_memo_bytes").set(eval_cache.capacity_bytes());
   report.metrics = registry.snapshot();
   report.evaluations = report.metrics.counter("eval.requested");
   report.eval_cache_hits = report.metrics.counter("eval.cache_hits");

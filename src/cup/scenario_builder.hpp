@@ -66,8 +66,8 @@ class ScenarioBuilder {
   ScenarioBuilder& fake_pd(ProcessId id, IdSet advertised);
 
   // --- fault timeline (dynamic adversary) ---------------------------------
-  // Scheduled faults interleave with deliveries under the deterministic
-  // (time, seq) order; see sim/fault_timeline.hpp for the exact semantics.
+  // Scheduled faults interleave with deliveries in the deterministic queue
+  // order; see sim/fault_timeline.hpp for the exact semantics.
   // A crashed *correct* process cannot decide, so a crash without a matching
   // recover_at before the horizon yields NO-TERMINATION by construction.
 

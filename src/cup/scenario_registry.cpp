@@ -80,13 +80,18 @@ void register_table1(ScenarioRegistry& registry) {
                   }});
     registry.add(
         {std::string("table1/async/") + cell.knowledge,
-         "Table I, asynchronous row: no GST within the horizon, two correct "
-         "processes starved; must not decide (FLP witness)",
+         "Table I, asynchronous row: GST at kSimTimeMax/2, so every pre-GST "
+         "delay is drawn up to GST and no message is delivered within the "
+         "horizon; must not decide (FLP witness)",
          {"table1", "async", cell.knowledge},
          [cell](std::uint64_t seed) {
-           // The adversary freezes the traffic of enough correct processes
-           // to starve every quorum — allowed in a truly asynchronous
-           // system, where "slow" and "crashed" are indistinguishable.
+           // With GST at kSimTimeMax/2 the base policy draws each pre-GST
+           // delivery uniformly over [t+1, GST+δ], so every one lands past
+           // the 400,000-tick horizon and the run delivers nothing at all
+           // (ScenarioRegistryTest.AsyncWitnessesDeliverNoMessage). The
+           // SlowSenderPolicy holding the traffic of p1 and p2 until GST
+           // therefore changes nothing: it draws nothing of its own and
+           // only postpones deliveries that already fall past the horizon.
            const IdSet frozen{p(1), p(2)};
            return ScenarioBuilder(cell.instance())
                .mode(cell.mode)

@@ -1,23 +1,25 @@
 // Two-level bucketed event queue for the simulator hot path.
 //
 // A calendar queue (Brown, CACM 1988) specialized for the simulator's
-// access pattern: time only moves forward, and events must drain in exact
-// (time, seq) order — the total order the golden digest corpus pins. Time
-// is cut into pages of kPageTicks ticks.
+// access pattern: time only moves forward, and events must drain in time
+// order, events of one tick in the order they were pushed — the total
+// order the golden digest corpus pins. The queue keeps that order by
+// construction and compares no sequence numbers. Time is cut into pages of
+// kPageTicks ticks.
 //
 //  * Near future: a ring of one-tick buckets covering the current page and
-//    the next. push is an append (events for one tick arrive in ascending
-//    seq by construction, so a bucket is always seq-sorted); pop is a
-//    cursor bump. O(1) both ways, no comparator, no sift.
+//    the next. push is an append, so a bucket holds its tick's events in
+//    push order; pop is a cursor bump. O(1) both ways, no comparator, no
+//    sift.
 //  * Far future (two pages ahead or more): page lists. A push appends the
-//    event to its page's list, in push order, which is seq order. Entering
-//    page q moves page q+1's list into the ring: its ring buckets held page
-//    q-1, already drained, and no direct push could reach page q+1 before
-//    that moment, so every bucket receives its list events ahead of any
-//    direct push and stays seq-sorted. With the ring empty, pop jumps to
-//    the first page holding events and moves it and the next in. An event
-//    is so moved once: O(1) push and amortized O(1) pop, where a heap
-//    would pay O(log n) for each of the pre-GST deliveries of a partially
+//    event to its page's list, in push order. Entering page q moves page
+//    q+1's list into the ring: its ring buckets held page q-1, already
+//    drained, and no direct push could reach page q+1 before that moment,
+//    so every bucket receives its list events ahead of any direct push and
+//    stays in push order. With the ring empty, pop jumps to the first page
+//    holding events and moves it and the next in. An event is so moved
+//    once: O(1) push and amortized O(1) pop, where a heap would pay
+//    O(log n) for each of the pre-GST deliveries of a partially
 //    synchronous run.
 //
 // Page lists live in kPageSlots slots, page p in slot p mod kPageSlots (a
@@ -43,9 +45,8 @@
 // simulator replays its next run without re-growing the queue — the
 // RunContext steady state.
 //
-// Ev must be default-constructible and expose `.time` (SimTime,
-// non-negative, never below the last popped time) and `.seq` (unique,
-// strictly increasing across pushes).
+// Ev must be default-constructible and movable and expose `.time`
+// (SimTime, non-negative, never below the last popped time).
 #pragma once
 
 #include <algorithm>
@@ -74,7 +75,8 @@ class BucketQueue {
   /// Page-list slots: one turn covers 131,072 ticks, past the latest GST
   /// of every paper scenario.
   static constexpr std::size_t kPageSlots = 256;
-  /// Events per page-list chunk (a 2 KiB chunk for a 64-byte event).
+  /// Events per page-list chunk (a 1 KiB chunk for the simulator's
+  /// 32-byte event).
   static constexpr std::size_t kChunkEvents = 32;
   /// A drained bucket keeps a buffer with room for at most this many
   /// events; a bigger one goes onto the spare list.
@@ -106,8 +108,8 @@ class BucketQueue {
     append(slots_[page % kPageSlots], page, std::move(ev));
   }
 
-  /// Removes and returns the (time, seq)-minimal event. Precondition:
-  /// !empty().
+  /// Removes and returns the earliest event, the first pushed among
+  /// events of its tick. Precondition: !empty().
   Ev pop() {
     assert(size_ > 0);
     for (;;) {

@@ -4,10 +4,10 @@
 // Byzantine from t=0 or correct forever. The paper's adversary is stronger —
 // it controls *when* faults manifest. A FaultTimeline is an ordered script
 // of fault actions the simulator turns into ordinary queue events, so fault
-// state changes interleave with deliveries and timers under the same
-// (time, seq) order and the seeded bit-replay guarantee extends to fault
-// scenarios unchanged. An empty timeline costs nothing and leaves every
-// pre-existing run byte-identical.
+// state changes interleave with deliveries and timers in the same order
+// (by time, and in push order within a tick) and the seeded bit-replay
+// guarantee extends to fault scenarios unchanged. An empty timeline costs
+// nothing and leaves every pre-existing run byte-identical.
 //
 // Semantics (documented here once, asserted by fault_timeline_test):
 //  - crash(p, t):   from t on, deliveries and timers addressed to p are

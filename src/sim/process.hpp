@@ -14,11 +14,11 @@ class Simulator;
 /// messages to processes it knows, arm timers, sign as itself, verify any
 /// signature, and record a decision. It can NOT reach other processes'
 /// state, keys, or the global membership — the capability set mirrors the
-/// paper's model exactly.
+/// paper's model exactly. Only the Simulator makes one: it carries the
+/// process's slot in the simulator's ProcessTable, so sends and timers
+/// queue their events without looking the caller up.
 class Context {
  public:
-  Context(Simulator* sim, ProcessId self) : sim_(sim), self_(self) {}
-
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] ProcessId self() const { return self_; }
 
@@ -27,7 +27,7 @@ class Context {
   void send(ProcessId to, msg::MessageRef message);
 
   /// Convenience broadcast: freezes `message` into one shared payload, then
-  /// fans out refcount bumps. Prefer the MessageRef overload when the same
+  /// fans out handle copies. Prefer the MessageRef overload when the same
   /// payload is reused across calls (periodic polls, cached replies).
   void broadcast(const IdSet& to, const msg::Message& message);
   void broadcast(const IdSet& to, const msg::MessageRef& message);
@@ -46,8 +46,14 @@ class Context {
   void report_membership(const IdSet& members);
 
  private:
+  friend class Simulator;
+
+  Context(Simulator* sim, ProcessId self, std::uint32_t slot)
+      : sim_(sim), self_(self), slot_(slot) {}
+
   Simulator* sim_;
   ProcessId self_;
+  std::uint32_t slot_;  ///< self's index in the simulator's ProcessTable
 };
 
 class Process {

@@ -10,7 +10,7 @@ void ProcessTable::add(std::unique_ptr<Process> process) {
   const ProcessId id = process->id();
   assert(!index_.contains(id) && "duplicate process id");
   index_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
-  slots_.push_back(Slot{std::move(process)});
+  slots_.push_back(Slot{id, std::move(process)});
 }
 
 void ProcessTable::clear() {
@@ -22,12 +22,9 @@ void ProcessTable::clear() {
 void ProcessTable::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  std::sort(slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
-    return a.process->id() < b.process->id();
-  });
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    index_[slots_[i].process->id()] = i;
-  }
+  std::sort(slots_.begin(), slots_.end(),
+            [](const Slot& a, const Slot& b) { return a.id < b.id; });
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) index_[slots_[i].id] = i;
 }
 
 }  // namespace bftcup::sim

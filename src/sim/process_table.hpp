@@ -1,11 +1,14 @@
 // Dense per-process storage for the simulator hot path.
 //
 // A ProcessTable resolves a ProcessId to a dense index with one hash lookup
-// and keeps what a dispatch touches in one slot vector: the process and its
-// up/down bits. A process signs through Context::signer(), which binds the
-// context's own id, since a process signs only as itself (§II-A). Slots are
-// sorted by id when the table is finalized, so start-up order — and with it
-// the seeded bit-replay digest — is ascending id order.
+// and keeps what a dispatch touches in one slot vector: the id, the process
+// and its up/down bits. The simulator resolves a recipient once, when the
+// message is sent; its queued event then carries slot indices, so dispatch
+// reads the slot vector directly. A process signs through
+// Context::signer(), which binds the context's own id, since a process
+// signs only as itself (§II-A). Slots are sorted by id when the table is
+// finalized, so start-up order — and with it the seeded bit-replay digest —
+// is ascending id order.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +23,7 @@ namespace bftcup::sim {
 class ProcessTable {
  public:
   struct Slot {
+    ProcessId id;  ///< process->id(), read on dispatch without touching it
     std::unique_ptr<Process> process;
     // Fault state. Joined/crashed are orthogonal so crash/recover/join
     // actions compose in any order; on_start fires exactly once, at the
@@ -32,10 +36,6 @@ class ProcessTable {
   };
 
   static constexpr std::uint32_t kNoIndex = 0xffffffffU;
-
-  [[nodiscard]] bool contains(ProcessId id) const {
-    return index_.contains(id);
-  }
 
   /// Registers a process. Must precede finalize(); duplicate ids are the
   /// caller's bug.

@@ -30,11 +30,11 @@ SimTime Context::now() const {
 }
 
 void Context::send(ProcessId to, msg::Message message) {
-  sim_->do_send(self_, to, msg::MessageRef::make(std::move(message)));
+  sim_->do_send(slot_, to, msg::MessageRef::make(std::move(message)));
 }
 
 void Context::send(ProcessId to, msg::MessageRef message) {
-  sim_->do_send(self_, to, std::move(message));
+  sim_->do_send(slot_, to, std::move(message));
 }
 
 void Context::broadcast(const IdSet& to, const msg::Message& message) {
@@ -43,12 +43,12 @@ void Context::broadcast(const IdSet& to, const msg::Message& message) {
 
 void Context::broadcast(const IdSet& to, const msg::MessageRef& message) {
   for (ProcessId id : to) {
-    if (id != self_) sim_->do_send(self_, id, message);
+    if (id != self_) sim_->do_send(slot_, id, message);
   }
 }
 
 void Context::set_timer(SimTime delay, int kind) {
-  sim_->do_set_timer(self_, delay, kind);
+  sim_->do_set_timer(slot_, delay, kind);
 }
 
 crypto::Signer Context::signer() const {
@@ -92,7 +92,6 @@ void Simulator::reset(Options options) {
   // signer, and the payload, so every retained entry is still the correct
   // signature. configure() re-attaches it per the run's knob.
   registry_.reset(options_.seed ^ 0xb5f7c0deULL);
-  next_seq_ = 0;
   now_ = 0;
   started_ = false;
   configure();
@@ -125,14 +124,17 @@ void Simulator::set_fault_timeline(FaultTimeline timeline) {
   timeline_ = std::move(timeline);
 }
 
-void Simulator::do_send(ProcessId from, ProcessId to, msg::MessageRef message) {
+void Simulator::do_send(std::uint32_t from_slot, ProcessId to,
+                        msg::MessageRef message) {
   trace_.record_send(message.encoded_size(), message->type);
+  const ProcessId from = table_.slot(from_slot).id;
   if (timeline_active_ && timeline_.is_link_down(from, to)) {
     // Lost on the wire: sent (and counted as such), never queued.
     trace_.record_drop();
     return;
   }
-  if (!table_.contains(to)) {
+  const std::uint32_t to_slot = table_.index_of(to);
+  if (to_slot == ProcessTable::kNoIndex) {
     // Sending to an id that does not exist (e.g. learned from a lying PD)
     // silently drops: there is no process to deliver to.
     return;
@@ -157,19 +159,17 @@ void Simulator::do_send(ProcessId from, ProcessId to, msg::MessageRef message) {
         ev.time > kSimTimeMax - extra ? kSimTimeMax : ev.time + extra;
     ev.time = std::min(jittered, synchrony_cap(now_, options_.net));
   }
-  ev.seq = next_seq_++;
   ev.kind = Event::Kind::kDelivery;
-  ev.from = from;
-  ev.to = to;
+  ev.from = from_slot;
+  ev.to = to_slot;
   ev.message = std::move(message);
   if (ev.time >= options_.horizon) return;  // never materializes in the run
   queue_.push(std::move(ev));
 }
 
-void Simulator::do_set_timer(ProcessId who, SimTime delay, int kind) {
+void Simulator::do_set_timer(std::uint32_t who, SimTime delay, int kind) {
   Event ev;
   ev.time = now_ + std::max<SimTime>(delay, 1);
-  ev.seq = next_seq_++;
   ev.kind = Event::Kind::kTimer;
   ev.to = who;
   ev.timer_kind = kind;
@@ -199,8 +199,9 @@ void Simulator::schedule_fault_actions() {
   // Fault actions apply before any same-time event. For t=0 that includes
   // the on_start calls themselves — a window opening at 0 must already be
   // in force when start-up traffic is sent — so t=0 actions are applied
-  // here instead of queued. Later actions are queued first (low seq), so
-  // at equal times faults still precede deliveries and timers.
+  // here instead of queued. Later actions are queued first, before any
+  // start-up traffic, so at equal times faults still precede deliveries and
+  // timers.
   for (std::uint32_t i = 0; i < actions.size(); ++i) {
     if (actions[i].at <= 0) {
       apply_fault(actions[i]);
@@ -209,19 +210,19 @@ void Simulator::schedule_fault_actions() {
     if (actions[i].at >= options_.horizon) continue;
     Event ev;
     ev.time = actions[i].at;
-    ev.seq = next_seq_++;
     ev.kind = Event::Kind::kFault;
     ev.fault_index = i;
     queue_.push(std::move(ev));
   }
 }
 
-/// Starts the process if this transition made it up for the first time,
-/// or resumes it if it was already started. Must be called after a slot's
-/// joined/crashed state changed upward.
-void Simulator::start_or_resume(ProcessTable::Slot& slot) {
+/// Starts the process in slot `index` if this transition made it up for
+/// the first time, or resumes it if it was already started. Must be called
+/// after the slot's joined/crashed state changed upward.
+void Simulator::start_or_resume(std::uint32_t index) {
+  ProcessTable::Slot& slot = table_.slot(index);
   if (!slot.up()) return;
-  Context ctx(this, slot.process->id());
+  Context ctx(this, slot.id, index);
   if (!slot.started) {
     slot.started = true;
     slot.process->on_start(ctx);
@@ -232,21 +233,25 @@ void Simulator::start_or_resume(ProcessTable::Slot& slot) {
 
 void Simulator::apply_fault(const FaultAction& action) {
   timeline_.apply(action);
-  ProcessTable::Slot* slot = table_.find(action.subject);
+  // Crash, recover and join act on the subject's slot; an id the run holds
+  // no process for has none.
+  const std::uint32_t index = table_.index_of(action.subject);
+  if (index == ProcessTable::kNoIndex) return;
+  ProcessTable::Slot& slot = table_.slot(index);
   switch (action.kind) {
     case FaultAction::Kind::kCrash:
-      if (slot != nullptr) slot->crashed = true;
+      slot.crashed = true;
       break;
     case FaultAction::Kind::kRecover:
-      if (slot != nullptr && slot->crashed) {
-        slot->crashed = false;
-        start_or_resume(*slot);
+      if (slot.crashed) {
+        slot.crashed = false;
+        start_or_resume(index);
       }
       break;
     case FaultAction::Kind::kJoin:
-      if (slot != nullptr && !slot->joined) {
-        slot->joined = true;
-        start_or_resume(*slot);
+      if (!slot.joined) {
+        slot.joined = true;
+        start_or_resume(index);
       }
       break;
     case FaultAction::Kind::kLinkDown:
@@ -264,9 +269,9 @@ void Simulator::apply_fault(const FaultAction& action) {
 /// PDs, signatures, quorum cert — is attacker-controlled. Rejected frames
 /// are counted and dropped; accepted ones are delivered as decoded, which
 /// for an unmutated frame is bit-identical to the original message.
-void Simulator::deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
-                                 Context& ctx) {
-  const Bytes frame = msg::encode_frame(*ev.message);
+void Simulator::deliver_via_wire(ProcessTable::Slot& slot, ProcessId from,
+                                 const msg::Message& message, Context& ctx) {
+  const Bytes frame = msg::encode_frame(message);
   WireMutator::Result result = wire_->process(frame);
   if (result.kind) {
     count_wire_fault("wire.frames_mutated");
@@ -278,7 +283,7 @@ void Simulator::deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
       count_wire_fault("wire.frames_rejected");
       continue;
     }
-    slot.process->on_message(ev.from, *decoded, ctx);
+    slot.process->on_message(from, *decoded, ctx);
   }
 }
 
@@ -305,7 +310,7 @@ void Simulator::run() {
     // action; a join at t=0 may have started its process already.
     if (!slot.up() || slot.started) continue;
     slot.started = true;
-    Context ctx(this, slot.process->id());
+    Context ctx(this, slot.id, i);
     slot.process->on_start(ctx);
   }
 
@@ -322,25 +327,24 @@ void Simulator::run() {
       continue;  // fault actions never touch the trace; skip the stop check
     }
 
-    const std::uint32_t index = table_.index_of(ev.to);
-    if (index == ProcessTable::kNoIndex) continue;
-    ProcessTable::Slot& slot = table_.slot(index);
+    ProcessTable::Slot& slot = table_.slot(ev.to);
     if (!slot.up()) {
       // Crashed or not yet joined: deliveries are lost, timers lapse.
       if (ev.kind == Event::Kind::kDelivery) trace_.record_drop();
       continue;
     }
-    Context ctx(this, ev.to);
+    Context ctx(this, slot.id, ev.to);
     if (ev.kind == Event::Kind::kDelivery) {
       trace_.record_delivery();
-      const obs::ScopedSpan span("sim.dispatch.delivery", ev.to.raw());
+      const obs::ScopedSpan span("sim.dispatch.delivery", slot.id.raw());
+      const ProcessId from = table_.slot(ev.from).id;
       if (wire_ && wire_->targets(ev.message->type)) {
-        deliver_via_wire(slot, ev, ctx);
+        deliver_via_wire(slot, from, *ev.message, ctx);
       } else {
-        slot.process->on_message(ev.from, *ev.message, ctx);
+        slot.process->on_message(from, *ev.message, ctx);
       }
     } else {
-      const obs::ScopedSpan span("sim.dispatch.timer", ev.to.raw());
+      const obs::ScopedSpan span("sim.dispatch.timer", slot.id.raw());
       slot.process->on_timer(ev.timer_kind, ctx);
     }
     if (stop_ && stop_(trace_)) break;
@@ -349,6 +353,7 @@ void Simulator::run() {
   if (metrics != nullptr) {
     metrics->counter("sim.far_events").add(queue_.far_pushes());
     metrics->gauge("sim.queue_bytes").set(queue_.capacity_bytes());
+    metrics->gauge("crypto.sign_memo_bytes").set(sign_cache_.capacity_bytes());
   }
 }
 

@@ -8,15 +8,18 @@
 // did in the run's metrics registry (wire.*).
 //
 // The event queue is the hot path of every experiment sweep: a two-level
-// bucketed queue (sim/bucket_queue.hpp) drains the exact (time, seq) total
-// order with O(1) push and amortized O(1) pop, near ticks in a ring and far
-// ones (the pre-GST deliveries) in page lists; only an event a whole turn
-// of the page slots (131,072 ticks) or more ahead is moved once more per
-// turn. An Event is a small POD-ish record whose message payload is a
-// refcounted MessageRef, so queue churn moves ~64 bytes and a refcount
-// instead of deep-copying PD vectors per delivery. The run's metrics get
-// the queue's retained bytes (sim.queue_bytes) and its pushes to page
-// lists (sim.far_events).
+// bucketed queue (sim/bucket_queue.hpp) drains events in time order, and
+// events of one tick in push order, with O(1) push and amortized O(1) pop,
+// near ticks in a ring and far ones (the pre-GST deliveries) in page
+// lists; only an event a whole turn of the page slots (131,072 ticks) or
+// more ahead is moved once more per turn. An Event is a 32-byte record:
+// its sender and receiver are ProcessTable slot indices, resolved once
+// when the message is sent, so dispatch indexes the slot vector with no id
+// lookup, and its payload is a MessageRef, so queue churn moves 32 bytes
+// and bumps a plain counter instead of deep-copying PD vectors per
+// delivery. The run's metrics get the queue's retained bytes
+// (sim.queue_bytes), the signature memo's (crypto.sign_memo_bytes) and the
+// queue's pushes to page lists (sim.far_events).
 //
 // Nothing is pre-sized: the queue buckets, the page-list chunk pool and
 // the process table grow to the traffic a run produces (the queue only
@@ -105,31 +108,35 @@ class Simulator {
   friend class Context;
 
   /// Queue record. Deliveries reference a shared immutable payload; timers
-  /// and fault actions carry no payload at all.
+  /// and fault actions carry no payload at all. Events of one tick drain in
+  /// push order (the queue's guarantee), which is the FIFO tie-break the
+  /// digests pin, so the record carries no sequence number.
   struct Event {
     SimTime time = 0;
-    std::uint64_t seq = 0;  ///< FIFO tie-break => determinism
-    ProcessId from;
-    ProcessId to;
     msg::MessageRef message;
-    std::int32_t timer_kind = 0;
-    std::uint32_t fault_index = 0;  ///< into FaultTimeline::actions()
+    std::uint32_t to = 0;    ///< receiver's slot (deliveries and timers)
+    std::uint32_t from = 0;  ///< sender's slot (deliveries)
+    union {
+      std::int32_t timer_kind = 0;  ///< kTimer
+      std::uint32_t fault_index;    ///< kFault: into FaultTimeline::actions()
+    };
     enum class Kind : std::uint8_t { kDelivery, kTimer, kFault };
     Kind kind = Kind::kDelivery;
   };
+  static_assert(sizeof(Event) == 32, "an Event is half a cache line");
 
-  // Context entry points.
-  void do_send(ProcessId from, ProcessId to, msg::MessageRef message);
-  void do_set_timer(ProcessId who, SimTime delay, int kind);
+  // Context entry points. `from_slot` and `who` are the caller's slot.
+  void do_send(std::uint32_t from_slot, ProcessId to, msg::MessageRef message);
+  void do_set_timer(std::uint32_t who, SimTime delay, int kind);
   void do_decide(ProcessId who, Value value);
   void do_report_membership(ProcessId who, const IdSet& members);
 
   void schedule_fault_actions();
   void apply_fault(const FaultAction& action);
-  void start_or_resume(ProcessTable::Slot& slot);
+  void start_or_resume(std::uint32_t index);
   void configure();
-  void deliver_via_wire(ProcessTable::Slot& slot, const Event& ev,
-                        Context& ctx);
+  void deliver_via_wire(ProcessTable::Slot& slot, ProcessId from,
+                        const msg::Message& message, Context& ctx);
 
   Options options_;
   Rng rng_;
@@ -143,7 +150,6 @@ class Simulator {
   FaultTimeline timeline_;
   bool timeline_active_ = false;
   BucketQueue<Event> queue_;
-  std::uint64_t next_seq_ = 0;
   SimTime now_ = 0;
   bool started_ = false;
   Trace trace_;

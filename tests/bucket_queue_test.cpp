@@ -1,5 +1,7 @@
-// The bucketed event queue must drain the exact (time, seq) total order a
-// binary heap would — the golden digest corpus sits on top of it. These
+// The bucketed event queue must drain events by time and, within a tick,
+// in push order: the exact (time, seq) total order a binary heap would,
+// where each test numbers its pushes in `seq` (the queue itself reads no
+// such field) — the golden digest corpus sits on top of it. These
 // tests cross-validate against std::priority_queue on randomized
 // workloads spanning both levels (near-future ring and far-future page
 // lists, pages a whole turn of the page slots apart included) and on the

@@ -55,10 +55,27 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256Test, ExactBlockBoundary) {
-  const Bytes b55(55, 'x'), b56(56, 'x'), b64(64, 'x'), b65(65, 'x');
-  // Distinct lengths around the padding boundary must hash differently.
-  EXPECT_NE(sha256(b55), sha256(b56));
-  EXPECT_NE(sha256(b64), sha256(b65));
+  // 'a' x n around both padding boundaries: at 55 (and 119) bytes the 0x80
+  // byte and the length share the last block; from 56 (and 120) on, the
+  // length spills into a block of its own; 63 and 64 leave the 0x80 byte
+  // the last byte of a block or the first of a fresh one. Expected values
+  // from Python's hashlib.
+  const struct {
+    std::size_t n;
+    const char* digest;
+  } vectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& v : vectors) {
+    EXPECT_EQ(hex_digest(sha256(Bytes(v.n, 'a'))), v.digest) << v.n;
+  }
 }
 
 // RFC 4231 test case 1 and 2.

@@ -74,6 +74,37 @@ TEST(ContentMemoTest, KeysDifferingInOneFieldFindTheirOwnValues) {
   EXPECT_EQ(memo.find(2000, 0, prefix(0)), nullptr);
 }
 
+TEST(ContentMemoTest, ByteGaugeCountsStoredKeysAndKeepsBucketsOnClear) {
+  // Two memos with the same number of entries, one with 1-byte keys and
+  // one with 500-byte keys: the gauge rises by at least the key bytes, and
+  // clear() leaves both at the same bucket-only reading.
+  ContentMemo<int> short_keys;
+  ContentMemo<int> long_keys;
+  const std::size_t empty = long_keys.capacity_bytes();
+  constexpr int kEntries = 100;
+  std::size_t key_bytes = 0;
+  for (int i = 0; i < kEntries; ++i) {
+    const auto u = static_cast<std::uint64_t>(i);
+    const Bytes key(500, static_cast<std::uint8_t>(i));
+    key_bytes += key.size();
+    long_keys.insert(u, 0, key, i);
+    short_keys.insert(u, 0, Bytes(1, 0), i);
+  }
+  const std::size_t full = long_keys.capacity_bytes();
+  EXPECT_GE(full, empty + key_bytes);
+  EXPECT_GE(full, short_keys.capacity_bytes() + key_bytes - kEntries);
+  // A kept duplicate stores nothing new.
+  long_keys.insert(0, 0, Bytes(500, 0), -1);
+  EXPECT_EQ(long_keys.capacity_bytes(), full);
+
+  long_keys.clear();
+  short_keys.clear();
+  EXPECT_EQ(long_keys.capacity_bytes(), short_keys.capacity_bytes());
+  EXPECT_LE(long_keys.capacity_bytes() + key_bytes, full);
+  // The buckets stay: at least one per entry the memo held.
+  EXPECT_GE(long_keys.capacity_bytes(), kEntries * sizeof(void*));
+}
+
 TEST(SharedEvalCacheTest, CanonicalViewBytesAreBigEndianWords) {
   // The memo key layout: the prefix, then known (count, ids), then the PD
   // count and each (owner, count, ids), every field one big-endian u64.

@@ -90,5 +90,25 @@ TEST(ScenarioRegistryTest, RunExecutesARegisteredScenario) {
   EXPECT_EQ(report.verdict(), "SOLVED");
 }
 
+TEST(ScenarioRegistryTest, AsyncWitnessesDeliverNoMessage) {
+  // The asynchronous Table I row puts GST at kSimTimeMax/2, so every
+  // pre-GST delivery is drawn past the horizon: the witnesses do not
+  // decide because nothing is delivered, not because two correct processes
+  // are starved. A witness that delivers must move this test and the six
+  // table1/async digests pinned in determinism_test together.
+  const ScenarioRegistry& registry = ScenarioRegistry::paper();
+  const auto names = registry.names_with_tag("async");
+  ASSERT_EQ(names.size(), 3u);
+  for (const auto& name : names) {
+    for (const std::uint64_t seed : {1u, 7u}) {
+      const RunReport report = registry.run(name, seed);
+      EXPECT_GT(report.messages_sent, 0u) << name << " seed " << seed;
+      EXPECT_EQ(report.messages_delivered, 0u) << name << " seed " << seed;
+      EXPECT_EQ(report.verdict(), "NO-TERMINATION")
+          << name << " seed " << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bftcup::cup

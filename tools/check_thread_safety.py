@@ -35,6 +35,7 @@ ANNOTATED_HEADERS = (
     "src/common/thread_annotations.hpp",
     "src/protocol/eval_cache.hpp",
     "src/common/content_memo.hpp",
+    "src/msg/message_ref.hpp",
 )
 
 SKIP_EXIT_CODE = 77
