@@ -6,12 +6,17 @@
 // periphery, the membership engine's target regime):
 //
 //  - seed-sweep/<n>: one scenario crossed with 32 seeds, the BatchRunner
-//    pattern. Pooling recycles the simulator (with its signature memo) and
-//    the evaluation memo; the converged views of the topology are
-//    identical across seeds, so the exponential membership searches of the
-//    steady state are answered from the retained evaluation memo.
+//    pattern. Pooling recycles the simulator's grown capacities and the
+//    evaluation memo; the converged views of the topology are identical
+//    across seeds, so the exponential membership searches of the steady
+//    state are answered from the retained evaluation memo.
 //  - replay/<n>: the same (scenario, seed) 32 times, the shrinker / CI
-//    replay pattern. Every cache layer converges to 100% hits.
+//    replay pattern. The evaluation memo converges to 100% hits.
+//
+// Neither side keeps signatures between runs: a run's keys derive from its
+// seed, so every run, pooled or fresh, signs and verifies with an empty
+// signature memo. Pooled and fresh legs therefore differ only in the
+// simulator's setup and the evaluation memo.
 //
 // Each leg also cross-checks that the pooled digests match the fresh
 // digests run by run — a bench that got faster by diverging would abort.

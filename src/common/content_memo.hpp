@@ -1,10 +1,11 @@
 // A content-addressed memo: (word a, word b, byte string) -> V.
 //
 // The engine's two memos are instances: the signature memo
-// (crypto::SignCache, keyed by key seed, signer and payload) and the shared
-// membership evaluation memo (protocol::SharedEvalCache, keyed by the
-// search parameter, the strategy key's length, and the strategy key
-// followed by the canonical view bytes). Each stores a pure function of its
+// (crypto::SignCache, keyed by key seed, signer and payload, and owned by
+// one run's crypto::KeyRegistry) and the shared membership evaluation memo
+// (protocol::SharedEvalCache, keyed by the search parameter, the strategy
+// key's length, and the strategy key followed by the canonical view bytes,
+// and kept by a RunContext across runs). Each stores a pure function of its
 // key, so a retained entry is always the exact answer.
 //
 // Keys are the raw contents themselves. FNV-1a (common/fnv.hpp) only picks
@@ -24,7 +25,7 @@
 
 namespace bftcup {
 
-/// Owned by one Simulator or RunContext, so never shared across threads.
+/// Owned by one KeyRegistry or RunContext, so never shared across threads.
 template <typename V>
 class BFTCUP_THREAD_CONFINED ContentMemo {
  public:
@@ -57,8 +58,8 @@ class BFTCUP_THREAD_CONFINED ContentMemo {
            key_bytes_;
   }
 
-  /// Drops every entry but keeps the buckets: the owner's cap valve, never
-  /// needed for soundness.
+  /// Drops every entry but keeps the buckets: the eval memo's cap valve in
+  /// RunContext, never needed for soundness.
   void clear() {
     map_.clear();
     key_bytes_ = 0;

@@ -41,8 +41,9 @@
 
 /// Documentation-only marker: the tagged type is deliberately *not*
 /// mutex-protected because it is thread-confined — owned by exactly one
-/// Simulator / RunContext / pool worker and never shared across threads
-/// (ContentMemo, whose instances are SharedEvalCache and crypto::SignCache).
+/// KeyRegistry / Simulator / RunContext / pool worker and never shared
+/// across threads (ContentMemo, whose instances are SharedEvalCache, one
+/// per RunContext, and crypto::SignCache, one per KeyRegistry).
 /// The TSan CI preset is the dynamic check of this claim; README "Static
 /// analysis" records the audit. Greppable on purpose.
 #define BFTCUP_THREAD_CONFINED

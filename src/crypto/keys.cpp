@@ -20,12 +20,8 @@ Bytes derive_process_secret(std::uint64_t key_seed, ProcessId id) {
 
 }  // namespace
 
-KeyRegistry::KeyRegistry(std::uint64_t system_seed) : seed_(system_seed) {}
-
-void KeyRegistry::reset(std::uint64_t system_seed) {
-  if (seed_ != system_seed) secrets_.clear();  // clear() keeps the buckets
-  seed_ = system_seed;
-}
+KeyRegistry::KeyRegistry(std::uint64_t system_seed, bool memoize)
+    : seed_(system_seed), memoize_(memoize) {}
 
 const Bytes& KeyRegistry::secret_for(ProcessId id) {
   auto it = secrets_.find(id);
@@ -37,13 +33,13 @@ const Bytes& KeyRegistry::secret_for(ProcessId id) {
 
 Signature KeyRegistry::memoized_signature(ProcessId id, BytesView message,
                                           bool& memo_hit) {
-  if (sign_cache_ == nullptr) return compute_signature(id, message);
-  if (const Signature* memo = sign_cache_->find(seed_, id.raw(), message)) {
+  if (!memoize_) return compute_signature(id, message);
+  if (const Signature* memo = sign_memo_.find(seed_, id.raw(), message)) {
     memo_hit = true;
     return *memo;
   }
-  return sign_cache_->insert(seed_, id.raw(), message,
-                             compute_signature(id, message));
+  return sign_memo_.insert(seed_, id.raw(), message,
+                           compute_signature(id, message));
 }
 
 Signature KeyRegistry::sign_as(ProcessId id, BytesView message) {

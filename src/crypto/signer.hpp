@@ -26,10 +26,10 @@ class Signer {
 };
 
 /// Verification capability: any process may check anyone's signature.
-/// Every call goes through KeyRegistry::verify, so a repeated (signer,
-/// payload) pair — re-delivered SignedPds, quorum certificates, forgery
-/// floods — is served from the registry's sign memo when one is attached
-/// (crypto::SignCache, crypto/keys.hpp).
+/// Every call goes through KeyRegistry::verify, so a (signer, payload) pair
+/// repeated within the run — re-delivered SignedPds, quorum certificates,
+/// forgery floods — is served from the registry's sign memo when it
+/// memoizes (crypto::SignCache, crypto/keys.hpp).
 class Verifier {
  public:
   explicit Verifier(KeyRegistry* registry) : registry_(registry) {}

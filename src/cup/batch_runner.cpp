@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
+#include <exception>
 #include <limits>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -319,23 +319,6 @@ BatchReport BatchRunner::run(std::vector<SweepPoint> points) const {
                  records[i] = summarize(points[i].scenario, points[i].seed,
                                         context.run(points[i].config));
                });
-
-  if (options_.verify_determinism) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      // Always a fresh context: this is the recycled-vs-fresh tripwire.
-      const RunRecord serial = summarize(points[i].scenario, points[i].seed,
-                                         run_scenario(points[i].config));
-      if (serial.digest != records[i].digest) {
-        throw std::logic_error(
-            "BatchRunner: nondeterministic run detected for (" +
-            points[i].scenario + ", seed " +
-            std::to_string(points[i].seed) +
-            "): pooled digest " + records[i].digest + " != serial digest " +
-            serial.digest);
-      }
-    }
-  }
-
   return BatchReport(std::move(records));
 }
 
@@ -346,18 +329,6 @@ std::vector<RunReport> BatchRunner::run_reports(
                [&](std::size_t i, RunContext& context) {
                  reports[i] = context.run(points[i].config);
                });
-
-  if (options_.verify_determinism) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const RunReport serial = run_scenario(points[i].config);
-      if (serial.digest() != reports[i].digest()) {
-        throw std::logic_error(
-            "BatchRunner: nondeterministic run detected for (" +
-            points[i].scenario + ", seed " + std::to_string(points[i].seed) +
-            ")");
-      }
-    }
-  }
   return reports;
 }
 

@@ -9,8 +9,8 @@
 // per-run CSV export.
 //
 // Determinism: the simulator guarantees bit-identical replay for a
-// (scenario, seed) pair. `Options::verify_determinism` re-runs every point
-// serially after the pool drains and asserts the report digests match.
+// (scenario, seed) pair, on a recycled context or a fresh one
+// (BatchRunnerTest.ParallelSweepMatchesSerialBitForBit).
 #pragma once
 
 #include <cstdio>
@@ -166,10 +166,6 @@ class BatchRunner {
  public:
   struct Options {
     std::size_t threads = 0;  ///< 0 = hardware concurrency
-    /// Re-run every point serially on a *fresh* context and assert digest
-    /// equality with the pooled run — both the simulator's bit-replay
-    /// guarantee and the run engine's recycling tripwire. Doubles the work.
-    bool verify_determinism = false;
   };
 
   BatchRunner() = default;
@@ -181,7 +177,7 @@ class BatchRunner {
   /// Executes the points through the same pool but returns the full
   /// RunReports, indexed like `points`. The adversary explorer needs
   /// coverage features (message-type histogram, memberships) that the
-  /// flattened RunRecord drops. `Options::verify_determinism` applies.
+  /// flattened RunRecord drops.
   [[nodiscard]] std::vector<RunReport> run_reports(
       std::vector<SweepPoint> points) const;
 

@@ -9,9 +9,6 @@ RunReport RunContext::run(const Scenario& scenario) {
   if (!simulator_) {
     simulator_.emplace(scenario.sim);
   } else {
-    if (simulator_->sign_cache().size() > kSignCacheMaxEntries) {
-      simulator_->sign_cache().clear();
-    }
     simulator_->reset(scenario.sim);
   }
 

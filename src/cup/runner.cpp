@@ -68,10 +68,9 @@ namespace detail {
 RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     protocol::SharedEvalCache& eval_cache, std::uint64_t contexts_recycled) {
-  // Cross-run caches are cumulative; report deltas against entry.
+  // The eval memo's counters are cumulative across runs; report deltas
+  // against entry. The registry's verify counters belong to this run.
   const protocol::SharedEvalCache::Stats eval_stats0 = eval_cache.stats();
-  const crypto::KeyRegistry::VerifyStats verify_stats0 =
-      simulator.registry().verify_stats();
 
   // Observability scope (README "Observability"), installed thread-locally
   // for the whole run. Both observers are per-run: the registry's snapshot
@@ -189,14 +188,13 @@ RunReport execute_scenario(
   report.memberships = trace.memberships();
   report.membership_times = trace.membership_times();
   const auto& verify_stats = simulator.registry().verify_stats();
-  const std::uint64_t lookups = verify_stats.lookups - verify_stats0.lookups;
-  const std::uint64_t sig_hits = verify_stats.hits - verify_stats0.hits;
   registry.counter("eval.requested")
       .add(eval_cache.stats().evaluations - eval_stats0.evaluations);
   registry.counter("eval.cache_hits")
       .add(eval_cache.stats().hits - eval_stats0.hits);
-  registry.counter("sig.verified").add(lookups - sig_hits);
-  registry.counter("sig.cached").add(sig_hits);
+  registry.counter("sig.verified")
+      .add(verify_stats.lookups - verify_stats.hits);
+  registry.counter("sig.cached").add(verify_stats.hits);
   // The big-SCC path counts into this during the run; interned here even
   // when it never fired, so every snapshot carries the name.
   registry.counter("engine.big_scc_fallbacks");

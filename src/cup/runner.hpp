@@ -173,10 +173,10 @@ namespace detail {
 /// RunContext's run body. `simulator` must be freshly constructed or reset
 /// for the scenario's sim options; `eval_cache`'s memo flag must match
 /// scenario.eval_cache; `contexts_recycled` counts the prior runs the
-/// executing context served. Cache counters in the report are deltas
-/// against the entry-time stats, so cumulative cross-run caches report
-/// per-run figures; every metric is collected in a registry local to this
-/// call.
+/// executing context served. The eval memo's counters in the report are
+/// deltas against the entry-time stats, so the cumulative cross-run memo
+/// reports per-run figures; the signature counters are the run's own key
+/// registry's. Every metric is collected in a registry local to this call.
 [[nodiscard]] RunReport execute_scenario(
     const Scenario& scenario, sim::Simulator& simulator,
     protocol::SharedEvalCache& eval_cache, std::uint64_t contexts_recycled);

@@ -7,7 +7,9 @@
 // pure function of its key (see README "Membership engine caching" for the
 // invariants), so results are identical with the memo on or off. It is one
 // of the engine's two ContentMemo instances (common/content_memo.hpp); the
-// signature memo (crypto::SignCache) is the other.
+// signature memo (crypto::SignCache) is the other. It is the only memo a
+// recycled RunContext keeps between runs: views repeat across seeds, while
+// the signature memo belongs to one run's key registry.
 //
 // Owned by one RunContext and therefore one thread.
 #pragma once

@@ -70,7 +70,7 @@ void Context::report_membership(const IdSet& members) {
 Simulator::Simulator(Options options)
     : options_(options),
       rng_(options.seed),
-      registry_(options.seed ^ 0xb5f7c0deULL),
+      registry_(options.seed ^ 0xb5f7c0deULL, options.verify_cache),
       verifier_(&registry_) {
   configure();
 }
@@ -88,19 +88,19 @@ void Simulator::reset(Options options) {
   options_ = options;
 
   rng_ = Rng(options_.seed);
-  // The signature memo persists: its key binds the registry seed, the
-  // signer, and the payload, so every retained entry is still the correct
-  // signature. configure() re-attaches it per the run's knob.
-  registry_.reset(options_.seed ^ 0xb5f7c0deULL);
+  // A new registry: the run's keys, and with them the sign memo and the
+  // verify counters, start empty. verifier_ points at the member, which
+  // move assignment keeps in place.
+  registry_ = crypto::KeyRegistry(options_.seed ^ 0xb5f7c0deULL,
+                                  options_.verify_cache);
   now_ = 0;
   started_ = false;
   configure();
 }
 
-/// Shared tail of construction and reset: attaches the signature memo per
-/// the run's knob and installs the default delay policy.
+/// Shared tail of construction and reset: installs the default delay
+/// policy and the run's hostile wire.
 void Simulator::configure() {
-  registry_.attach_sign_cache(options_.verify_cache ? &sign_cache_ : nullptr);
   policy_ = std::make_unique<RandomDelayPolicy>();
   wire_.reset();
   if (options_.wire.enabled) wire_.emplace(options_.wire, options_.seed);
@@ -353,7 +353,8 @@ void Simulator::run() {
   if (metrics != nullptr) {
     metrics->counter("sim.far_events").add(queue_.far_pushes());
     metrics->gauge("sim.queue_bytes").set(queue_.capacity_bytes());
-    metrics->gauge("crypto.sign_memo_bytes").set(sign_cache_.capacity_bytes());
+    metrics->gauge("crypto.sign_memo_bytes")
+        .set(registry_.sign_memo().capacity_bytes());
   }
 }
 

@@ -25,12 +25,11 @@
 // the process table grow to the traffic a run produces (the queue only
 // ever holds what is in flight). A Simulator is *recyclable*: reset()
 // returns it to the just-constructed state while keeping every capacity it
-// grew and the signature memo (crypto::SignCache, a ContentMemo whose keys
-// bind the key seed, the signer and the payload).
-// cup::RunContext drives this to run batch sweeps with near-zero per-run
-// setup cost; a reset simulator is observationally identical to a fresh
-// one (asserted by the recycling property suite and BatchRunner's
-// verify_determinism).
+// grew. The key registry, with its signature memo, is run state: reset()
+// replaces it. cup::RunContext drives this to run batch sweeps with
+// near-zero per-run setup cost; a reset simulator is observationally
+// identical to a fresh one (asserted by RunContextTest and
+// BatchRunnerTest.ParallelSweepMatchesSerialBitForBit).
 #pragma once
 
 #include <functional>
@@ -55,10 +54,11 @@ class Simulator {
     std::uint64_t seed = 1;
     NetConfig net;
     SimTime horizon = 1'000'000;  ///< hard stop (simulated time)
-    /// Attach the signature memo (crypto::SignCache) to the registry,
-    /// so signing and verification reuse memoized signatures. Signatures
-    /// are a pure function of (key seed, signer, payload), so replay stays
-    /// bit-identical; off still counts verifications for the run report.
+    /// Build the run's key registry with its signature memo
+    /// (crypto::SignCache), so signing and verification within the run
+    /// reuse memoized signatures. Signatures are a pure function of (key
+    /// seed, signer, payload), so replay stays bit-identical; off still
+    /// counts verifications for the run report.
     bool verify_cache = true;
     /// Lossy-network fault model (sim/network.hpp) on every send to a
     /// known recipient over an up link: the drop is drawn before the delay
@@ -74,10 +74,17 @@ class Simulator {
   };
 
   explicit Simulator(Options options);
+  // Contexts, signers and verifier_ hold this object's address (verifier_
+  // points at registry_), so a Simulator is neither copied nor moved.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+  Simulator(Simulator&&) = delete;
+  Simulator& operator=(Simulator&&) = delete;
 
   /// Returns the simulator to the just-constructed state for `options`,
-  /// retaining grown capacity and the seed-bound signature memo. The
-  /// previous run's processes, queue, trace, and timeline are destroyed.
+  /// retaining grown capacity. The previous run's processes, queue, trace,
+  /// timeline and key registry (its signature memo and verify counters
+  /// included) are destroyed.
   void reset(Options options);
 
   /// Registers a process. Must be called before run().
@@ -100,9 +107,6 @@ class Simulator {
   [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] crypto::KeyRegistry& registry() { return registry_; }
-
-  /// The signature memo itself (cap management by the owning context).
-  [[nodiscard]] crypto::SignCache& sign_cache() { return sign_cache_; }
 
  private:
   friend class Context;
@@ -141,7 +145,6 @@ class Simulator {
   Options options_;
   Rng rng_;
   crypto::KeyRegistry registry_;
-  crypto::SignCache sign_cache_;
   crypto::Verifier verifier_;
   std::unique_ptr<DelayPolicy> policy_;
   /// Present iff options_.wire.enabled (rebuilt by configure()).

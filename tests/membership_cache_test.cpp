@@ -7,7 +7,7 @@
 // 2. The per-simulation shared evaluation memo returns the cold result and
 //    serves every repeated view from memory.
 // 3. The signature memo serves verification accepts AND rejects without
-//    changing outcomes, and its entries are bound to the key seed.
+//    changing outcomes, and lives exactly as long as one run's keys.
 // 4. Regression: SearchOptions::exhaustive_cap >= 64 no longer shifts a
 //    64-bit mask out of range (UB) — oversized caps are clamped and
 //    oversized SCCs take the big-SCC certification path promptly.
@@ -21,6 +21,7 @@
 #include "protocol/eval_cache.hpp"
 #include "protocol/sink.hpp"
 #include "protocol/sink_search.hpp"
+#include "sim/simulator.hpp"
 
 namespace bftcup {
 namespace {
@@ -237,10 +238,9 @@ TEST(SharedEvalCacheTest, RepeatedViewHitsAfterAStreakOfMisses) {
 }
 
 TEST(SignMemoTest, VerifyServesAcceptsAndRejectsFromTheSignMemo) {
-  crypto::SignCache memo;
   crypto::KeyRegistry registry(42);
-  registry.attach_sign_cache(&memo);
-  crypto::KeyRegistry bare(42);  // no memo: every verify recomputes the MAC
+  // No memo: every verify recomputes the MAC.
+  crypto::KeyRegistry bare(42, /*memoize=*/false);
   const Bytes payload = to_bytes("hello");
   const crypto::Signature good = registry.sign_as(p(1), payload);
   crypto::Signature flipped = good;
@@ -258,41 +258,43 @@ TEST(SignMemoTest, VerifyServesAcceptsAndRejectsFromTheSignMemo) {
   // Signing p(1) filled the memo, so only the first p(2) verify missed.
   EXPECT_EQ(registry.verify_stats().lookups, 9U);
   EXPECT_EQ(registry.verify_stats().hits, 8U);
-  EXPECT_EQ(memo.size(), 2U);
+  EXPECT_EQ(registry.sign_memo().size(), 2U);
   EXPECT_EQ(bare.verify_stats().lookups, 9U);
   EXPECT_EQ(bare.verify_stats().hits, 0U);
+  EXPECT_EQ(bare.sign_memo().size(), 0U);
 }
 
-TEST(SignMemoTest, RetainedEntriesAreBoundToTheKeySeed) {
-  // A recycled simulator keeps its sign memo across reset(); what keeps a
-  // retained entry from vouching for a signature under the next run's keys
-  // is that the key seed is part of the memo key.
-  crypto::SignCache memo;
-  crypto::KeyRegistry registry(42);
-  registry.attach_sign_cache(&memo);
+TEST(SignMemoTest, ResetSimulatorStartsWithAnEmptyMemo) {
+  // The memo belongs to the key registry, which reset() replaces: the next
+  // run starts with no entries, no verify counts, and the next seed's keys.
+  sim::Simulator::Options options;
+  options.seed = 42;
+  sim::Simulator simulator(options);
   const Bytes payload = to_bytes("vote");
-  const crypto::Signature under42 = registry.sign_as(p(1), payload);
-  ASSERT_TRUE(registry.verify(p(1), payload, under42));
-  ASSERT_EQ(registry.verify_stats().hits, 1U);
+  const crypto::Signature under42 =
+      simulator.registry().sign_as(p(1), payload);
+  ASSERT_TRUE(simulator.registry().verify(p(1), payload, under42));
+  ASSERT_EQ(simulator.registry().verify_stats().hits, 1U);
+  ASSERT_EQ(simulator.registry().sign_memo().size(), 1U);
+  ASSERT_GT(simulator.registry().sign_memo().capacity_bytes(), 0U);
 
-  registry.reset(43);
-  ASSERT_EQ(memo.size(), 1U);  // retained, not cleared
+  options.seed = 43;
+  simulator.reset(options);
+  crypto::KeyRegistry& registry = simulator.registry();
+  EXPECT_EQ(registry.sign_memo().size(), 0U);
+  EXPECT_EQ(registry.verify_stats().lookups, 0U);
+  EXPECT_EQ(registry.verify_stats().hits, 0U);
+  // Not even the old run's buckets are kept.
+  EXPECT_EQ(registry.sign_memo().capacity_bytes(),
+            crypto::KeyRegistry(43).sign_memo().capacity_bytes());
+
   EXPECT_FALSE(registry.verify(p(1), payload, under42));
-  EXPECT_EQ(registry.verify_stats().hits, 1U);  // a miss under seed 43
-  crypto::KeyRegistry fresh43(43);
-  EXPECT_FALSE(fresh43.verify(p(1), payload, under42));
+  EXPECT_EQ(registry.verify_stats().lookups, 1U);
+  EXPECT_EQ(registry.verify_stats().hits, 0U);
   const crypto::Signature under43 = registry.sign_as(p(1), payload);
-  EXPECT_EQ(under43, fresh43.sign_as(p(1), payload));
   EXPECT_NE(under43, under42);
+  EXPECT_EQ(under43, sim::Simulator(options).registry().sign_as(p(1), payload));
   EXPECT_TRUE(registry.verify(p(1), payload, under43));
-
-  // Back under seed 42 the retained entry is again the right answer.
-  registry.reset(42);
-  EXPECT_TRUE(registry.verify(p(1), payload, under42));
-  EXPECT_FALSE(registry.verify(p(1), payload, under43));
-  EXPECT_EQ(memo.size(), 2U);
-  EXPECT_EQ(registry.verify_stats().lookups, 5U);
-  EXPECT_EQ(registry.verify_stats().hits, 4U);
 }
 
 TEST(SearchOptionsTest, OversizedExhaustiveCapIsClampedNotUndefined) {

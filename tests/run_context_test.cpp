@@ -2,13 +2,14 @@
 // number of prior runs is observationally identical to a fresh simulator.
 //
 // This is the state-leak tripwire for the whole recycled engine — simulator
-// reset, the retained signature and evaluation memos, and the bucketed
-// event queue all sit under it. The property runs every explored/* corpus
-// scenario and the dyn/* fault-timeline family (the paths that exercise
-// crash/recover, partitions, late joins, fake PDs, and the Byzantine
-// behaviors) twice through ONE context, interleaved, and demands
-// byte-identical RunReport digests against fresh runs. CI also runs it
-// under ASan/UBSan, where state that outlives a reset surfaces first.
+// reset (which replaces the key registry and its signature memo), the
+// retained evaluation memo, and the bucketed event queue all sit under it.
+// The property runs every explored/* corpus scenario and the dyn/*
+// fault-timeline family (the paths that exercise crash/recover,
+// partitions, late joins, fake PDs, and the Byzantine behaviors) twice
+// through ONE context, interleaved, and demands byte-identical RunReport
+// digests against fresh runs. CI also runs it under ASan/UBSan, where state
+// that outlives a reset surfaces first.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -72,9 +73,10 @@ TEST(RunContextTest, RecycledRunsMatchFreshRunsByteForByte) {
 }
 
 TEST(RunContextTest, KnobsAreDigestNeutral) {
-  // One context, the cache knobs flipped run by run: memos detached for one
-  // run and re-attached for the next (their entries retained throughout)
-  // still leave every digest equal to the fresh reference.
+  // One context, the cache knobs flipped run by run: the run's registry
+  // built without its signature memo, and the eval memo switched off but
+  // its entries retained, for one run and back on for the next, still leave
+  // every digest equal to the fresh reference.
   const auto* entry = ScenarioRegistry::paper().find("dyn/crash-mid-discovery");
   ASSERT_NE(entry, nullptr);
   const std::string reference =
@@ -112,6 +114,22 @@ TEST(RunContextTest, RunEngineCountersDescribeTheContext) {
     EXPECT_EQ(r.eval_cache_hits, r.evaluations) << "replay " << replay;
     EXPECT_EQ(r.digest(), first.digest()) << "replay " << replay;
   }
+}
+
+TEST(RunContextTest, SignMemoHoldsOnlyThisRun) {
+  // A run's keys derive from its seed, so its signature memo starts empty:
+  // after a seed-1 run, a seed-2 run's memo holds what a fresh context's
+  // seed-2 run holds, not the seed-1 entries as well.
+  RunContext context;
+  (void)context.run(scenario_for("fig1b/silent", 1));
+  const Scenario second = scenario_for("fig1b/silent", 2);
+  const RunReport recycled = context.run(second);
+  const RunReport fresh = cup::run_scenario(second);
+  ASSERT_GT(fresh.metrics.gauge("crypto.sign_memo_bytes"), 0u);
+  EXPECT_EQ(recycled.metrics.gauge("crypto.sign_memo_bytes"),
+            fresh.metrics.gauge("crypto.sign_memo_bytes"));
+  EXPECT_EQ(recycled.signatures_verified, fresh.signatures_verified);
+  EXPECT_EQ(recycled.signatures_cached, fresh.signatures_cached);
 }
 
 TEST(RunContextTest, MetricsSnapshotHoldsOnlyThisRun) {

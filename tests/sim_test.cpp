@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "test_util.hpp"
 
 namespace bftcup::sim {
 namespace {
 
 using test::ScriptedProcess;
+
+// The verifier and every Signer reach the key registry through the
+// simulator's address; a moved-from simulator would leave them verifying
+// through a destroyed registry.
+static_assert(!std::is_copy_constructible_v<Simulator>);
+static_assert(!std::is_move_constructible_v<Simulator>);
+static_assert(!std::is_move_assignable_v<Simulator>);
 
 ProcessId p(std::uint64_t raw) {
   return ProcessId(raw);

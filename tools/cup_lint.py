@@ -45,7 +45,10 @@ Static path analysis is deliberately out of scope: R1 approximates "feeds a
 digest" at module granularity via DIGEST_PATH_MODULES below, and
 `--report` emits the full container inventory of those modules
 (tools/lint_report.json, diffed in CI) so every new container on a
-digest-feeding path shows up in review even when it is ordered.
+digest-feeding path shows up in review even when it is ordered. Rows carry
+no line numbers: a container is (file, name, type, ordered, allowlisted)
+with a count of its declarations, so an edit that only moves lines leaves
+the inventory as it was.
 
 Usage:
   cup_lint.py [--root DIR]                 # lint src/, exit 1 on findings
@@ -60,6 +63,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -665,7 +669,8 @@ def spelling_pattern(spelling: str) -> str:
 
 
 def container_inventory(files: list[SourceFile]) -> list[dict[str, Any]]:
-    """Every container declaration in the digest-path modules."""
+    """Every container declared in the digest-path modules, one row per
+    (file, name, type, ordered, allowlisted) with its declaration count."""
     spellings: list[tuple[str, bool]] = [(t, True) for t in ORDERED_CONTAINERS]
     spellings += [(f"std::{t}", False) for t in UNORDERED_TYPES]
     # `(` is accepted as an initializer so pre-sized slot vectors —
@@ -700,8 +705,8 @@ def container_inventory(files: list[SourceFile]) -> list[dict[str, Any]]:
             True,
         ),
     ]
-    rows: list[dict[str, Any]] = []
-    seen: set[tuple[str, int, str]] = set()
+    counts: Counter[tuple[str, str, str, bool, bool]] = Counter()
+    seen: set[tuple[str, int, str]] = set()  # one count per declaration
     for source in files:
         text = source.code_text
         for decl_re, spelling, ordered in decl_res:
@@ -712,25 +717,26 @@ def container_inventory(files: list[SourceFile]) -> list[dict[str, Any]]:
                 if key in seen:
                     continue
                 seen.add(key)
-                rows.append(
-                    {
-                        "file": source.rel,
-                        "line": lineno,
-                        "name": name,
-                        "type": spelling,
-                        "ordered": ordered,
-                        "allowlisted": source.allowlisted(
-                            "ordered-ok", lineno
-                        ),
-                    }
-                )
-    rows.sort(key=lambda r: (r["file"], r["line"], r["name"]))
-    return rows
+                allowlisted = source.allowlisted("ordered-ok", lineno)
+                counts[(source.rel, name, spelling, ordered, allowlisted)] += 1
+    return [
+        {
+            "file": file,
+            "name": name,
+            "type": spelling,
+            "ordered": ordered,
+            "allowlisted": allowlisted,
+            "count": count,
+        }
+        for (file, name, spelling, ordered, allowlisted), count in sorted(
+            counts.items()
+        )
+    ]
 
 
 def render_report(files: list[SourceFile]) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "digest_path_modules": list(DIGEST_PATH_MODULES),
         "containers": container_inventory(
             [f for f in files if f.rel in DIGEST_PATH_MODULES]
